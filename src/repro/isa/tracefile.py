@@ -4,9 +4,10 @@ Two on-disk formats share one loader:
 
 * **v1** (this module): gzip-compressed JSON lines, one instruction per
   line — simple, diffable, and the historical interchange format;
-* **v2** (:mod:`repro.traces.binformat`): struct-packed records in
-  zlib-framed blocks with an index footer — several times smaller and
-  faster to parse, for the long traces the "full" scale needs.
+* **v2** (:mod:`repro.traces.binformat`): columnar records in
+  zlib-framed blocks with an index footer — several times smaller, and
+  decoded a block at a time, column by column, so loading a saved trace
+  is about twice as fast as regenerating it (figures in docs/traces.md).
 
 :func:`load_trace` sniffs the leading magic bytes and dispatches, so
 callers never care which format a file uses::

@@ -58,6 +58,14 @@ in one-byte varints.  ``seq`` is implicit (dense from 0, in file order)
 and the derived annotations ``containing_store``/``unique_stores``/
 ``path_hist`` are recomputed on load, exactly as the v1 reader does, so a
 reloaded trace is bit-identical to the annotated original.
+
+The reader decodes a block column by column rather than record by
+record: the length table splits the block once, one-byte columns are
+indexed in place, each varint column is decoded into an int list in one
+pass, and one loop zips the columns into ``DynInst`` records.  Every
+column must be consumed exactly, so a damaged column table fails loudly
+(:class:`TraceFormatError` naming the block and the column) instead of
+decoding into a different trace.
 """
 
 from __future__ import annotations
@@ -138,9 +146,34 @@ def _read_uvarint(payload: bytes, offset: int) -> tuple[int, int]:
         shift += 7
 
 
-def _read_svarint(payload: bytes, offset: int) -> tuple[int, int]:
-    raw, offset = _read_uvarint(payload, offset)
-    return (raw >> 1) if not raw & 1 else -((raw + 1) >> 1), offset
+def _uvarints(stream: bytes) -> list[int]:
+    """Decode a whole column of uvarints in one pass."""
+    if stream.isascii():
+        # Every byte below 0x80: each byte is one complete value.
+        return list(stream)
+    values: list[int] = []
+    append = values.append
+    stream_bytes = iter(stream)
+    for byte in stream_bytes:
+        if byte < 0x80:
+            append(byte)
+            continue
+        value = byte - 0x80
+        shift = 7
+        for byte in stream_bytes:
+            if byte < 0x80:
+                append(value | byte << shift)
+                break
+            value |= (byte - 0x80) << shift
+            shift += 7
+        else:
+            raise ValueError("ends inside a varint")
+    return values
+
+
+def _svarints(stream: bytes) -> list[int]:
+    """Decode a whole column of zigzag svarints in one pass."""
+    return [(raw >> 1) ^ -(raw & 1) for raw in _uvarints(stream)]
 
 
 class _Codec:
@@ -257,128 +290,225 @@ def _encode_record(inst: DynInst, cols: _Columns, state: _Codec) -> None:
         state.stores += 1
 
 
-def _decode_block(
-    payload: bytes, count: int, base_seq: int, state: _Codec, path: Path
-) -> list[DynInst]:
-    insts: list[DynInst] = []
+#: ``OpClass`` members indexed by their on-disk byte.
+_OPS = tuple(OpClass(value) for value in range(len(OpClass)))
+#: ``(signed, fp_convert, taken, is_call, is_return)`` for the five low
+#: flag bits.
+_LOW_FLAGS = tuple(
+    tuple(bool(bits >> bit & 1) for bit in range(5)) for bits in range(32)
+)
+
+
+def _column_error(where: str, name: str, detail: str) -> TraceFormatError:
+    return TraceFormatError(f"{where}: column {name!r} {detail}")
+
+
+def _varint_column(where: str, name: str, stream: bytes,
+                   decode=_uvarints) -> list[int]:
     try:
-        # Split the column streams: a length table, then the streams
-        # back to back.  Per-column cursors walk them in record order.
-        lengths = []
-        offset = 0
+        return decode(stream)
+    except ValueError as exc:
+        raise _column_error(where, name, str(exc)) from None
+
+
+def _column_demand(flags: list[int], nstores: bytes) -> dict[str, int]:
+    """Values each flag-dependent column must hold for a block's records."""
+    demand = dict.fromkeys(("dst", "addr", "target", "dist", "sources"), 0)
+    for flag, nstore in zip(flags, nstores):
+        demand["dst"] += bool(flag & _F_HAS_DST)
+        demand["addr"] += bool(flag & _F_HAS_ADDR)
+        demand["target"] += bool(flag & _F_HAS_TARGET)
+        demand["dist"] += bool(flag & _F_HAS_DIST)
+        if nstore:
+            demand["sources"] += (
+                1 if flag & _F_UNIFORM_SOURCES else nstore
+            )
+    return demand
+
+
+def _check_consumed(where: str, columns, consumed: dict[str, int]) -> None:
+    for name, column in columns:
+        if len(column) != consumed[name]:
+            raise _column_error(
+                where, name,
+                f"holds {len(column)} values, records need {consumed[name]}",
+            )
+
+
+def _decode_block(
+    payload: bytes, count: int, block: int, base_seq: int, state: _Codec,
+    path: Path,
+) -> list[DynInst]:
+    """Decode one decompressed block column by column.
+
+    Every column must be consumed exactly; anything else is a
+    :class:`TraceFormatError` naming the block and the column.
+    """
+    where = f"{path}: block {block} (instruction {base_seq})"
+    # Split the column streams once: a length table, then the streams
+    # back to back.
+    offset = 0
+    lengths = []
+    try:
         for _ in _COLUMNS:
             length, offset = _read_uvarint(payload, offset)
             lengths.append(length)
-        cursor = {}
-        for name, length in zip(_COLUMNS, lengths):
-            cursor[name] = offset
-            offset += length
-        if offset != len(payload):
-            raise TraceFormatError(
-                f"{path}: block column table covers {offset} of "
-                f"{len(payload)} bytes"
-            )
-        for index in range(count):
-            flags, cursor["flags"] = _read_uvarint(payload, cursor["flags"])
-            op = payload[cursor["op"]]
-            cursor["op"] += 1
-            lat = payload[cursor["lat"]]
-            cursor["lat"] += 1
-            size = payload[cursor["size"]]
-            cursor["size"] += 1
-            nsrcs = payload[cursor["nsrcs"]]
-            cursor["nsrcs"] += 1
-            nstores = payload[cursor["nstores"]]
-            cursor["nstores"] += 1
-            ref, cursor["pcpage"] = _read_uvarint(payload, cursor["pcpage"])
-            if ref == 0:
-                page, cursor["pcnew"] = _read_uvarint(
-                    payload, cursor["pcnew"]
-                )
-                state.pages.append(page)
-            else:
-                page = state.pages[ref - 1]
-            pc = (page << 8) | payload[cursor["pcoff"]]
-            cursor["pcoff"] += 1
-            dst = addr = target = None
-            store_seq = -1
-            dist_insns = -1
-            if flags & _F_HAS_DST:
-                dst = payload[cursor["dst"]]
-                cursor["dst"] += 1
-            if flags & _F_HAS_ADDR:
-                delta, cursor["addr"] = _read_svarint(
-                    payload, cursor["addr"]
-                )
-                addr = state.addr + delta
-                state.addr = addr
-            if flags & _F_HAS_TARGET:
-                delta, cursor["target"] = _read_svarint(
-                    payload, cursor["target"]
-                )
-                target = pc + delta
-            if flags & _F_HAS_DIST:
-                dist_insns, cursor["dist"] = _read_uvarint(
-                    payload, cursor["dist"]
-                )
-            srcs = tuple(payload[cursor["srcs"]:cursor["srcs"] + nsrcs])
-            cursor["srcs"] += nsrcs
-            src_stores: tuple[int, ...] = ()
-            if nstores:
-                if flags & _F_UNIFORM_SOURCES:
-                    raw, cursor["sources"] = _read_uvarint(
-                        payload, cursor["sources"]
-                    )
-                    value = MEMORY_SOURCE if raw == 0 else state.stores - raw
-                    src_stores = (value,) * nstores
-                else:
-                    values = []
-                    for _ in range(nstores):
-                        raw, cursor["sources"] = _read_uvarint(
-                            payload, cursor["sources"]
-                        )
-                        values.append(
-                            MEMORY_SOURCE if raw == 0 else state.stores - raw
-                        )
-                    src_stores = tuple(values)
-            if flags & _F_HAS_STORE_SEQ:
-                store_seq = state.stores
-                state.stores += 1
-            inst = DynInst(
-                seq=base_seq + index,
-                pc=pc,
-                op=OpClass(op),
-                srcs=srcs,
-                dst=dst,
-                lat=lat,
-                addr=addr,
-                size=size,
-                signed=bool(flags & _F_SIGNED),
-                fp_convert=bool(flags & _F_FP_CONVERT),
-                taken=bool(flags & _F_TAKEN),
-                target=target,
-                is_call=bool(flags & _F_IS_CALL),
-                is_return=bool(flags & _F_IS_RETURN),
-            )
-            inst.store_seq = store_seq
-            inst.src_stores = src_stores
-            inst.dist_insns = dist_insns
-            # Derived annotations (not serialized): recompute exactly as
-            # annotate_trace does so reloaded traces are bit-identical.
-            unique = set(src_stores)
-            if len(unique) == 1 and MEMORY_SOURCE not in unique:
-                inst.containing_store = src_stores[0]
-            else:
-                inst.containing_store = MEMORY_SOURCE
-            inst.unique_stores = tuple(
-                s for s in unique if s != MEMORY_SOURCE
-            )
-            insts.append(inst)
-    except (struct.error, IndexError, ValueError) as exc:
+    except IndexError:
+        raise TraceFormatError(f"{where}: truncated column table") from None
+    streams = []
+    for length in lengths:
+        streams.append(payload[offset:offset + length])
+        offset += length
+    if offset != len(payload):
         raise TraceFormatError(
-            f"{path}: corrupt record in block at instruction "
-            f"{base_seq + len(insts)}: {exc}"
-        ) from exc
+            f"{where}: column table covers {offset} of {len(payload)} bytes"
+        )
+    (flag_stream, ops, lats, sizes, nsrcs, nstores, page_stream, pcoffs,
+     new_stream, dsts, addr_stream, target_stream, dist_stream, src_stream,
+     source_stream) = streams
+
+    # u8 columns stay bytes; varint columns become int lists.
+    flags = _varint_column(where, "flags", flag_stream)
+    refs = _varint_column(where, "pcpage", page_stream)
+    new_pages = _varint_column(where, "pcnew", new_stream)
+    addrs = _varint_column(where, "addr", addr_stream, _svarints)
+    targets = _varint_column(where, "target", target_stream, _svarints)
+    dists = _varint_column(where, "dist", dist_stream)
+    sources = _varint_column(where, "sources", source_stream)
+    for name, column in (
+        ("flags", flags), ("op", ops), ("lat", lats), ("size", sizes),
+        ("nsrcs", nsrcs), ("nstores", nstores), ("pcpage", refs),
+        ("pcoff", pcoffs),
+    ):
+        if len(column) != count:
+            raise _column_error(
+                where, name, f"holds {len(column)} values for {count} records"
+            )
+    if ops and max(ops) >= len(_OPS):
+        raise _column_error(where, "op", f"has unknown op class {max(ops)}")
+    for name, have, need in (
+        ("pcnew", len(new_pages), refs.count(0)),
+        ("srcs", len(src_stream), sum(nsrcs)),
+    ):
+        if have != need:
+            raise _column_error(
+                where, name, f"holds {have} values, records need {need}"
+            )
+
+    # PCs: a reference to a known page, or 0 and the next new page.
+    pages = state.pages
+    new_page = iter(new_pages).__next__
+    pcs = []
+    try:
+        for ref, pcoff in zip(refs, pcoffs):
+            if not ref:
+                pages.append(new_page())
+                ref = len(pages)
+            pcs.append(pages[ref - 1] << 8 | pcoff)
+    except IndexError:
+        raise _column_error(
+            where, "pcpage", f"references page {ref - 1} before it is defined"
+        ) from None
+
+    srcs = tuple(src_stream)
+    addr = state.addr
+    stores = state.stores
+    next_dst = next_addr = next_target = next_dist = next_src = 0
+    next_source = 0
+    conditional = (
+        ("dst", dsts), ("addr", addrs), ("target", targets),
+        ("dist", dists), ("sources", sources),
+    )
+    insts: list[DynInst] = []
+    append = insts.append
+    try:
+        for seq, flag, op, lat, size, nsrc, nstore, pc in zip(
+            range(base_seq, base_seq + count), flags, ops, lats, sizes,
+            nsrcs, nstores, pcs,
+        ):
+            signed, fp_conv, taken, call, ret = _LOW_FLAGS[flag & 0x1F]
+            if flag & _F_HAS_DST:
+                dst = dsts[next_dst]
+                next_dst += 1
+            else:
+                dst = None
+            if flag & _F_HAS_ADDR:
+                addr += addrs[next_addr]
+                next_addr += 1
+                inst_addr = addr
+            else:
+                inst_addr = None
+            if flag & _F_HAS_TARGET:
+                target = pc + targets[next_target]
+                next_target += 1
+            else:
+                target = None
+            if flag & _F_HAS_DIST:
+                dist = dists[next_dist]
+                next_dist += 1
+            else:
+                dist = -1
+            if not nstore:
+                src_stores = unique = ()
+                containing = MEMORY_SOURCE
+            elif nstore == 1 or flag & _F_UNIFORM_SOURCES:
+                # Store distances: 0 is MEMORY_SOURCE, d >= 1 the d-th
+                # most recent store.
+                raw = sources[next_source]
+                next_source += 1
+                if raw:
+                    containing = stores - raw
+                    if containing < 0:
+                        raise _column_error(
+                            where, "sources", f"reaches before the first "
+                            f"store at instruction {seq}"
+                        )
+                    unique = (containing,)
+                    src_stores = unique * nstore
+                else:
+                    containing = MEMORY_SOURCE
+                    unique = ()
+                    src_stores = (MEMORY_SOURCE,) * nstore
+            else:
+                raws = sources[next_source:next_source + nstore]
+                next_source += nstore
+                if max(raws, default=0) > stores:
+                    raise _column_error(
+                        where, "sources", f"reaches before the first store "
+                        f"at instruction {seq}"
+                    )
+                src_stores = tuple([
+                    stores - raw if raw else MEMORY_SOURCE for raw in raws
+                ])
+                # Derived annotations, exactly as annotate_trace computes
+                # them (set iteration order included).
+                distinct = set(src_stores)
+                if len(distinct) == 1 and MEMORY_SOURCE not in distinct:
+                    containing = src_stores[0]
+                else:
+                    containing = MEMORY_SOURCE
+                unique = tuple(s for s in distinct if s != MEMORY_SOURCE)
+            if flag & _F_HAS_STORE_SEQ:
+                store_seq = stores
+                stores += 1
+            else:
+                store_seq = -1
+            append(DynInst(
+                seq, pc, _OPS[op], srcs[next_src:next_src + nsrc], dst, lat,
+                inst_addr, size, signed, fp_conv, taken, target, call, ret,
+                store_seq, src_stores, containing, dist, unique,
+            ))
+            next_src += nsrc
+    except IndexError:
+        # A flag-dependent column ran out: name it from the full demand.
+        _check_consumed(where, conditional, _column_demand(flags, nstores))
+        raise
+    _check_consumed(where, conditional, {
+        "dst": next_dst, "addr": next_addr, "target": next_target,
+        "dist": next_dist, "sources": next_source,
+    })
+    state.addr = addr
+    state.stores = stores
     return insts
 
 
@@ -513,7 +643,7 @@ def read_trace(path: str | Path) -> Iterator[DynInst]:
     with open(path, "rb") as stream:
         expected, _block_records = _read_header(stream, path)
         state = _Codec()
-        seq = 0
+        seq = block = 0
         while seq < expected:
             raw = stream.read(_FRAME.size)
             if len(raw) != _FRAME.size:
@@ -522,6 +652,11 @@ def read_trace(path: str | Path) -> Iterator[DynInst]:
                     f"(header says {expected})"
                 )
             comp_len, count, crc = _FRAME.unpack(raw)
+            if seq + count > expected:
+                raise TraceFormatError(
+                    f"{path}: block {block} holds records {seq} to "
+                    f"{seq + count - 1}, past the header's {expected}"
+                )
             payload = stream.read(comp_len)
             if len(payload) != comp_len:
                 raise TraceFormatError(
@@ -537,8 +672,11 @@ def read_trace(path: str | Path) -> Iterator[DynInst]:
                 raise TraceFormatError(
                     f"{path}: corrupt block at instruction {seq}: {exc}"
                 ) from exc
-            yield from _decode_block(decompressed, count, seq, state, path)
+            yield from _decode_block(
+                decompressed, count, block, seq, state, path
+            )
             seq += count
+            block += 1
 
 
 def load_trace(path: str | Path) -> list[DynInst]:

@@ -21,6 +21,7 @@ import gzip
 import hashlib
 import json
 import shutil
+import zlib
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,85 @@ class TestBinaryErrors:
             write_trace(trace, tmp_path / "bad.bt")
         # A failed write must not leave a loadable truncated file behind.
         assert not (tmp_path / "bad.bt").exists()
+
+    @staticmethod
+    def _rewrite_block(path, edit):
+        """Rewrite a one-block file's column table and streams through
+        ``edit(lengths, streams)``, with a valid frame, CRC, index and
+        trailer, so only the column data is wrong."""
+        data = path.read_bytes()
+        header = data[:binformat._HEADER.size]
+        comp_len, records, _crc = binformat._FRAME.unpack_from(
+            data, len(header)
+        )
+        start = len(header) + binformat._FRAME.size
+        payload = zlib.decompress(data[start:start + comp_len])
+        lengths = []
+        offset = 0
+        for _ in binformat._COLUMNS:
+            length, offset = binformat._read_uvarint(payload, offset)
+            lengths.append(length)
+        streams = bytearray(payload[offset:])
+        edit(lengths, streams)
+        table = bytearray()
+        for length in lengths:
+            binformat._write_uvarint(table, length)
+        block = zlib.compress(bytes(table + streams), 9)
+        frame_offset = len(header)
+        frame = binformat._FRAME.pack(len(block), records, zlib.crc32(block))
+        index_offset = frame_offset + len(frame) + len(block)
+        path.write_bytes(
+            header + frame + block
+            + binformat._INDEX_ENTRY.pack(frame_offset, records, len(block))
+            + binformat._TRAILER.pack(index_offset, 1,
+                                      binformat.TRAILER_MAGIC)
+        )
+        assert trace_info(path)["instructions"] == records
+
+    @pytest.mark.parametrize("shrink,grow", [("addr", "target"),
+                                             ("dst", "addr")])
+    def test_misplaced_column_boundary_rejected(self, tmp_path, shrink,
+                                                grow):
+        """A column table that still covers the block but moves one byte
+        from one column to the next must not decode into another trace."""
+        path = tmp_path / "t.bt"
+        write_trace(generate_trace("gzip", num_instructions=300), path)
+
+        def move_boundary(lengths, streams):
+            lengths[binformat._COLUMNS.index(shrink)] -= 1
+            lengths[binformat._COLUMNS.index(grow)] += 1
+
+        self._rewrite_block(path, move_boundary)
+        with pytest.raises(TraceFormatError,
+                           match=rf"block 0 .*column '({shrink}|{grow})'"):
+            load_trace(path)
+
+    def test_store_distance_before_trace_start_rejected(self, tmp_path):
+        path = tmp_path / "t.bt"
+        write_trace(build_trace([("st", 0x40, 8, 8), ("ld", 0x40, 8)]), path)
+
+        def far_distance(lengths, streams):
+            # The last stream is "sources": the load's one store distance.
+            assert lengths[-1] == 1 and streams[-1] == 1
+            streams[-1] = 2
+
+        self._rewrite_block(path, far_distance)
+        with pytest.raises(TraceFormatError,
+                           match="column 'sources' reaches before"):
+            load_trace(path)
+
+    def test_frames_past_header_count_rejected(self, tmp_path):
+        path = tmp_path / "t.bt"
+        write_trace(generate_trace("gzip", num_instructions=300), path)
+        data = bytearray(path.read_bytes())
+        magic, version, flags, _count, block_records = \
+            binformat._HEADER.unpack_from(data)
+        data[:binformat._HEADER.size] = binformat._HEADER.pack(
+            magic, version, flags, 10, block_records
+        )
+        path.write_bytes(bytes(data))
+        with pytest.raises(TraceFormatError, match="past the header's 10"):
+            list(read_trace(path))
 
     def test_failed_writer_body_unlinks_partial_file(self, tmp_path):
         from repro.traces.binformat import BinaryTraceWriter
@@ -575,11 +655,12 @@ def test_binformat_varint_roundtrip():
     for value in values:
         got, offset = binformat._read_uvarint(bytes(out), offset)
         assert got == value
+    assert binformat._uvarints(bytes(out)) == values
+    assert binformat._uvarints(bytes(range(128))) == list(range(128))
+    with pytest.raises(ValueError, match="inside a varint"):
+        binformat._uvarints(bytes(out) + b"\x80")
     out = bytearray()
     signed = [0, -1, 1, -64, 64, -(2 ** 33), 2 ** 33]
     for value in signed:
         binformat._write_svarint(out, value)
-    offset = 0
-    for value in signed:
-        got, offset = binformat._read_svarint(bytes(out), offset)
-        assert got == value
+    assert binformat._svarints(bytes(out)) == signed
