@@ -41,18 +41,20 @@ Package map:
   component registry, typed ``simulate``/``sweep`` entry points
 """
 
-from repro.pipeline import MachineConfig, Processor, RunStats, simulate
-from repro.workloads import generate_trace, profile, PROFILES
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "MachineConfig",
-    "Processor",
-    "RunStats",
-    "simulate",
-    "generate_trace",
-    "profile",
-    "PROFILES",
-    "__version__",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "MachineConfig": "pipeline.config",
+    "Processor": "pipeline.processor",
+    "RunStats": "pipeline.stats",
+    "simulate": "pipeline.processor",
+    "generate_trace": "workloads.generator",
+    "profile": "workloads.profiles",
+    "PROFILES": "workloads.profiles",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

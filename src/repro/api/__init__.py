@@ -37,86 +37,48 @@ thin shims over this façade; the five standard presets resolve to configs
 bit-identical to those factories, so existing campaign caches stay valid.
 """
 
-from repro.api.components import (
-    Component,
-    ComponentError,
-    component_names,
-    create_component,
-    list_components,
-    register_bypass_predictor,
-    register_component,
-    register_memory_hierarchy,
-    register_scheduler,
-    unregister_component,
-)
-from repro.api.configs import (
-    REGISTRY,
-    ConfigPreset,
-    ConfigRegistry,
-    ConfigSpecError,
-    config_from_dict,
-    config_from_json,
-    config_from_toml,
-    config_hash,
-    config_set,
-    config_to_dict,
-    config_to_json,
-    config_to_toml,
-    list_config_sets,
-    list_configs,
-    register_config,
-    resolve_config,
-    resolve_configs,
-    standard_configs,
-    unregister_config,
-)
-from repro.api.facade import (
-    NAMED_SCALES,
-    SimResult,
-    SweepResult,
-    effective_warmup,
-    resolve_scale,
-    simulate,
-    sweep,
-    validate,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Component",
-    "ComponentError",
-    "ConfigPreset",
-    "ConfigRegistry",
-    "ConfigSpecError",
-    "NAMED_SCALES",
-    "REGISTRY",
-    "SimResult",
-    "SweepResult",
-    "component_names",
-    "config_from_dict",
-    "config_from_json",
-    "config_from_toml",
-    "config_hash",
-    "config_set",
-    "config_to_dict",
-    "config_to_json",
-    "config_to_toml",
-    "create_component",
-    "effective_warmup",
-    "list_components",
-    "list_config_sets",
-    "list_configs",
-    "register_bypass_predictor",
-    "register_component",
-    "register_config",
-    "register_memory_hierarchy",
-    "register_scheduler",
-    "resolve_config",
-    "resolve_configs",
-    "resolve_scale",
-    "simulate",
-    "standard_configs",
-    "sweep",
-    "unregister_component",
-    "unregister_config",
-    "validate",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "Component": "components",
+    "ComponentError": "components",
+    "ConfigPreset": "configs",
+    "ConfigRegistry": "configs",
+    "ConfigSpecError": "configs",
+    "NAMED_SCALES": "facade",
+    "REGISTRY": "configs",
+    "SimResult": "facade",
+    "SweepResult": "facade",
+    "component_names": "components",
+    "config_from_dict": "configs",
+    "config_from_json": "configs",
+    "config_from_toml": "configs",
+    "config_hash": "configs",
+    "config_set": "configs",
+    "config_to_dict": "configs",
+    "config_to_json": "configs",
+    "config_to_toml": "configs",
+    "create_component": "components",
+    "effective_warmup": "facade",
+    "list_components": "components",
+    "list_config_sets": "configs",
+    "list_configs": "configs",
+    "register_bypass_predictor": "components",
+    "register_component": "components",
+    "register_config": "configs",
+    "register_memory_hierarchy": "components",
+    "register_scheduler": "components",
+    "resolve_config": "configs",
+    "resolve_configs": "configs",
+    "resolve_scale": "facade",
+    "simulate": "facade",
+    "standard_configs": "configs",
+    "sweep": "facade",
+    "unregister_component": "components",
+    "unregister_config": "configs",
+    "validate": "facade",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

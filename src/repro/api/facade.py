@@ -36,7 +36,6 @@ from repro.harness.runner import (
 )
 from repro.isa.trace import DynInst, TraceStats, communication_stats
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import Processor
 from repro.pipeline.stats import RunStats
 
 #: The named scales every string-accepting entry point understands.
@@ -128,6 +127,8 @@ def simulate(
     *scale* is ``smoke``/``default``/``full``, an instruction count, or an
     :class:`ExperimentScale`.  *warmup* defaults to the scale's.
     """
+    from repro.pipeline.processor import Processor
+
     machine = resolve_config(config)
     scale = resolve_scale(scale)
     benchmark, trace = _resolve_trace(source, scale, seed)

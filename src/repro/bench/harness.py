@@ -29,13 +29,8 @@ from repro.core.ssbf import TaggedSSBF
 from repro.core.svw import SVWFilter
 from repro.harness.report import render_table
 from repro.api.configs import resolve_config, standard_configs
-from repro.harness.runner import (
-    DEFAULT,
-    FULL,
-    SMOKE,
-    ExperimentScale,
-    make_trace,
-)
+from repro.api.facade import NAMED_SCALES
+from repro.harness.runner import ExperimentScale, make_trace
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInst, annotate_trace
 from repro.memory.hierarchy import MemoryHierarchy
@@ -60,9 +55,6 @@ PHASE_NAMES = (
     "memory_hierarchy",
     "trace_io",
 )
-
-_NAMED_SCALES = {"smoke": SMOKE, "default": DEFAULT, "full": FULL}
-
 
 def _git_rev() -> str:
     """Short revision of the working tree, or ``local`` outside git."""
@@ -241,12 +233,12 @@ def run_bench(
     ``benchmarks`` x the five standard configurations, one shared annotated
     trace per benchmark (the campaign engine's sharing unit).
     """
-    if scale not in _NAMED_SCALES:
+    if scale not in NAMED_SCALES:
         raise ValueError(
             f"unknown scale {scale!r}; expected one of "
-            f"{sorted(_NAMED_SCALES)}"
+            f"{sorted(NAMED_SCALES)}"
         )
-    experiment_scale: ExperimentScale = _NAMED_SCALES[scale]
+    experiment_scale: ExperimentScale = NAMED_SCALES[scale]
     phase_iterations = _PHASE_ITERATIONS[scale]
 
     def say(message: str) -> None:

@@ -89,8 +89,7 @@ from repro.harness.figure2 import BARS, BASELINE, figure2_series
 from repro.harness.figure4 import figure4_series
 from repro.harness.report import render_table
 from repro.harness.table5 import table5_row, table5_rows
-from repro.pipeline import simulate
-from repro.workloads import PROFILES, generate_trace, programs
+from repro.workloads.profiles import PROFILES
 
 
 def _scale(args) -> ExperimentScale:
@@ -265,6 +264,7 @@ def cmd_run(args) -> int:
     else:
         configs = _dedup_configs(configs)
     from repro.isa.tracefile import TraceFormatError
+    from repro.pipeline.processor import simulate
     from repro.traces import resolve_source
 
     for benchmark in benchmarks:
@@ -304,6 +304,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from repro.pipeline.processor import simulate
+    from repro.workloads.generator import generate_trace
+
     _resolve_warmup(args)
     rows = []
     for name in args.benchmarks:
@@ -345,6 +348,9 @@ def cmd_figure2(args) -> int:
 
 
 def cmd_program(args) -> int:
+    from repro.pipeline.processor import simulate
+    from repro.workloads import programs
+
     builders = {p.name: p for p in programs.all_programs()}
     if args.name not in builders:
         print(f"unknown program {args.name!r}; available: "

@@ -18,39 +18,28 @@
   data-cache write port, flush latency (Section 3.4, Table 4).
 """
 
-from repro.core.ssn import SSNCounters
-from repro.core.srq import SRQEntry, StoreRegisterQueue
-from repro.core.bypass_predictor import (
-    BypassingPredictor,
-    BypassPrediction,
-    BypassPredictorConfig,
-)
-from repro.core.ssbf import TaggedSSBF, UntaggedSSBF, SSBFEntry
-from repro.core.svw import SVWFilter, BypassVerdict
-from repro.core.partial_word import (
-    BypassTransform,
-    transform_for,
-    apply_transform,
-    needs_injected_op,
-)
-from repro.core.commit_pipeline import CommitPipeline, BackendConfig
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SSNCounters",
-    "SRQEntry",
-    "StoreRegisterQueue",
-    "BypassingPredictor",
-    "BypassPrediction",
-    "BypassPredictorConfig",
-    "TaggedSSBF",
-    "UntaggedSSBF",
-    "SSBFEntry",
-    "SVWFilter",
-    "BypassVerdict",
-    "BypassTransform",
-    "transform_for",
-    "apply_transform",
-    "needs_injected_op",
-    "CommitPipeline",
-    "BackendConfig",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "SSNCounters": "ssn",
+    "SRQEntry": "srq",
+    "StoreRegisterQueue": "srq",
+    "BypassingPredictor": "bypass_predictor",
+    "BypassPrediction": "bypass_predictor",
+    "BypassPredictorConfig": "bypass_predictor",
+    "TaggedSSBF": "ssbf",
+    "UntaggedSSBF": "ssbf",
+    "SSBFEntry": "ssbf",
+    "SVWFilter": "svw",
+    "BypassVerdict": "svw",
+    "BypassTransform": "partial_word",
+    "transform_for": "partial_word",
+    "apply_transform": "partial_word",
+    "needs_injected_op": "partial_word",
+    "CommitPipeline": "commit_pipeline",
+    "BackendConfig": "commit_pipeline",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -76,34 +76,24 @@ See the README's "Running campaigns" section for the CLI view of this
 contract.
 """
 
-from repro.experiments.cache import (
-    CACHE_SCHEMA,
-    DEFAULT_CACHE_DIR,
-    ResultCache,
-    job_key,
-)
-from repro.experiments.scheduler import (
-    CampaignResult,
-    JobGroup,
-    ProgressEvent,
-    plan_campaign,
-    run_campaign,
-)
-from repro.experiments.spec import CampaignSpec, Job
-from repro.experiments.store import ResultStore, collect_results
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CACHE_SCHEMA",
-    "DEFAULT_CACHE_DIR",
-    "CampaignResult",
-    "CampaignSpec",
-    "Job",
-    "JobGroup",
-    "ProgressEvent",
-    "ResultCache",
-    "ResultStore",
-    "collect_results",
-    "job_key",
-    "plan_campaign",
-    "run_campaign",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "CACHE_SCHEMA": "cache",
+    "DEFAULT_CACHE_DIR": "cache",
+    "CampaignResult": "scheduler",
+    "CampaignSpec": "spec",
+    "Job": "spec",
+    "JobGroup": "scheduler",
+    "ProgressEvent": "scheduler",
+    "ResultCache": "cache",
+    "ResultStore": "store",
+    "collect_results": "store",
+    "job_key": "cache",
+    "plan_campaign": "scheduler",
+    "run_campaign": "scheduler",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

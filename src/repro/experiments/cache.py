@@ -38,7 +38,7 @@ CACHE_SCHEMA = 2
 DEFAULT_CACHE_DIR = Path("results") / "cache"
 
 
-def job_key(job: Job) -> str:
+def job_key(job: Job, memo: dict[Any, Any] | None = None) -> str:
     """Content hash addressing *job*'s result on disk.
 
     For trace-source benchmarks (``zoo.*``, ``trace:``/``extern:`` files,
@@ -46,36 +46,62 @@ def job_key(job: Job) -> str:
     generator version — joins the payload, so swapping the bytes behind a
     path can never be served a stale result.  Synthetic profiles
     contribute nothing extra, keeping their historical keys byte-stable.
-    """
-    from repro.traces import source_identity
 
+    *memo* is a dict the caller keeps across the jobs of one plan (see
+    :func:`~repro.experiments.scheduler.plan_campaign`): each config's
+    and each benchmark's contribution is then computed once per plan
+    rather than once per job.  The configs must not change while the
+    memo is in use.  Keys are the same with or without it.
+    """
+    if memo is None:
+        memo = {}
+    # Memo entries: id(config) -> (config, its fields, its components),
+    # holding the config so its id cannot be reused; benchmark id ->
+    # source content id.
+    entry = memo.get(id(job.config))
+    if entry is None:
+        entry = memo[id(job.config)] = (
+            job.config, config_to_dict(job.config),
+            _component_identities(job.config),
+        )
+    _config, config_fields, components = entry
+    if job.benchmark in memo:
+        source = memo[job.benchmark]
+    else:
+        from repro.traces import source_identity
+
+        source = memo[job.benchmark] = source_identity(job.benchmark)
     payload = {
         "schema": CACHE_SCHEMA,
         "version": repro.__version__,
         "benchmark": job.benchmark,
-        "config": config_to_dict(job.config),
+        "config": config_fields,
         "num_instructions": job.scale.num_instructions,
         "warmup": job.scale.warmup,
         "seed": job.seed,
     }
-    source = source_identity(job.benchmark)
     if source is not None:
         payload["source"] = source
-    # Configs selecting registered components fold the registration's
-    # identity (name:v<version>) into the key, so bumping a component's
-    # version invalidates its cached results — exactly as generator
-    # versions do for trace sources.  Default-only configs contribute
-    # nothing extra, keeping their historical keys byte-stable.
-    from repro.api.components import component_identity, selected_components
-
-    impls = selected_components(job.config)
-    if impls:
-        payload["components"] = {
-            kind: component_identity(kind, name) or name
-            for kind, name in impls.items()
-        }
+    if components:
+        payload["components"] = components
     digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
     return digest.hexdigest()
+
+
+def _component_identities(config: Any) -> dict[str, str]:
+    """The registered components *config* selects, kind -> identity.
+
+    Configs selecting registered components fold the registration's
+    identity (name:v<version>) into the key, so bumping a component's
+    version invalidates its cached results — exactly as generator
+    versions do for trace sources.  Default-only configs contribute
+    nothing extra, keeping their historical keys byte-stable."""
+    from repro.api.components import component_identity, selected_components
+
+    return {
+        kind: component_identity(kind, name) or name
+        for kind, name in selected_components(config).items()
+    }
 
 
 class ResultCache:

@@ -33,6 +33,10 @@ def jsonify(value: Any) -> Any:
     """Recursively convert dataclasses/enums/tuples to JSON-compatible types."""
     if isinstance(value, enum.Enum):
         return value.value
+    # Scalars first: they are most of the leaves, and this order skips
+    # the dataclass test for each of them.
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
             f.name: jsonify(getattr(value, f.name))
@@ -42,8 +46,6 @@ def jsonify(value: Any) -> Any:
         return [jsonify(v) for v in value]
     if isinstance(value, dict):
         return {str(k): jsonify(v) for k, v in value.items()}
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
     raise TypeError(f"cannot serialize {type(value).__name__}: {value!r}")
 
 

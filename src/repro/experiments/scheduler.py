@@ -20,7 +20,6 @@ the in-flight groups; a re-run resumes from the cached remainder.
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -40,7 +39,6 @@ from repro.harness.runner import (
 )
 from repro.isa.trace import communication_stats
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import Processor
 
 
 @dataclass(frozen=True)
@@ -133,9 +131,21 @@ def _make_record(
     }
 
 
+#: The modules that execute a job group: the processor and the trace
+#: producers behind the sources.  A campaign served wholly from the
+#: cache never loads them.
+_GROUP_MODULES = (
+    "repro.pipeline.processor",
+    "repro.workloads.generator",
+    "repro.isa.tracefile",
+)
+
+
 def _iter_group_records(group: JobGroup):
     """Run a group's jobs on one shared trace, yielding ``(key, record)``
     as each finishes (so inline callers can persist per job)."""
+    from repro.pipeline.processor import Processor
+
     if group.source is not None:
         trace = group.source.trace(group.scale, group.seed)
     else:
@@ -211,8 +221,11 @@ def plan_campaign(
     """Split the spec into cache hits and groups of jobs still to run."""
     hits: list[tuple[Job, str, dict[str, Any]]] = []
     pending: dict[tuple[str, int], list[tuple[Job, str]]] = {}
+    # Every config and benchmark recurs across the cross product; the
+    # memo has job_key compute each one's contribution once per plan.
+    memo: dict[Any, Any] = {}
     for job in spec.jobs():
-        key = job_key(job)
+        key = job_key(job, memo)
         record = None if (cache is None or force) else cache.get(key)
         if record is not None:
             hits.append((job, key, record))
@@ -326,6 +339,15 @@ def run_campaign(
     if not pool_groups:
         run_inline()
     else:
+        # Forked workers inherit the parent's modules.  Loading the group
+        # modules here, once, spares every worker of every campaign from
+        # importing (and, without a bytecode cache, compiling) them.  They
+        # load before the pool machinery: the other order left the parent
+        # with a higher peak RSS (DESIGN.md, "Import boundaries").
+        for module in _GROUP_MODULES:
+            __import__(module)
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {}
             for group in pool_groups:

@@ -9,19 +9,17 @@ Path history (branch direction bits plus two bits of each call PC) feeds the
 indexing function of NoSQ's path-sensitive bypassing predictor (Section 3.3).
 """
 
-from repro.frontend.branch_predictor import (
-    BranchPredictorStats,
-    BTB,
-    HybridBranchPredictor,
-    ReturnAddressStack,
-)
-from repro.frontend.path_history import PathHistory, compute_path_history
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BranchPredictorStats",
-    "BTB",
-    "HybridBranchPredictor",
-    "ReturnAddressStack",
-    "PathHistory",
-    "compute_path_history",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "BranchPredictorStats": "branch_predictor",
+    "BTB": "branch_predictor",
+    "HybridBranchPredictor": "branch_predictor",
+    "ReturnAddressStack": "branch_predictor",
+    "PathHistory": "path_history",
+    "compute_path_history": "path_history",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

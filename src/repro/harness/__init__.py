@@ -18,46 +18,31 @@ directory path or :class:`~repro.experiments.ResultCache`) to memoize
 results on disk — identical numbers either way.
 """
 
-from repro.harness.runner import (
-    ExperimentScale,
-    SMOKE,
-    DEFAULT,
-    FULL,
-    BenchmarkResult,
-    run_benchmark,
-    run_suite,
-    standard_configs,
-    geomean,
-)
-from repro.harness.table5 import table5_rows, render_table5
-from repro.harness.figure2 import figure2_series, render_figure2
-from repro.harness.figure3 import figure3_series, render_figure3
-from repro.harness.figure4 import figure4_series, render_figure4
-from repro.harness.figure5 import (
-    figure5_capacity_series,
-    figure5_history_series,
-    render_figure5,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ExperimentScale",
-    "SMOKE",
-    "DEFAULT",
-    "FULL",
-    "BenchmarkResult",
-    "run_benchmark",
-    "run_suite",
-    "standard_configs",
-    "geomean",
-    "table5_rows",
-    "render_table5",
-    "figure2_series",
-    "render_figure2",
-    "figure3_series",
-    "render_figure3",
-    "figure4_series",
-    "render_figure4",
-    "figure5_capacity_series",
-    "figure5_history_series",
-    "render_figure5",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "ExperimentScale": "runner",
+    "SMOKE": "runner",
+    "DEFAULT": "runner",
+    "FULL": "runner",
+    "BenchmarkResult": "runner",
+    "run_benchmark": "runner",
+    "run_suite": "runner",
+    "standard_configs": "runner",
+    "geomean": "runner",
+    "table5_rows": "table5",
+    "render_table5": "table5",
+    "figure2_series": "figure2",
+    "render_figure2": "figure2",
+    "figure3_series": "figure3",
+    "render_figure3": "figure3",
+    "figure4_series": "figure4",
+    "render_figure4": "figure4",
+    "figure5_capacity_series": "figure5",
+    "figure5_history_series": "figure5",
+    "render_figure5": "figure5",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

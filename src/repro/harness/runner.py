@@ -14,7 +14,6 @@ from typing import Callable, Iterable, Sequence
 
 from repro.isa.trace import DynInst, TraceStats, communication_stats
 from repro.pipeline.config import MachineConfig
-from repro.pipeline.processor import Processor
 from repro.pipeline.stats import RunStats
 
 
@@ -117,6 +116,8 @@ def run_benchmark(
     trace: list[DynInst] | None = None,
 ) -> BenchmarkResult:
     """Run *name* through every configuration on one shared trace."""
+    from repro.pipeline.processor import Processor
+
     if trace is None:
         trace = make_trace(name, scale, seed)
     result = BenchmarkResult(

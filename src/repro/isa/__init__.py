@@ -19,29 +19,28 @@ The package contains:
   emits an annotated dynamic trace.
 """
 
-from repro.isa.opcodes import Opcode, OpClass, EXEC_LATENCY
-from repro.isa.trace import DynInst, MEMORY_SOURCE, annotate_trace
-from repro.isa.instructions import Instruction, Register, NUM_INT_REGS, NUM_FP_REGS
-from repro.isa.assembler import AssemblerError, assemble
-from repro.isa.executor import ExecutionResult, FunctionalExecutor
-from repro.isa.tracefile import TraceFormatError, load_trace, save_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Opcode",
-    "OpClass",
-    "EXEC_LATENCY",
-    "DynInst",
-    "MEMORY_SOURCE",
-    "annotate_trace",
-    "Instruction",
-    "Register",
-    "NUM_INT_REGS",
-    "NUM_FP_REGS",
-    "AssemblerError",
-    "assemble",
-    "ExecutionResult",
-    "FunctionalExecutor",
-    "TraceFormatError",
-    "load_trace",
-    "save_trace",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "Opcode": "opcodes",
+    "OpClass": "opcodes",
+    "EXEC_LATENCY": "opcodes",
+    "DynInst": "trace",
+    "MEMORY_SOURCE": "trace",
+    "annotate_trace": "trace",
+    "Instruction": "instructions",
+    "Register": "instructions",
+    "NUM_INT_REGS": "instructions",
+    "NUM_FP_REGS": "instructions",
+    "AssemblerError": "assembler",
+    "assemble": "assembler",
+    "ExecutionResult": "executor",
+    "FunctionalExecutor": "executor",
+    "TraceFormatError": "tracefile",
+    "load_trace": "tracefile",
+    "save_trace": "tracefile",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,22 +6,21 @@ store-load forwarding; NoSQ eliminates it (and optionally the load queue),
 which is the point of the paper.
 """
 
-from repro.ooo.rob import InFlightInst, ReorderBuffer
-from repro.ooo.rename import RegisterMapper
-from repro.ooo.regfile import PhysicalRegisterFile
-from repro.ooo.scheduler import PortSchedule, ISSUE_PORTS
-from repro.ooo.issue_queue import IssueQueueTracker
-from repro.ooo.lsq import ForwardResult, LoadQueueTracker, StoreQueue
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InFlightInst",
-    "ReorderBuffer",
-    "RegisterMapper",
-    "PhysicalRegisterFile",
-    "PortSchedule",
-    "ISSUE_PORTS",
-    "IssueQueueTracker",
-    "ForwardResult",
-    "LoadQueueTracker",
-    "StoreQueue",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "InFlightInst": "rob",
+    "ReorderBuffer": "rob",
+    "RegisterMapper": "rename",
+    "PhysicalRegisterFile": "regfile",
+    "PortSchedule": "scheduler",
+    "ISSUE_PORTS": "scheduler",
+    "IssueQueueTracker": "issue_queue",
+    "ForwardResult": "lsq",
+    "LoadQueueTracker": "lsq",
+    "StoreQueue": "lsq",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -6,21 +6,18 @@ or without delay, and the idealized variants); :class:`Processor` runs an
 annotated trace through it and returns :class:`RunStats`.
 """
 
-from repro.pipeline.config import (
-    BypassKind,
-    MachineConfig,
-    Mode,
-    SchedulerKind,
-)
-from repro.pipeline.stats import RunStats
-from repro.pipeline.processor import Processor, simulate
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BypassKind",
-    "MachineConfig",
-    "Mode",
-    "SchedulerKind",
-    "RunStats",
-    "Processor",
-    "simulate",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "BypassKind": "config",
+    "MachineConfig": "config",
+    "Mode": "config",
+    "SchedulerKind": "config",
+    "RunStats": "stats",
+    "Processor": "processor",
+    "simulate": "processor",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -8,12 +8,15 @@
   idealized partial-word support (the "Perfect SMB" bars).
 """
 
-from repro.predictors.store_sets import StoreSets, StoreSetsStats
-from repro.predictors.oracle import PerfectBypassPredictor, PerfectScheduler
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "StoreSets",
-    "StoreSetsStats",
-    "PerfectScheduler",
-    "PerfectBypassPredictor",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "StoreSets": "store_sets",
+    "StoreSetsStats": "store_sets",
+    "PerfectScheduler": "oracle",
+    "PerfectBypassPredictor": "oracle",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -10,27 +10,21 @@ generator emits traces matching those statistics.  Mini-ISA programs
 end-to-end correctness tests.
 """
 
-from repro.workloads.profiles import (
-    BenchmarkProfile,
-    PROFILES,
-    MEDIA_BENCHMARKS,
-    INT_BENCHMARKS,
-    FP_BENCHMARKS,
-    SELECTED_BENCHMARKS,
-    profile,
-)
-from repro.workloads.generator import SyntheticWorkload, generate_trace
-from repro.workloads import programs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BenchmarkProfile",
-    "PROFILES",
-    "MEDIA_BENCHMARKS",
-    "INT_BENCHMARKS",
-    "FP_BENCHMARKS",
-    "SELECTED_BENCHMARKS",
-    "profile",
-    "SyntheticWorkload",
-    "generate_trace",
-    "programs",
-]
+#: Public name -> the submodule defining it, loaded on first access.
+_EXPORTS = {
+    "BenchmarkProfile": "profiles",
+    "PROFILES": "profiles",
+    "MEDIA_BENCHMARKS": "profiles",
+    "INT_BENCHMARKS": "profiles",
+    "FP_BENCHMARKS": "profiles",
+    "SELECTED_BENCHMARKS": "profiles",
+    "profile": "profiles",
+    "SyntheticWorkload": "generator",
+    "generate_trace": "generator",
+    "programs": "programs",
+}
+
+__all__ = list(_EXPORTS)
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -104,6 +104,84 @@ class TestJobKey:
         assert job_key(self.job()) != job_key(self.job(scale=longer))
 
 
+class TestKeyStability:
+    """Cache keys are what a user's cache is addressed by: any change to
+    them silently invalidates every stored result."""
+
+    def test_pinned_keys(self):
+        from repro.api import NAMED_SCALES, resolve_config
+
+        smoke = NAMED_SCALES["smoke"]
+        assert job_key(Job("gzip", resolve_config("nosq"), smoke, 17)) == (
+            "0c93e297f65edc62e584b99ee98b5313c58af326a4d6c3b866e254161d29d85a"
+        )
+        assert job_key(
+            Job("zoo.pchase", resolve_config("conventional"), smoke, 17)
+        ) == "97461e3cb5321d2731ddc3a566b687ad47f177129ee233543fb32c99857d7cb4"
+
+    @pytest.fixture
+    def mixed_spec(self, tmp_path):
+        """Presets, an override, a registered component and a trace file."""
+        from repro.api import register_bypass_predictor, unregister_component
+        from repro.core.bypass_predictor import BypassingPredictor
+        from repro.isa.tracefile import save_trace
+        from repro.workloads.generator import generate_trace
+
+        register_bypass_predictor(
+            "keys-test", lambda config: BypassingPredictor(
+                config.bypass_predictor
+            ), version=3,
+        )
+        path = tmp_path / "g.bt"
+        save_trace(generate_trace("gzip", 600, seed=5), path, version=2)
+        yield CampaignSpec(
+            benchmarks=["gzip", "zoo.pchase", f"trace:{path}"],
+            configs=[
+                "nosq", "conventional", "nosq?backend.rob_size=256",
+                "nosq?bypass.impl=keys-test",
+            ],
+            scale=TINY, seeds=(17, 18),
+        )
+        unregister_component("bypass_predictor", "keys-test")
+
+    def test_plan_keys_equal_job_key(self, mixed_spec, tmp_path):
+        expected = {
+            (job.benchmark, job.config.name, job.seed): job_key(job)
+            for job in mixed_spec.jobs()
+        }
+        assert len(set(expected.values())) == len(expected)
+        cache = ResultCache(tmp_path / "cache")
+        hit_job = next(mixed_spec.jobs())
+        cache.put(expected[hit_job.benchmark, hit_job.config.name,
+                           hit_job.seed], {"run_stats": {}})
+        hits, groups = plan_campaign(mixed_spec, cache)
+        planned = {
+            (job.benchmark, job.config.name, job.seed): key
+            for job, key, _record in hits
+        }
+        for group in groups:
+            for config, key in zip(group.configs, group.keys):
+                planned[group.benchmark, config.name, group.seed] = key
+        assert len(hits) == 1
+        assert planned == expected
+
+    def test_trace_file_hashed_once_per_plan(self, mixed_spec, monkeypatch):
+        from repro.traces import source
+
+        hashed = []
+        original = source._hash_file
+
+        def counting(path):
+            hashed.append(path)
+            return original(path)
+
+        monkeypatch.setattr(source, "_hash_file", counting)
+        plan_campaign(mixed_spec, cache=None)
+        assert len(hashed) == 1
+        plan_campaign(mixed_spec, cache=None)
+        assert len(hashed) == 2
+
+
 class TestParallelEqualsSerial:
     def test_two_workers_bit_identical(self, tmp_path):
         reference = serial_reference()

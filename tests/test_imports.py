@@ -1,0 +1,122 @@
+"""Import boundaries: what importing a package or a cached campaign loads.
+
+Package ``__init__`` files export their names lazily
+(:mod:`repro._lazy`), and the simulator is imported where it runs, so a
+campaign served from the cache never loads the cycle-level model.  The
+boundary checks run in fresh interpreters, because this test process has
+long since imported everything.
+"""
+
+from __future__ import annotations
+
+import importlib
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import repro
+import repro.experiments
+import repro.experiments.cache
+
+SRC = Path(repro.__file__).resolve().parent.parent
+
+#: Modules that only executing (or validating, or benchmarking) loads.
+HEAVY = (
+    "repro.pipeline.processor",
+    "repro.workloads.generator",
+    "repro.validate",
+    "repro.bench",
+    "concurrent.futures.process",
+)
+
+#: Every package of the library, by dotted name.
+PACKAGES = sorted(
+    ".".join(("repro", *path.parent.relative_to(SRC / "repro").parts))
+    for path in (SRC / "repro").rglob("__init__.py")
+)
+
+
+def _env() -> dict[str, str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH", "")) if p
+    )
+    return env
+
+
+def _python(*args: str, cwd: Path | None = None) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=_env(), capture_output=True,
+        text=True, check=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "module", ["repro", "repro.api", "repro.experiments", "repro.cli"]
+)
+def test_import_loads_no_simulator(module):
+    done = _python("-c", (
+        f"import sys, {module}\n"
+        f"print([m for m in {HEAVY!r} if m in sys.modules])"
+    ))
+    assert done.stdout.strip() == "[]"
+
+
+def test_cached_campaign_never_loads_processor(tmp_path):
+    run = [
+        "-m", "repro", "campaign", "run", "gzip", "zoo.pchase",
+        "--configs", "nosq,conventional", "-n", "600", "-w", "300",
+        "--cache-dir", "cache", "--store", "campaign.jsonl", "--quiet",
+    ]
+    _python(*run, cwd=tmp_path)  # fills the cache (simulates)
+    cached = _python("-X", "importtime", *run, cwd=tmp_path)
+    assert "4 cached, 0 executed" in cached.stdout
+    report = _python(
+        "-X", "importtime", "-m", "repro", "campaign", "report",
+        "--store", "campaign.jsonl", cwd=tmp_path,
+    )
+    assert "zoo.pchase" in report.stdout
+    for done in (cached, report):
+        # -X importtime logs one "... | <module>" line per import.
+        assert "repro.experiments.scheduler" in done.stderr
+        assert not re.search(
+            r"\|\s*repro\.pipeline\.processor$", done.stderr, re.MULTILINE
+        )
+
+
+@pytest.mark.parametrize("package", PACKAGES)
+def test_every_export_resolves(package):
+    module = importlib.import_module(package)
+    listed = dir(module)
+    for name in module.__all__:
+        assert getattr(module, name) is not None, name
+        assert name in listed, name
+    namespace: dict[str, object] = {}
+    exec(f"from {package} import *", namespace)
+    assert set(module.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'job_kye'"):
+        repro.experiments.job_kye
+
+
+def test_exports_are_not_cached(monkeypatch):
+    """A package export always reads its module's current binding, so a
+    function rebound on its module and later restored (a profiler's
+    wrapper, a monkeypatch) never stays stale in the package."""
+    original = repro.experiments.cache.job_key
+    assert repro.experiments.job_key is original
+
+    def replacement(job, memo=None):
+        return "replaced"
+
+    monkeypatch.setattr(repro.experiments.cache, "job_key", replacement)
+    assert repro.experiments.job_key is replacement
+    monkeypatch.undo()
+    assert repro.experiments.job_key is original
+    assert "job_key" not in vars(repro.experiments)
