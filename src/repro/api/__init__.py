@@ -32,9 +32,9 @@ Quick start::
                   cache="results/cache")
 
 The historical entry points (``MachineConfig.conventional()``/``nosq()``,
-``repro.harness.runner.standard_configs``, ``repro.simulate``) remain as
-thin shims over this façade; the five standard presets resolve to configs
-bit-identical to those factories, so existing campaign caches stay valid.
+``repro.simulate``) remain beside this façade; the five standard presets
+resolve to configs bit-identical to those factories, so existing campaign
+caches stay valid.
 """
 
 from repro._lazy import lazy_exports

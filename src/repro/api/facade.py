@@ -32,7 +32,8 @@ from repro.harness.runner import (
     SMOKE,
     BenchmarkResult,
     ExperimentScale,
-    effective_warmup,
+    effective_warmup,  # noqa: F401 -- re-exported by repro.api
+    run_configs,
 )
 from repro.isa.trace import DynInst, TraceStats, communication_stats
 from repro.pipeline.config import MachineConfig
@@ -127,14 +128,10 @@ def simulate(
     *scale* is ``smoke``/``default``/``full``, an instruction count, or an
     :class:`ExperimentScale`.  *warmup* defaults to the scale's.
     """
-    from repro.pipeline.processor import Processor
-
     machine = resolve_config(config)
     scale = resolve_scale(scale)
     benchmark, trace = _resolve_trace(source, scale, seed)
-    if warmup is None:
-        warmup = effective_warmup(scale, len(trace))
-    stats = Processor(machine).run(trace, warmup=warmup)
+    _, stats, _ = next(run_configs(trace, [machine], scale, warmup))
     return SimResult(
         benchmark=benchmark,
         config=machine,

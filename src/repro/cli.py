@@ -9,9 +9,7 @@ Installed as the ``repro`` console script (``pip install -e .``);
     repro run nosq gzip --scale smoke         # one config spec, one benchmark
     repro run 'nosq?backend.rob_size=256' zoo.pchase --scale smoke
     repro run nosq@256 conventional@256 gzip  # several configs, one table
-    repro compare gzip vortex applu           # several benchmarks
-    repro table5 gzip mesa.o                  # Table 5 rows
-    repro figure2 gzip applu                  # Figure 2 bars
+    repro run conventional nosq gzip vortex   # several benchmarks
     repro list                                # benchmarks, configs, sources
     repro program stack_spill                 # run a mini-ISA program
 
@@ -31,6 +29,9 @@ Campaigns (sharded + cached sweeps; see :mod:`repro.experiments`)::
     python -m repro campaign status                         # cache coverage
     python -m repro campaign report                         # render tables
 
+Table 5 and Figures 2-4 come from the result store: ``campaign run
+--configs standard`` (or ``table5``) followed by ``campaign report``.
+
 Traces (sources, formats, importers; see :mod:`repro.traces`)::
 
     python -m repro trace record gzip -o gzip.bt            # v2 binary
@@ -38,11 +39,6 @@ Traces (sources, formats, importers; see :mod:`repro.traces`)::
     python -m repro trace convert events.txt ext.bt         # import external
     python -m repro trace info gzip.bt
     python -m repro trace validate gzip.bt
-
-Micro-benchmarks (perf tracking + CI gating; see :mod:`repro.bench`)::
-
-    python -m repro bench run --scale smoke                 # BENCH_<rev>.json
-    python -m repro bench compare BENCH_baseline.json BENCH_abc1234.json
 
 Differential validation (oracle diffing + fuzzing; see
 :mod:`repro.validate` and docs/validation.md)::
@@ -63,7 +59,6 @@ from typing import Sequence
 from repro.api import (
     NAMED_SCALES as _NAMED_SCALES,
     ConfigSpecError,
-    effective_warmup,
     list_components,
     list_config_sets,
     list_configs,
@@ -88,31 +83,51 @@ from repro.harness import (
 from repro.harness.figure2 import BARS, BASELINE, figure2_series
 from repro.harness.figure4 import figure4_series
 from repro.harness.report import render_table
-from repro.harness.table5 import table5_row, table5_rows
+from repro.harness.runner import run_configs
+from repro.harness.table5 import table5_row
 from repro.workloads.profiles import PROFILES
 
-
-def _scale(args) -> ExperimentScale:
-    return ExperimentScale(
-        "cli", num_instructions=args.instructions, warmup=args.warmup
-    )
+#: The scale of ``repro run`` and ``repro validate run`` without
+#: ``--scale`` or ``-n``; campaigns default to ``smoke``.
+_RUN_SCALE = ExperimentScale("cli", 30_000, 15_000)
 
 
-def _add_scale_args(parser: argparse.ArgumentParser) -> None:
+def _add_scale_args(
+    parser: argparse.ArgumentParser,
+    scale_help: str,
+    warmup_help: str = "custom warmup (with -n; default n/2)",
+) -> None:
+    """``--scale``/``-n``/``-w``/``--seed``, read by :func:`_cli_scale`."""
     parser.add_argument(
-        "-n", "--instructions", type=int, default=30_000,
-        help="trace length (default 30000)",
+        "--scale", choices=sorted(_NAMED_SCALES), default=None,
+        help=scale_help,
     )
     parser.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="warmup instructions excluded from stats (default n/2)",
+        "-n", "--instructions", type=int, default=None,
+        help="custom trace length (overrides --scale)",
+    )
+    parser.add_argument(
+        "-w", "--warmup", type=int, default=None, help=warmup_help,
     )
     parser.add_argument("--seed", type=int, default=17)
 
 
-def _resolve_warmup(args) -> None:
-    if args.warmup is None:
-        args.warmup = args.instructions // 2
+def _cli_scale(args, default: ExperimentScale) -> ExperimentScale:
+    """The scale ``-n/-w/--scale`` select, else *default*.
+
+    ``-n`` overrides ``--scale`` and its warmup defaults to n/2; ``-w``
+    without ``-n`` raises ValueError (callers exit 2)."""
+    if args.instructions is not None:
+        warmup = (
+            args.warmup if args.warmup is not None
+            else args.instructions // 2
+        )
+        return ExperimentScale("cli", args.instructions, warmup)
+    if args.warmup is not None:
+        raise ValueError("-w/--warmup requires -n/--instructions")
+    if args.scale is not None:
+        return _NAMED_SCALES[args.scale]
+    return default
 
 
 def cmd_list(args) -> int:
@@ -181,20 +196,6 @@ _DEFAULT_RUN_CONFIGS = (
 )
 
 
-def _run_scale(args) -> ExperimentScale:
-    if args.instructions is not None:
-        warmup = (
-            args.warmup if args.warmup is not None
-            else args.instructions // 2
-        )
-        return ExperimentScale("cli", args.instructions, warmup)
-    if args.warmup is not None:
-        raise ValueError("-w/--warmup requires -n/--instructions")
-    if args.scale is not None:
-        return _NAMED_SCALES[args.scale]
-    return ExperimentScale("cli", 30_000, 15_000)
-
-
 def _split_run_specs(specs):
     """Split mixed ``repro run``-style positionals into
     ``(configs, benchmarks)``; None after printing a one-line error
@@ -255,7 +256,7 @@ def cmd_run(args) -> int:
         return 2
     configs, benchmarks = split
     try:
-        scale = _run_scale(args)
+        scale = _cli_scale(args, _RUN_SCALE)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -264,7 +265,6 @@ def cmd_run(args) -> int:
     else:
         configs = _dedup_configs(configs)
     from repro.isa.tracefile import TraceFormatError
-    from repro.pipeline.processor import simulate
     from repro.traces import resolve_source
 
     for benchmark in benchmarks:
@@ -273,15 +273,18 @@ def cmd_run(args) -> int:
         except (TraceFormatError, OSError) as exc:
             print(f"{benchmark}: {exc}", file=sys.stderr)
             return 2
-        if args.warmup is None:
-            warmup = effective_warmup(scale, len(trace))
-        else:
-            warmup = scale.warmup
         results = {
-            config.name: simulate(config, trace, warmup=warmup)
-            for config in configs
+            config.name: stats
+            for config, stats, _elapsed in run_configs(
+                trace, configs, scale, args.warmup
+            )
         }
         baseline = next(iter(results.values()))
+        # Statistics exclude the warmup, so a defaulted (possibly
+        # clamped) warmup is the rest of the trace.
+        warmup = args.warmup
+        if warmup is None:
+            warmup = len(trace) - baseline.instructions
         rows = []
         for name, stats in results.items():
             rows.append([
@@ -300,50 +303,6 @@ def cmd_run(args) -> int:
                   f"({warmup} warmup; rel.time vs "
                   f"{baseline.config_name})",
         ))
-    return 0
-
-
-def cmd_compare(args) -> int:
-    from repro.pipeline.processor import simulate
-    from repro.workloads.generator import generate_trace
-
-    _resolve_warmup(args)
-    rows = []
-    for name in args.benchmarks:
-        trace = generate_trace(name, args.instructions, seed=args.seed)
-        baseline = simulate(
-            resolve_config("conventional"), trace, warmup=args.warmup
-        )
-        nosq = simulate(resolve_config("nosq"), trace, warmup=args.warmup)
-        rows.append([
-            name, f"{baseline.ipc:.2f}", f"{nosq.ipc:.2f}",
-            f"{nosq.cycles / baseline.cycles:.3f}",
-            f"{nosq.pct_loads_bypassed:.1f}%",
-            f"{nosq.mispredicts_per_10k_loads:.1f}",
-            f"{nosq.total_dcache_reads / max(1, baseline.total_dcache_reads):.3f}",
-        ])
-    print(render_table(
-        ["benchmark", "SQ IPC", "NoSQ IPC", "NoSQ rel.time", "bypassed",
-         "mispred/10k", "D$ reads rel."],
-        rows,
-        title="NoSQ vs associative store queue",
-    ))
-    return 0
-
-
-def cmd_table5(args) -> int:
-    _resolve_warmup(args)
-    scale = _scale(args)
-    names = args.benchmarks or list(PROFILES)
-    print(render_table5(table5_rows(names, scale=scale, seed=args.seed)))
-    return 0
-
-
-def cmd_figure2(args) -> int:
-    _resolve_warmup(args)
-    scale = _scale(args)
-    names = args.benchmarks or list(PROFILES)
-    print(render_figure2(figure2_series(names, scale=scale, seed=args.seed)))
     return 0
 
 
@@ -385,7 +344,7 @@ def cmd_validate_run(args) -> int:
         return 2
     configs, benchmarks = split
     try:
-        scale = _run_scale(args)
+        scale = _cli_scale(args, _RUN_SCALE)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -531,68 +490,6 @@ def cmd_validate_shrink(args) -> int:
         f"shrunk {len(trace)} -> {len(shrunk)} instructions; minimal "
         f"repro saved to {output}"
     )
-    return 0
-
-
-# --------------------------------------------------------------------- #
-# Micro-benchmarks
-# --------------------------------------------------------------------- #
-
-
-def cmd_bench_run(args) -> int:
-    from repro.bench import BENCH_BENCHMARKS, render_report, run_bench
-    from repro.bench.harness import write_report
-
-    benchmarks = args.benchmarks or list(BENCH_BENCHMARKS)
-    unknown = [b for b in benchmarks if b not in PROFILES]
-    if unknown:
-        print(f"unknown benchmarks: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else (lambda msg: print(f"[bench] {msg}"))
-    report = run_bench(
-        scale=args.scale, benchmarks=benchmarks, seed=args.seed,
-        repeat=args.repeat, progress=progress,
-    )
-    output = args.output or f"BENCH_{report['rev']}.json"
-    try:
-        write_report(report, output)
-    except OSError as exc:
-        print(f"cannot write {output}: {exc}", file=sys.stderr)
-        return 2
-    print(render_report(report))
-    print(f"report written to {output}")
-    return 0
-
-
-def cmd_bench_compare(args) -> int:
-    from repro.bench import compare_reports, load_report
-    from repro.bench.compare import render_comparison
-
-    try:
-        baseline = load_report(args.baseline)
-        candidate = load_report(args.candidate)
-        comparisons = compare_reports(
-            baseline, candidate, threshold=args.threshold
-        )
-    except (ValueError, OSError) as exc:
-        # Missing or corrupt report files are a usage error, not a
-        # traceback: exit 2 with one line, like `repro run`.
-        print(exc, file=sys.stderr)
-        return 2
-    print(render_comparison(
-        comparisons,
-        baseline_rev=baseline.get("rev", "?"),
-        candidate_rev=candidate.get("rev", "?"),
-    ))
-    regressions = [c for c in comparisons if c.regressed]
-    if regressions:
-        print(
-            f"{len(regressions)} metric(s) regressed by more than "
-            f"{100 * args.threshold:.0f}% vs the baseline",
-            file=sys.stderr,
-        )
-        return 1
-    print(f"no regressions beyond {100 * args.threshold:.0f}%")
     return 0
 
 
@@ -777,18 +674,6 @@ def cmd_trace_validate(args) -> int:
 # --------------------------------------------------------------------- #
 
 
-
-def _campaign_scale(args) -> ExperimentScale:
-    if args.instructions is None:
-        if args.warmup is not None:
-            raise ValueError("-w/--warmup requires -n/--instructions")
-        return _NAMED_SCALES[args.scale]
-    warmup = (
-        args.warmup if args.warmup is not None else args.instructions // 2
-    )
-    return ExperimentScale("cli", args.instructions, warmup)
-
-
 def _campaign_benchmarks(args) -> list[str]:
     """Positional ids, narrowed by ``--benchmarks`` globs, extended by
     ``--source`` ids.  With a filter but no positionals, the filter
@@ -822,7 +707,7 @@ def _campaign_spec(args) -> CampaignSpec:
     return CampaignSpec(
         benchmarks=_campaign_benchmarks(args),
         configs=resolve_configs(args.configs, window=args.window),
-        scale=_campaign_scale(args),
+        scale=_cli_scale(args, _NAMED_SCALES["smoke"]),
         seeds=(args.seed,),
         name=args.configs,
     )
@@ -849,19 +734,7 @@ def _add_campaign_spec_args(parser: argparse.ArgumentParser) -> None:
         help="add a trace source to the sweep (repeatable): a registered "
              "name, trace:<path> or extern:<path>",
     )
-    parser.add_argument(
-        "--scale", choices=sorted(_NAMED_SCALES), default="smoke",
-        help="named experiment scale (default smoke)",
-    )
-    parser.add_argument(
-        "-n", "--instructions", type=int, default=None,
-        help="custom trace length (overrides --scale)",
-    )
-    parser.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="custom warmup (with -n; default n/2)",
-    )
-    parser.add_argument("--seed", type=int, default=17)
+    _add_scale_args(parser, "named experiment scale (default smoke)")
     parser.add_argument(
         "--window", type=int, choices=(128, 256), default=128,
         help="machine window size (default 128)",
@@ -964,7 +837,13 @@ def cmd_campaign_report(args) -> int:
             print(f"no stored results for: {', '.join(missing)}",
                   file=sys.stderr)
             return 1
-        results = {b: results[b] for b in args.benchmarks}
+        names = args.benchmarks
+    else:
+        # Record order follows pool completion order; rows follow the
+        # paper's Table 5 order, then the other ids sorted.
+        names = [n for n in PROFILES if n in results]
+        names += sorted(n for n in results if n not in PROFILES)
+    results = {b: results[b] for b in names}
 
     # Render each table/figure over the benchmarks whose stored configs
     # support it (stores may mix config sets across campaigns).  The
@@ -1030,35 +909,10 @@ def build_parser() -> argparse.ArgumentParser:
              "'standard', globs like 'nosq*'); no config spec means "
              "the standard four",
     )
-    run.add_argument(
-        "--scale", choices=sorted(_NAMED_SCALES), default=None,
-        help="named experiment scale (default: 30000 instructions)",
+    _add_scale_args(
+        run, "named experiment scale (default: 30000 instructions)"
     )
-    run.add_argument(
-        "-n", "--instructions", type=int, default=None,
-        help="custom trace length (overrides --scale)",
-    )
-    run.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="custom warmup (with -n; default n/2)",
-    )
-    run.add_argument("--seed", type=int, default=17)
     run.set_defaults(func=cmd_run)
-
-    compare = sub.add_parser("compare", help="NoSQ vs baseline on benchmarks")
-    compare.add_argument("benchmarks", nargs="+", choices=sorted(PROFILES))
-    _add_scale_args(compare)
-    compare.set_defaults(func=cmd_compare)
-
-    table5 = sub.add_parser("table5", help="regenerate Table 5 rows")
-    table5.add_argument("benchmarks", nargs="*", choices=sorted(PROFILES))
-    _add_scale_args(table5)
-    table5.set_defaults(func=cmd_table5)
-
-    figure2 = sub.add_parser("figure2", help="regenerate Figure 2 bars")
-    figure2.add_argument("benchmarks", nargs="*", choices=sorted(PROFILES))
-    _add_scale_args(figure2)
-    figure2.set_defaults(func=cmd_figure2)
 
     program = sub.add_parser("program", help="run a mini-ISA example program")
     program.add_argument("name")
@@ -1151,20 +1005,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark ids and/or config specs, mixed freely like "
              "`repro run` (no config spec means the standard set)",
     )
-    validate_run.add_argument(
-        "--scale", choices=sorted(_NAMED_SCALES), default=None,
-        help="named experiment scale (default: 30000 instructions)",
+    _add_scale_args(
+        validate_run,
+        "named experiment scale (default: 30000 instructions)",
+        warmup_help="accepted for symmetry with `repro run`; validation "
+                    "always measures the whole trace",
     )
-    validate_run.add_argument(
-        "-n", "--instructions", type=int, default=None,
-        help="custom trace length (overrides --scale)",
-    )
-    validate_run.add_argument(
-        "-w", "--warmup", type=int, default=None,
-        help="accepted for symmetry with `repro run`; validation always "
-             "measures the whole trace",
-    )
-    validate_run.add_argument("--seed", type=int, default=17)
     validate_run.set_defaults(func=cmd_validate_run)
 
     validate_fuzz = validate_sub.add_parser(
@@ -1221,50 +1067,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output path for the minimal repro (default <path>.min.bt)",
     )
     validate_shrink.set_defaults(func=cmd_validate_shrink)
-
-    bench = sub.add_parser(
-        "bench",
-        help="micro-benchmark the simulator's hot paths (repro.bench)",
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="time the simulator + hot paths, emit BENCH_<rev>.json"
-    )
-    bench_run.add_argument(
-        "benchmarks", nargs="*", metavar="benchmark",
-        help="benchmarks for the end-to-end phase (default: bench set)",
-    )
-    bench_run.add_argument(
-        "--scale", choices=("smoke", "default", "full"), default="smoke",
-        help="named experiment scale (default smoke)",
-    )
-    bench_run.add_argument("--seed", type=int, default=17)
-    bench_run.add_argument(
-        "--repeat", type=int, default=3,
-        help="timing rounds per phase; best round is reported (default 3)",
-    )
-    bench_run.add_argument(
-        "-o", "--output", default=None,
-        help="report path (default BENCH_<rev>.json)",
-    )
-    bench_run.add_argument(
-        "-q", "--quiet", action="store_true",
-        help="suppress per-phase progress lines",
-    )
-    bench_run.set_defaults(func=cmd_bench_run)
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="compare two reports; nonzero exit on regression",
-    )
-    bench_compare.add_argument("baseline", help="baseline BENCH_*.json")
-    bench_compare.add_argument("candidate", help="candidate BENCH_*.json")
-    bench_compare.add_argument(
-        "--threshold", type=float, default=0.20,
-        help="relative rate-drop that counts as a regression (default 0.20)",
-    )
-    bench_compare.set_defaults(func=cmd_bench_compare)
 
     campaign = sub.add_parser(
         "campaign",

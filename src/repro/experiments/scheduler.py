@@ -8,9 +8,10 @@ processes; ``jobs=1`` runs inline in this process with identical results).
 
 Sharding unit: all of one benchmark's uncached configs at one seed form a
 *job group*, so the trace — the expensive shared input — is generated once
-per (benchmark, seed) and reused by every config in the group, exactly as
-the serial :func:`~repro.harness.runner.run_benchmark` path does.  Results
-are therefore bit-identical between serial, inline and multi-process runs.
+per (benchmark, seed) and reused by every config in the group, through the
+same loop (:func:`~repro.harness.runner.run_configs`) as the serial
+:func:`~repro.harness.runner.run_benchmark` path.  Results are therefore
+bit-identical between serial, inline and multi-process runs.
 
 Every finished job is written to the cache immediately (inline mode) or as
 its group completes (pool mode), so interrupting a campaign loses at most
@@ -34,8 +35,8 @@ from repro.experiments.store import ResultStore, collect_results
 from repro.harness.runner import (
     BenchmarkResult,
     ExperimentScale,
-    effective_warmup,
     make_trace,
+    run_configs,
 )
 from repro.isa.trace import communication_stats
 from repro.pipeline.config import MachineConfig
@@ -144,26 +145,19 @@ _GROUP_MODULES = (
 def _iter_group_records(group: JobGroup):
     """Run a group's jobs on one shared trace, yielding ``(key, record)``
     as each finishes (so inline callers can persist per job)."""
-    from repro.pipeline.processor import Processor
-
     if group.source is not None:
         trace = group.source.trace(group.scale, group.seed)
     else:
         trace = make_trace(group.benchmark, group.scale, group.seed)
     trace_stats = communication_stats(trace)
-    # Intrinsic-length sources (trace:/extern: files) may be shorter than
-    # the scale's warmup; clamp exactly as simulate()/repro run do, so
-    # both façade entry points report the same statistics.  The clamp is
-    # a pure function of the cache-key inputs (the scale numbers and the
-    # source's content hash), so cached records stay coherent.
-    warmup = effective_warmup(group.scale, len(trace))
-    for config, key in zip(group.configs, group.keys):
+    # run_configs clamps the default warmup for intrinsic-length sources
+    # (trace:/extern: files) exactly as simulate()/repro run do.  The
+    # clamp is a pure function of the cache-key inputs (the scale numbers
+    # and the source's content hash), so cached records stay coherent.
+    runs = run_configs(trace, group.configs, group.scale)
+    for (config, stats, elapsed_s), key in zip(runs, group.keys):
         job = Job(group.benchmark, config, group.scale, group.seed)
-        started = time.perf_counter()
-        stats = Processor(config).run(trace, warmup=warmup)
-        yield key, _make_record(
-            job, key, stats, trace_stats, time.perf_counter() - started
-        )
+        yield key, _make_record(job, key, stats, trace_stats, elapsed_s)
 
 
 def _run_group(group: JobGroup) -> list[dict[str, Any]]:
@@ -336,16 +330,20 @@ def run_campaign(
             for key, record in _iter_group_records(group):
                 finish(record, key, cached=False)
 
+    if groups:
+        # Load the group modules once, before the first trace.  Forked
+        # workers inherit them, which spares every worker of every
+        # campaign from importing (and, without a bytecode cache,
+        # compiling) them.  Inline groups would otherwise load the
+        # processor after generating their first trace, which raised the
+        # peak RSS.  They also load before the pool machinery: the other
+        # order left the parent with a higher peak RSS (DESIGN.md,
+        # "Import boundaries").
+        for module in _GROUP_MODULES:
+            __import__(module)
     if not pool_groups:
         run_inline()
     else:
-        # Forked workers inherit the parent's modules.  Loading the group
-        # modules here, once, spares every worker of every campaign from
-        # importing (and, without a bytecode cache, compiling) them.  They
-        # load before the pool machinery: the other order left the parent
-        # with a higher peak RSS (DESIGN.md, "Import boundaries").
-        for module in _GROUP_MODULES:
-            __import__(module)
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
-from repro.harness.runner import DEFAULT, ExperimentScale, standard_configs
+from repro.harness.runner import DEFAULT, ExperimentScale
 from repro.pipeline.config import MachineConfig
 from repro.workloads.profiles import PROFILES
 
@@ -47,6 +47,14 @@ class Job:
         )
 
 
+def _standard_configs(window: int = 128) -> list[MachineConfig]:
+    # Imported lazily: importing the campaign engine does not load the
+    # config registry, and repro.api builds on this package.
+    from repro.api import standard_configs
+
+    return standard_configs(window)
+
+
 @dataclass
 class CampaignSpec:
     """A declarative sweep: benchmarks x configs x seeds at one scale.
@@ -58,7 +66,7 @@ class CampaignSpec:
 
     benchmarks: Sequence[str]
     configs: Sequence[MachineConfig | str] = field(
-        default_factory=standard_configs
+        default_factory=_standard_configs
     )
     scale: ExperimentScale = DEFAULT
     seeds: Sequence[int] = (17,)
@@ -138,7 +146,7 @@ class CampaignSpec:
             benchmarks=(
                 list(benchmarks) if benchmarks is not None else list(PROFILES)
             ),
-            configs=standard_configs(window),
+            configs=_standard_configs(window),
             scale=scale,
             seeds=seeds,
             name=name,

@@ -8,9 +8,9 @@
 * :mod:`repro.harness.figure5` -- Figure 5 (predictor sensitivity)
 * :mod:`repro.harness.report` -- fixed-width text rendering
 
-Every experiment accepts an :class:`ExperimentScale`; the default
-``SMOKE`` scale finishes in seconds per benchmark, while ``FULL`` matches
-what EXPERIMENTS.md records.
+Every experiment accepts an :class:`ExperimentScale` and defaults to
+``DEFAULT``; ``SMOKE`` finishes in seconds per benchmark, and ``FULL`` is
+the largest named scale.
 
 All sweeps execute through the campaign engine (:mod:`repro.experiments`):
 pass ``jobs=N`` to shard a sweep over N worker processes and ``cache=`` (a
@@ -29,7 +29,6 @@ _EXPORTS = {
     "BenchmarkResult": "runner",
     "run_benchmark": "runner",
     "run_suite": "runner",
-    "standard_configs": "runner",
     "geomean": "runner",
     "table5_rows": "table5",
     "render_table5": "table5",

@@ -18,13 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.api import standard_configs
 from repro.harness.runner import (
     DEFAULT,
     BenchmarkResult,
     ExperimentScale,
     geomean,
     run_suite,
-    standard_configs,
 )
 from repro.harness.report import render_table
 from repro.workloads.profiles import PROFILES

@@ -9,8 +9,9 @@ rows and series.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.isa.trace import DynInst, TraceStats, communication_stats
 from repro.pipeline.config import MachineConfig
@@ -42,10 +43,10 @@ def effective_warmup(scale: ExperimentScale, trace_length: int) -> int:
     File-backed trace sources keep their own length regardless of the
     scale's ``num_instructions``; when the scale's warmup would swallow
     the whole trace, fall back to warming up half of it so statistics
-    stay meaningful.  Every default-warmup execution path (``simulate``,
-    ``repro run``, the campaign engine) applies this; synthetic and
-    generator sources always produce ``num_instructions``-length traces,
-    so their statistics are unaffected."""
+    stay meaningful.  :func:`run_configs` applies it to every
+    default-warmup run; synthetic and generator sources always produce
+    ``num_instructions``-length traces, so their statistics are
+    unaffected."""
     if scale.warmup >= trace_length:
         return trace_length // 2
     return scale.warmup
@@ -108,6 +109,31 @@ def make_trace(name: str, scale: ExperimentScale, seed: int = 17) -> list[DynIns
     return resolve_source(name).trace(scale, seed)
 
 
+def run_configs(
+    trace: list[DynInst],
+    configs: Iterable[MachineConfig],
+    scale: ExperimentScale,
+    warmup: int | None = None,
+) -> Iterator[tuple[MachineConfig, RunStats, float]]:
+    """Run every config over one shared *trace*, yielding
+    ``(config, stats, elapsed_s)`` as each run finishes.
+
+    The one loop behind :func:`run_benchmark`, the campaign scheduler,
+    :func:`repro.api.simulate` and ``repro run``, so they share one
+    warmup policy: an explicit *warmup* is honored as given, and the
+    default is *scale*'s warmup clamped by :func:`effective_warmup`.
+    """
+    # Imported lazily: a campaign served from the cache never loads it.
+    from repro.pipeline.processor import Processor
+
+    if warmup is None:
+        warmup = effective_warmup(scale, len(trace))
+    for config in configs:
+        started = time.perf_counter()
+        stats = Processor(config).run(trace, warmup=warmup)
+        yield config, stats, time.perf_counter() - started
+
+
 def run_benchmark(
     name: str,
     configs: Sequence[MachineConfig],
@@ -116,8 +142,6 @@ def run_benchmark(
     trace: list[DynInst] | None = None,
 ) -> BenchmarkResult:
     """Run *name* through every configuration on one shared trace."""
-    from repro.pipeline.processor import Processor
-
     if trace is None:
         trace = make_trace(name, scale, seed)
     result = BenchmarkResult(
@@ -125,9 +149,7 @@ def run_benchmark(
         scale=scale,
         trace_stats=communication_stats(trace),
     )
-    warmup = effective_warmup(scale, len(trace))
-    for config in configs:
-        stats = Processor(config).run(trace, warmup=warmup)
+    for config, stats, _elapsed in run_configs(trace, configs, scale):
         result.runs[config.name] = stats
     return result
 
@@ -165,16 +187,3 @@ def run_suite(
     campaign = run_campaign(spec, jobs=jobs, cache=cache, progress=on_event)
     return campaign.suite_results(seed)
 
-
-def standard_configs(window: int = 128) -> list[MachineConfig]:
-    """The four configurations of Figures 2 and 3, plus the normalization
-    baseline (associative SQ + perfect scheduling).
-
-    Thin shim over the config registry (:mod:`repro.api.configs`), which
-    is the source of truth for named configurations; kept for the
-    historical import path.
-    """
-    # Imported lazily: repro.api builds on this module.
-    from repro.api.configs import config_set
-
-    return config_set("standard", window=window)

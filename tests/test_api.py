@@ -106,10 +106,6 @@ class TestPresetIdentity:
             "sq-perfect", "sq-storesets", "nosq-nodelay", "nosq-delay",
             "nosq-perfect",
         ]
-        from repro.harness.runner import standard_configs as legacy
-
-        assert legacy() == configs
-        assert legacy(window=256) == standard_configs(window=256)
 
     def test_harness_config_sets(self):
         from repro.harness.figure4 import figure4_configs
@@ -571,22 +567,45 @@ class TestSimulate:
         with pytest.raises(TypeError, match="cannot produce a trace"):
             simulate("nosq", object(), scale=TINY)
 
-    def test_short_file_trace_clamps_default_warmup(self, tmp_path):
+    def test_short_file_trace_clamps_default_warmup(self, tmp_path, capsys):
+        from repro.cli import main
+        from repro.harness.runner import DEFAULT, run_benchmark
         from repro.isa.tracefile import save_trace
 
         path = tmp_path / "short.bt"
         save_trace(generate_trace("gzip", 2_000, seed=17), path)
+        source = f"trace:{path}"
         # DEFAULT scale's warmup (12000) exceeds the file length; the
         # defaulted warmup clamps so statistics stay meaningful.
-        result = simulate("nosq", f"trace:{path}")
+        result = simulate("nosq", source)
         assert result.stats.instructions > 500
         # An explicit warmup is honored as given.
-        explicit = simulate("nosq", f"trace:{path}", warmup=100)
+        explicit = simulate("nosq", source, warmup=100)
         assert explicit.stats.instructions > result.stats.instructions
-        # The campaign path applies the same clamp, so both façade
-        # entry points report identical statistics.
-        swept = sweep("nosq", [f"trace:{path}"])
-        assert swept.stats(f"trace:{path}", "nosq") == result.stats
+        # The campaign path, run_benchmark and `repro run` apply the same
+        # clamp, so every entry point reports identical statistics.
+        swept = sweep("nosq", [source])
+        assert swept.stats(source, "nosq") == result.stats
+        benchmark = run_benchmark(source, [resolve_config("nosq")], DEFAULT)
+        assert benchmark.runs["nosq-delay"] == result.stats
+
+        def cli_row(*args):
+            assert main(["run", "nosq", source, *args]) == 0
+            out = capsys.readouterr().out
+            return next(line.split() for line in out.splitlines()
+                        if line.strip().startswith("nosq-delay"))
+
+        def row(stats):
+            return [
+                "nosq-delay", f"{stats.ipc:.2f}", "1.000",
+                f"{stats.pct_loads_bypassed:.1f}%",
+                f"{stats.pct_loads_delayed:.1f}%",
+                f"{stats.mispredicts_per_10k_loads:.1f}",
+                str(stats.reexecuted_loads), str(stats.flushes),
+            ]
+
+        assert cli_row() == row(result.stats)
+        assert cli_row("-n", "2000", "-w", "100") == row(explicit.stats)
 
 
 class TestSweep:

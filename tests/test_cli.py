@@ -39,19 +39,13 @@ class TestCommands:
         assert "mispred/10k" in out
 
     def test_compare(self, capsys):
-        assert main(["compare", "applu", "adpcm.d", "-n", "3000"]) == 0
+        # The baseline and NoSQ over several benchmarks: one table each.
+        assert main(["run", "conventional", "nosq", "applu", "adpcm.d",
+                     "-n", "3000"]) == 0
         out = capsys.readouterr().out
-        assert "adpcm.d" in out and "D$ reads rel." in out
-
-    def test_table5_subset(self, capsys):
-        assert main(["table5", "applu", "-n", "3000"]) == 0
-        out = capsys.readouterr().out
-        assert "applu" in out and "comm%" in out
-
-    def test_figure2_subset(self, capsys):
-        assert main(["figure2", "applu", "-n", "3000"]) == 0
-        out = capsys.readouterr().out
-        assert "nosq-delay (rel)" in out
+        assert "applu: 3000 instructions" in out
+        assert "adpcm.d: 3000 instructions" in out
+        assert out.count("rel.time vs sq-storesets") == 2
 
     def test_program(self, capsys):
         assert main(["program", "memcpy"]) == 0
@@ -252,21 +246,3 @@ class TestValidateCLI:
         assert "svw-completeness" in out
         assert "forwarding-correctness" in out
 
-
-class TestBenchErrorPaths:
-    def test_compare_missing_report_exits_2(self, capsys, tmp_path):
-        assert main(["bench", "compare", f"{tmp_path}/a.json",
-                     f"{tmp_path}/b.json"]) == 2
-        assert "not a readable bench report" in capsys.readouterr().err
-
-    def test_compare_corrupt_report_exits_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{truncated")
-        assert main(["bench", "compare", str(bad), str(bad)]) == 2
-        assert "not a readable bench report" in capsys.readouterr().err
-
-    def test_run_unwritable_output_exits_2(self, capsys, tmp_path):
-        target = tmp_path / "no" / "such" / "dir" / "out.json"
-        assert main(["bench", "run", "gzip", "--scale", "smoke",
-                     "--repeat", "1", "-o", str(target), "-q"]) == 2
-        assert "cannot write" in capsys.readouterr().err

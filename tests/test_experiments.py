@@ -399,6 +399,40 @@ class TestCampaignCli:
         out = capsys.readouterr().out
         assert "Figure 4" in out and "gzip" in out
 
+        # Completing the standard set adds Table 5 and Figure 2.
+        assert main([
+            "campaign", "run", "gzip", "applu", "-n", "2500", "-w", "1000",
+            "--quiet",
+        ]) == 0
+        assert "4 cached, 6 executed" in capsys.readouterr().out
+        assert main(["campaign", "report", "applu"]) == 0
+        out = capsys.readouterr().out
+        assert "applu" in out and "comm%" in out
+        assert "nosq-delay (rel)" in out
+
+    def test_report_order_ignores_record_order(self, capsys, tmp_path):
+        # Pooled campaigns append records in completion order; the
+        # report must not depend on it.
+        assert main([
+            "campaign", "run", "zoo.pchase", "mcf", "gzip", "-n", "1500",
+            "--configs", "figure4", "--quiet", "--store", "filled.jsonl",
+        ]) == 0
+        records = ResultStore(tmp_path / "filled.jsonl").load()
+        reports = []
+        for name, ordered in (("forward.jsonl", records),
+                              ("reversed.jsonl", records[::-1])):
+            store = ResultStore(tmp_path / name)
+            for record in ordered:
+                store.append(record)
+            capsys.readouterr()
+            assert main(["campaign", "report", "--store", str(store.path)]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        # Profiles in Table 5 order, then the other ids.
+        report = reports[0]
+        assert report.index("gzip") < report.index("mcf") < \
+            report.index("zoo.pchase")
+
     def test_report_without_store(self, capsys):
         assert main(["campaign", "report"]) == 1
 

@@ -20,9 +20,10 @@ from repro.harness import (
     run_benchmark,
     table5_rows,
 )
+from repro.api import standard_configs
 from repro.harness.figure2 import BARS, suite_geomeans
 from repro.harness.report import render_table
-from repro.harness.runner import amean, standard_configs
+from repro.harness.runner import amean
 from repro.pipeline.config import MachineConfig
 
 TINY = ExperimentScale("tiny", num_instructions=4_000, warmup=1_500)

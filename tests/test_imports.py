@@ -24,12 +24,11 @@ import repro.experiments.cache
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
-#: Modules that only executing (or validating, or benchmarking) loads.
+#: Modules that only executing (or validating) loads.
 HEAVY = (
     "repro.pipeline.processor",
     "repro.workloads.generator",
     "repro.validate",
-    "repro.bench",
     "concurrent.futures.process",
 )
 

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.runner import ExperimentScale, make_trace, standard_configs
+from repro.api import standard_configs
+from repro.harness.runner import ExperimentScale, make_trace
 from repro.pipeline.processor import Processor
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_tiny_stats.json"

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.harness.runner import ExperimentScale, make_trace, standard_configs
+from repro.api import standard_configs
+from repro.harness.runner import ExperimentScale, make_trace
 from repro.pipeline import MachineConfig, Processor, simulate
 
 TINY = ExperimentScale("tiny", num_instructions=5_000, warmup=2_000)
