@@ -47,6 +47,26 @@ class TestCommands:
         assert "adpcm.d: 3000 instructions" in out
         assert out.count("rel.time vs sq-storesets") == 2
 
+    def test_table5_subset(self, capsys, tmp_path, monkeypatch):
+        # Table 5 comes from a campaign over the table5 config set.
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "run", "applu", "-n", "3000",
+                     "--configs", "table5", "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report", "applu"]) == 0
+        out = capsys.readouterr().out
+        assert "applu" in out and "comm%" in out
+
+    def test_figure2_subset(self, capsys, tmp_path, monkeypatch):
+        # Figure 2 comes from a campaign over the standard config set.
+        monkeypatch.chdir(tmp_path)
+        assert main(["campaign", "run", "applu", "-n", "3000",
+                     "--configs", "standard", "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report", "applu"]) == 0
+        out = capsys.readouterr().out
+        assert "nosq-delay (rel)" in out
+
     def test_program(self, capsys):
         assert main(["program", "memcpy"]) == 0
         out = capsys.readouterr().out
