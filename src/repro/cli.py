@@ -544,16 +544,16 @@ def _save_by_format(trace, path: str, version: int | None) -> int:
 
 
 def cmd_trace_record(args) -> int:
-    from repro.isa.tracefile import TraceFormatError
     from repro.traces import resolve_source
 
-    scale = ExperimentScale("record", args.instructions, 0)
     try:
+        scale = ExperimentScale("record", args.instructions, 0)
         source = resolve_source(args.benchmark)
         trace = source.trace(scale, args.seed)
         output = args.output or f"{args.benchmark.replace(':', '_')}.bt"
         version = _save_by_format(trace, output, args.format)
-    except (KeyError, FileNotFoundError, TraceFormatError) as exc:
+    except (KeyError, FileNotFoundError, ValueError) as exc:
+        # ValueError covers TraceFormatError and a bad -n.
         print(exc, file=sys.stderr)
         return 2
     size = Path(output).stat().st_size

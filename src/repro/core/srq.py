@@ -30,10 +30,6 @@ class SRQEntry:
     #: The store's access size in bytes and FP-convert flag.
     size: int
     fp_convert: bool
-    #: The store's address, once known.  Real hardware does not keep store
-    #: addresses in the SRQ; the model records it purely for assertions and
-    #: statistics, never for bypass decisions.
-    debug_addr: int = -1
 
 
 class StoreRegisterQueue:

@@ -12,7 +12,10 @@ committed store to write there.
   the store's low-order address bits and access size so that partial-word
   shift predictions can be verified without replay (Section 3.5).  Per the
   paper's configuration each entry is 8 bytes: a 20-bit SSN, 3-bit offset,
-  3-bit size, and a 38-bit tag; 128 entries, 4-way.
+  3-bit size, and a 38-bit tag; 128 entries, 4-way.  A store that straddles
+  two words needs one more bit in its later word's entry: whether the store
+  began in the previous word, so the shift is measured from the store's
+  real start rather than from the word base.
 
 Both filters track addresses at 8-byte-word granularity.  On a tag miss the
 T-SSBF cannot prove the load safe against stores whose entries were evicted,
@@ -32,6 +35,10 @@ class SSBFEntry:
     ssn: int
     offset: int  # store address low-order bits within the word
     size: int    # store access size in bytes
+    #: Store start relative to the word base: ``offset``, or negative when
+    #: the store began in the previous word (the low-order address bits
+    #: plus one began-in-previous-word bit).
+    start: int = 0
 
     @property
     def store_range(self) -> tuple[int, int]:
@@ -87,7 +94,8 @@ class TaggedSSBF:
             entries = self._sets[index]
             tag = word >> self._tag_shift
             word_base = word << _WORD_SHIFT
-            offset = max(0, addr - word_base)
+            start = addr - word_base
+            offset = max(0, start)
             end = min(addr + size, word_base + 8)
             span = end - max(addr, word_base)
             entry = entries.get(tag)
@@ -95,13 +103,14 @@ class TaggedSSBF:
                 entry.ssn = ssn
                 entry.offset = offset
                 entry.size = span
+                entry.start = start
                 continue
             if len(entries) >= self.assoc:
                 victim_tag = next(iter(entries))
                 victim = entries.pop(victim_tag)
                 if victim.ssn > self._evicted[index]:
                     self._evicted[index] = victim.ssn
-            entries[tag] = SSBFEntry(ssn=ssn, offset=offset, size=span)
+            entries[tag] = SSBFEntry(ssn, offset, span, start)
 
     def lookup(self, addr: int) -> SSBFEntry | None:
         """Look up the word containing *addr*; None on tag miss."""

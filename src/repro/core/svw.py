@@ -99,16 +99,16 @@ class SVWFilter:
             self.stats.bypassing_reexecs += 1
             return BypassVerdict.REEXEC
         # The predicted store was indeed the last committed writer of this
-        # word.  Verify shift and coverage from the entry's offset/size.
+        # word.  Verify coverage from the entry's offset/size, and the shift
+        # from where the store really began (before this word, for a store
+        # that straddles into it).
         word_base = (addr >> 3) << 3
-        store_start = word_base + entry.offset
-        store_end = store_start + entry.size
-        load_start, load_end = addr, addr + size
-        if load_start < store_start or load_end > store_end:
+        covered_start = word_base + entry.offset
+        covered_end = covered_start + entry.size
+        if addr < covered_start or addr + size > covered_end:
             self.stats.bypassing_mismatches += 1
             return BypassVerdict.TRANSFORM_MISMATCH
-        actual_shift = load_start - store_start
-        if actual_shift != predicted_shift:
+        if addr - (word_base + entry.start) != predicted_shift:
             self.stats.bypassing_mismatches += 1
             return BypassVerdict.TRANSFORM_MISMATCH
         return BypassVerdict.SKIP

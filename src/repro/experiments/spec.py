@@ -110,12 +110,6 @@ class CampaignSpec:
         names = [c.name for c in self.configs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate config names: {names}")
-        if not 0 <= self.scale.warmup < self.scale.num_instructions:
-            raise ValueError(
-                f"warmup ({self.scale.warmup}) must be in "
-                f"[0, {self.scale.num_instructions}) — nothing would be "
-                "measured"
-            )
 
     @property
     def num_jobs(self) -> int:

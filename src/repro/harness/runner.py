@@ -32,6 +32,17 @@ class ExperimentScale:
     num_instructions: int
     warmup: int
 
+    def __post_init__(self) -> None:
+        if self.num_instructions < 1:
+            raise ValueError(
+                f"instructions ({self.num_instructions}) must be positive"
+            )
+        if not 0 <= self.warmup < self.num_instructions:
+            raise ValueError(
+                f"warmup ({self.warmup}) must be in "
+                f"[0, {self.num_instructions}) — nothing would be measured"
+            )
+
     @property
     def measured(self) -> int:
         return self.num_instructions - self.warmup

@@ -46,16 +46,6 @@ class MemoryHierarchy:
             1, cfg.line_bytes // max(1, cfg.bus_bytes_per_cycle)
         )
 
-    def _access(self, addr: int, is_write: bool) -> int:
-        cfg = self.config
-        latency = cfg.l1_latency
-        if self.l1.access(addr, is_write):
-            return latency
-        latency += cfg.l2_latency
-        if self.l2.access(addr, is_write):
-            return latency
-        return latency + cfg.memory_latency + self._line_fill_cycles
-
     def read(self, addr: int) -> int:
         """A demand load access; returns its latency."""
         # Cache.access's L1 read paths are inlined here (one probe per
@@ -113,7 +103,3 @@ class MemoryHierarchy:
         """Flush both cache levels (SSN wraparound drains)."""
         self.l1.invalidate_all()
         self.l2.invalidate_all()
-
-    @property
-    def l1_read_count(self) -> int:
-        return self.l1.stats.reads

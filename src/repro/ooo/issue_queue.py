@@ -81,12 +81,3 @@ class IssueQueueTracker:
         except ValueError:
             return
         heapq.heapify(self._scheduled)
-
-    def reset(self) -> None:
-        self._scheduled.clear()
-        self._unscheduled = 0
-
-    def _track_peak(self) -> None:
-        current = len(self._scheduled) + self._unscheduled
-        if current > self.peak_occupancy:
-            self.peak_occupancy = current

@@ -60,7 +60,3 @@ class PhysicalRegisterFile:
             self._free += 1
         else:
             self._refcounts[seq] = count - 1
-
-    def reset(self) -> None:
-        self._free = self.total - self.arch_regs
-        self._refcounts.clear()

@@ -92,7 +92,3 @@ class RegisterMapper:
         for stack in self._stacks:
             while stack and stack[-1][0] > seq:
                 stack.pop()
-
-    def reset(self) -> None:
-        for stack in self._stacks:
-            stack.clear()

@@ -26,7 +26,6 @@ class InFlightInst:
     * ``issue_cycle`` / ``complete_cycle`` -- selection / result cycles
       (-1 = not scheduled yet);
     * ``dcache_read_cycle`` -- cycle of the out-of-order D$ read (loads);
-    * ``skips_issue_queue`` -- occupies no issue-queue entry;
     * ``bypassed`` / ``delayed`` / ``predicted_ssn`` / ``predicted_shift``
       / ``path_sensitive_hit`` / ``pred_hit`` -- NoSQ bypassing state;
     * ``ssn_nvul`` -- youngest store the load is not vulnerable to
@@ -55,7 +54,7 @@ class InFlightInst:
 
     __slots__ = (
         "inst", "dispatch_cycle", "ssn", "issue_cycle",
-        "complete_cycle", "dcache_read_cycle", "skips_issue_queue",
+        "complete_cycle", "dcache_read_cycle",
         "bypassed", "delayed", "predicted_ssn", "predicted_shift",
         "path_sensitive_hit", "pred_hit", "ssn_nvul",
         "sq_forwarded", "allocated_preg", "shared_with_seq",
@@ -71,7 +70,6 @@ class InFlightInst:
         self.ssn = -1
         self.issue_cycle = -1
         self.complete_cycle = -1
-        self.skips_issue_queue = False
         self.allocated_preg = False
         self.shared_with_seq = -1
         self.ssn_rename_at_dispatch = 0

@@ -68,11 +68,6 @@ class PortSchedule:
                 return cycle
             cycle += 1
 
-    @property
-    def tracked_cycles(self) -> int:
-        """Number of cycles with live bookkeeping (GC trigger for callers)."""
-        return len(self._used_by_cycle)
-
     def discard_before(self, cycle: int) -> None:
         """Free bookkeeping for cycles before *cycle* (already in the past)."""
         used_map = self._used_by_cycle

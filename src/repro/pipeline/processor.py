@@ -77,10 +77,8 @@ class SimulationError(RuntimeError):
 #: run often enough to bound mapper memory.
 _RETIRE_BATCH = 64
 
-#: Load/store issue-port indices (hot path: avoids per-dispatch enum
-#: lookups).
+#: Load issue-port index (avoids an enum lookup per scheduled load).
 _LOAD_PORT = int(OpClass.LOAD)
-_STORE_PORT = int(OpClass.STORE)
 
 
 class Processor:
@@ -220,6 +218,9 @@ class Processor:
         else:
             self._train_kind = "nosq"
         self._is_conventional = config.mode is Mode.CONVENTIONAL
+        #: Opportunistic SMB applies at dispatch in conventional mode only
+        #: (a NoSQ config with smb_opportunistic keeps just its training).
+        self._smb = config.smb_opportunistic and self._is_conventional
         self._exec_delay = config.exec_delay
         self._frontend_depth = config.frontend_depth
         self._l1_latency = config.hierarchy.l1_latency
@@ -282,7 +283,7 @@ class Processor:
             self._sched_waiters, self._exec_delay,
             self.ports._used_by_cycle, self.ports._limits,
             self.ports.total_width, self.lq.capacity, self.iq._scheduled,
-            n,
+            n, self.hierarchy, self.tlb, self._l1_latency,
         )
         self._commit_ctx = (
             self.rob._entries, config.commit_width, self.lq,
@@ -433,7 +434,7 @@ class Processor:
             trace, rob_entries, rob_capacity, pregs, iq, lq, lq_unlimited,
             sq, ssn, width, max_branches, max_taken, stacks, waiters,
             exec_delay, port_used_map, port_limits, port_width,
-            lq_capacity, iq_heap, n,
+            lq_capacity, iq_heap, n, hierarchy, tlb, l1_latency,
         ) = self._dispatch_ctx
         if cycle < self._dispatch_barrier or self._pos >= n:
             return False
@@ -444,6 +445,7 @@ class Processor:
             return False
 
         is_conventional = self._is_conventional
+        smb = self._smb
         stats = self.stats
         nop = OpClass.NOP
         pos = self._pos
@@ -465,8 +467,9 @@ class Processor:
             inst = trace[pos]
             if rob_len >= rob_capacity or pregs._free < 1:
                 break
+            is_load = inst.is_load
             is_store = inst.is_store
-            if inst.is_load:
+            if is_load:
                 # lq.has_space inlined.
                 if not lq_unlimited and lq.occupancy >= lq_capacity:
                     break
@@ -484,12 +487,9 @@ class Processor:
                 if group_branches > max_branches:
                     break
             op = inst.op
-            # Inlined _enters_issue_queue (NoSQ stores never enter the
-            # out-of-order engine).
-            needs_iq = op is not nop and (
-                is_conventional or not is_store
-            )
-            if needs_iq:
+            # NoSQ stores never enter the out-of-order engine; a NoSQ load
+            # reserves an entry even if it bypasses by pure rename.
+            if op is not nop and (is_conventional or not is_store):
                 if iq_occ < 0:
                     # iq.occupancy inlined (lazy, once per fetch group).
                     while iq_heap and iq_heap[0] <= cycle:
@@ -500,16 +500,10 @@ class Processor:
                     break
 
             entry = InFlightInst(inst, cycle)
-            if is_store:
-                # ssn_rename_at_dispatch is only consulted for memory
-                # instructions (bypass distances, flush rollback targets).
+            # floor: the readiness floor for the scheduler below, or -1 when
+            # the instruction does not go through it.
+            if is_load:
                 entry.ssn_rename_at_dispatch = ssn.rename
-                self._dispatch_store(entry, cycle)
-                if entry.in_iq:
-                    iq_occ += 1
-            elif inst.is_load:
-                entry.ssn_rename_at_dispatch = ssn.rename
-                # _dispatch_load inlined (one call layer per load).
                 if not lq_unlimited:
                     # lq.insert inlined (space pre-checked above).
                     occ = lq.occupancy + 1
@@ -517,47 +511,38 @@ class Processor:
                     if occ > lq.peak_occupancy:
                         lq.peak_occupancy = occ
                 if is_conventional:
-                    self._dispatch_load_conventional(entry, cycle)
+                    floor = self._dispatch_load_conventional(entry)
                 else:
-                    self._dispatch_load_nosq(entry, cycle)
-                dst = inst.dst
-                if dst is not None and not entry.bypassed:
-                    seq = entry.seq
-                    # pregs.allocate inlined (capacity pre-checked above).
-                    pregs._free -= 1
-                    pregs._refcounts[seq] = 1
-                    entry.allocated_preg = True
-                    if dst != REG_ZERO:
-                        stacks[dst].append((seq, entry))
-                if entry.in_iq:
+                    floor = self._dispatch_load_nosq(entry)
+                if floor < 0 and entry.in_iq:
                     iq_occ += 1
+            elif is_store:
+                self._dispatch_store(entry)
+                if is_conventional:
+                    floor = 0
+                else:
+                    # NoSQ: the store is complete at rename; it executes in
+                    # the back end.
+                    floor = -1
+                    entry.complete_cycle = cycle + 1
             elif op is nop:
-                entry.sched_kind = "none"
+                floor = -1
                 entry.complete_cycle = cycle + 1
-                entry.skips_issue_queue = True
-                dst = inst.dst
-                if dst is not None:
-                    seq = entry.seq
-                    # pregs.allocate inlined (capacity pre-checked above).
-                    pregs._free -= 1
-                    pregs._refcounts[seq] = 1
-                    entry.allocated_preg = True
-                    if dst != REG_ZERO:
-                        stacks[dst].append((seq, entry))
             else:
-                # The hottest dispatch path (every ALU/branch/complex op):
-                # _dispatch_simple, _enter_issue_queue, mapper.define, and
-                # _try_schedule's immediate-success case are inlined here.
-                # A freshly dispatched entry can have no scheduling waiters
+                floor = 0
+            if floor >= 0:
+                # The dispatch-time scheduler, for simple ops, conventional
+                # stores and plain cache-reading loads: _enter_issue_queue
+                # and _try_schedule's immediate-success case inlined.  A
+                # freshly dispatched entry has no scheduling waiters
                 # (waiters key on in-flight producer seqs and are popped at
                 # squash/commit), so the generic wakeup machinery is only
-                # needed when a producer is still unscheduled -- and
-                # entry.producers only needs materializing on that slow
-                # path (nothing reads it after an entry is scheduled).
-                entry.sched_kind = "exec"
+                # needed when a producer is still unscheduled -- and the
+                # fields _try_schedule reads only materialize on that path.
                 port = inst.port
-                entry.port_class = port
                 ready = cycle + 1 + exec_delay
+                if floor > ready:
+                    ready = floor
                 blocked_on = None
                 for reg in inst.srcs:
                     stack = stacks[reg]
@@ -573,6 +558,9 @@ class Processor:
                 iq_occ += 1
                 iq_dispatches += 1
                 if blocked_on is not None:
+                    entry.sched_kind = "load" if is_load else "exec"
+                    entry.port_class = port
+                    entry.min_ready = floor
                     entry.producers = tuple(
                         stack[-1][1]
                         for reg in inst.srcs
@@ -597,7 +585,30 @@ class Processor:
                     else:
                         issue = self.ports.reserve(port, ready + 1)
                     entry.issue_cycle = issue
-                    entry.complete_cycle = issue + inst.lat
+                    if is_load:
+                        addr = inst.addr
+                        latency = hierarchy.read(addr)
+                        if entry.sq_forwarded:
+                            # The value comes from the store queue at
+                            # forwarding latency; the parallel cache probe
+                            # still happens (and may fetch the line) but
+                            # its miss is not on the value path.
+                            latency = l1_latency
+                        # tlb.access's hit path inlined.
+                        vpn = addr >> tlb._page_shift
+                        tlb_set = tlb._sets[vpn & (tlb.num_sets - 1)]
+                        tag = vpn >> (tlb.num_sets.bit_length() - 1)
+                        if tag in tlb_set:
+                            tlb_set.pop(tag)
+                            tlb_set[tag] = None
+                            tlb.stats.hits += 1
+                        else:
+                            latency += tlb.access(addr)
+                        entry.dcache_read_cycle = issue + l1_latency
+                        entry.complete_cycle = issue + latency
+                        stats.ooo_dcache_reads += 1
+                    else:
+                        entry.complete_cycle = issue + inst.lat
                     # add_unscheduled + schedule_unscheduled fused (and
                     # iq.add_scheduled inlined): occupancy and peak
                     # tracking see identical totals.
@@ -605,17 +616,23 @@ class Processor:
                     current = len(iq_heap) + iq._unscheduled
                     if current > iq.peak_occupancy:
                         iq.peak_occupancy = current
-                dst = inst.dst
-                if dst is not None:
-                    seq = entry.seq
-                    # pregs.allocate inlined (capacity pre-checked above).
-                    pregs._free -= 1
-                    pregs._refcounts[seq] = 1
-                    entry.allocated_preg = True
-                    # mapper.define inlined (REG_ZERO writes are discarded
-                    # exactly as RegisterMapper.define does).
-                    if dst != REG_ZERO:
-                        stacks[dst].append((seq, entry))
+                if is_store:
+                    self._enter_store_queue(entry)
+                elif smb and is_load:
+                    # Reads the load's complete_cycle, so it runs after
+                    # scheduling.
+                    self._apply_opportunistic_smb(entry)
+            dst = inst.dst
+            if dst is not None and not (is_load and entry.bypassed):
+                seq = entry.seq
+                # pregs.allocate inlined (capacity pre-checked above).
+                pregs._free -= 1
+                pregs._refcounts[seq] = 1
+                entry.allocated_preg = True
+                # mapper.define inlined (REG_ZERO writes are discarded
+                # exactly as RegisterMapper.define does).
+                if dst != REG_ZERO:
+                    stacks[dst].append((seq, entry))
             rob_entries.append(entry)
             rob_len += 1
             pos += 1
@@ -637,17 +654,6 @@ class Processor:
             self._stall_on_sq = stall_sq
         return dispatched > 0
 
-    def _enters_issue_queue(self, inst: DynInst) -> bool:
-        """Does this instruction occupy an issue-queue entry?"""
-        if self._is_conventional:
-            return inst.op is not OpClass.NOP
-        # NoSQ: stores never dispatch to the out-of-order engine; bypassed
-        # loads may (as injected ops), decided at rename.  Conservatively
-        # require space for loads; a pure-rename bypass simply won't use it.
-        if inst.is_store:
-            return False
-        return inst.op is not OpClass.NOP
-
     def _enter_issue_queue(self, entry: InFlightInst) -> None:
         entry.in_iq = True
         self.iq.add_unscheduled()
@@ -661,89 +667,54 @@ class Processor:
 
     # -- stores --------------------------------------------------------- #
 
-    def _dispatch_store(self, entry: InFlightInst, cycle: int) -> None:
+    def _dispatch_store(self, entry: InFlightInst) -> None:
+        """Rename a store: assign its SSN and record it in the SRQ.
+
+        The dispatch loop drains the pipeline before SSNrename can wrap.
+        """
         inst = entry.inst
         counters = self.ssn
-        if counters.rename + 1 >= counters.limit:
-            # The dispatch loop drains before this can happen.
-            raise SimulationError("SSN wrap must be drained before renaming")
+        entry.ssn_rename_at_dispatch = counters.rename
         # ssn.next_rename inlined (non-wrapping path).
         ssn = counters.rename + 1
         counters.rename = ssn
         entry.ssn = ssn
         self._inflight_stores[inst.store_seq] = entry
-
-        data_reg = inst.srcs[1] if len(inst.srcs) > 1 else None
-        def_producer = (
-            self.mapper.producer(data_reg) if data_reg is not None else None
-        )
+        srcs = inst.srcs
         self.srq.insert(
             SRQEntry(
                 ssn=ssn,
-                def_producer=def_producer,
+                def_producer=(
+                    self.mapper.producer(srcs[1]) if len(srcs) > 1 else None
+                ),
                 store_seq=inst.store_seq,
                 size=inst.size,
                 fp_convert=inst.fp_convert,
-                debug_addr=inst.addr,
             )
         )
 
-        if self._is_conventional:
-            # Execute out-of-order: address generation + data capture.
-            # Same inlined dispatch-time scheduler as the simple-op fast
-            # path (fresh entry, so no waiters; producers only materialize
-            # when a producer is still unscheduled).
-            entry.sched_kind = "exec"
-            entry.port_class = _STORE_PORT
-            stacks = self.mapper._stacks
-            ready = cycle + 1 + self._exec_delay
-            blocked_on = None
-            for reg in inst.srcs:
-                stack = stacks[reg]
-                if stack:
-                    producer = stack[-1][1]
-                    complete = producer.complete_cycle
-                    if complete < 0:
-                        blocked_on = producer
-                        break
-                    if complete > ready:
-                        ready = complete
-            entry.in_iq = True
-            self.stats.iq_dispatches += 1
-            if blocked_on is not None:
-                entry.producers = tuple(
-                    stack[-1][1]
-                    for reg in inst.srcs
-                    if (stack := stacks[reg])
-                )
-                self._sched_waiters.setdefault(
-                    blocked_on.seq, []
-                ).append(entry)
-                self.iq.add_unscheduled()
-            else:
-                issue = self.ports.reserve(_STORE_PORT, ready)
-                entry.issue_cycle = issue
-                entry.complete_cycle = issue + inst.lat
-                self.iq.add_scheduled(issue)
-            self.sq.insert(
-                StoreQueueEntry(
-                    seq=inst.seq,
-                    ssn=ssn,
-                    addr=inst.addr,
-                    size=inst.size,
-                    execute_complete=-1,
-                )
+    def _enter_store_queue(self, entry: InFlightInst) -> None:
+        """A conventional store, once scheduled to execute out-of-order
+        (address generation + data capture): its store-queue entry and
+        the store-set rename hook."""
+        inst = entry.inst
+        self.sq.insert(
+            StoreQueueEntry(
+                seq=inst.seq,
+                ssn=entry.ssn,
+                addr=inst.addr,
+                size=inst.size,
+                execute_complete=-1,
             )
-            if self.store_sets is not None:
-                self.store_sets.store_renamed(inst.pc, entry)
-        else:
-            # NoSQ: the store skips the out-of-order engine entirely and is
-            # marked complete at rename; it executes in the back end.
-            entry.sched_kind = "none"
-            entry.skips_issue_queue = True
-            entry.complete_cycle = cycle + 1
+        )
+        if self.store_sets is not None:
+            self.store_sets.store_renamed(inst.pc, entry)
 
     # -- loads ---------------------------------------------------------- #
+    #
+    # The _dispatch_load_* methods return the load's readiness floor when
+    # the dispatch loop's scheduler should issue it as a plain cache read,
+    # or -1 when they bypassed, delayed or scheduled the load themselves.
 
     def _classify_against_sq(self, inst: DynInst) -> tuple[str, int]:
         """Classification an associative SQ search would produce.
@@ -765,61 +736,75 @@ class Processor:
             return "full", inst.containing_store
         return "partial", max(inflight_sources)
 
-    def _dispatch_load_conventional(self, entry: InFlightInst, cycle: int) -> None:
+    def _visibility_floor(self, inst: DynInst) -> int:
+        """Latest visibility cycle among *inst*'s committed source stores
+        (in-flight stores have no visibility cycle yet)."""
+        floor = 0
+        visible_cycles = self._visible_cycles
+        num_visible = len(visible_cycles)
+        for s in inst.unique_stores:
+            if s < num_visible and visible_cycles[s] > floor:
+                floor = visible_cycles[s]
+        return floor
+
+    def _wait_for_store(self, entry: InFlightInst, store_seq: int) -> None:
+        """Park a load in the issue queue until store *store_seq* drains,
+        so its cache read sees the store's data (conventional partial
+        overlap, NoSQ delay)."""
+        entry.sched_kind = "load"
+        entry.producers = self._producers_for(entry.inst.srcs)
+        self._enter_issue_queue(entry)
+        visible_cycles = self._visible_cycles
+        if store_seq < len(visible_cycles):
+            # The store already left the ROB and is draining through the
+            # back end; its visibility cycle is known.
+            entry.min_ready = max(
+                0, visible_cycles[store_seq] - self._l1_latency + 1
+            )
+            self._try_schedule(entry)
+        else:
+            self._commit_waiters.setdefault(store_seq, []).append(entry)
+
+    def _dispatch_load_conventional(self, entry: InFlightInst) -> int:
         inst = entry.inst
         kind, source_seq = self._classify_against_sq(inst)
         if kind == "partial":
             # The store queue cannot assemble the value from multiple
             # stores; the load waits for the involved stores to drain.
-            entry.sched_kind = "load"
-            entry.producers = self._producers_for(inst.srcs)
-            self._enter_issue_queue(entry)
-            self._commit_waiters.setdefault(source_seq, []).append(entry)
-            return
+            self._wait_for_store(entry, source_seq)
+            return -1
         if kind == "full":
             entry.sq_forwarded = True
             entry.predicted_store_seq = source_seq
 
         if self.config.scheduler is SchedulerKind.PERFECT:
-            entry.sched_kind = "load"
-            entry.producers = self._producers_for(inst.srcs)
-            self._enter_issue_queue(entry)
+            # Oracle scheduling: wait for every in-flight source store, and
+            # for committed ones to become visible.
             inflight = self._inflight_stores
-            blockers = [
+            extra = tuple(
                 inflight[s] for s in inst.unique_stores if s in inflight
-            ]
-            entry.producers = entry.producers + tuple(blockers)
-            visible_floor = 0
-            visible_cycles = self._visible_cycles
-            num_visible = len(visible_cycles)
-            for s in inst.unique_stores:
-                if s in inflight:
-                    continue
-                if s < num_visible:
-                    visible_floor = max(visible_floor, visible_cycles[s])
-            entry.min_ready = visible_floor
-            self._try_schedule(entry)
+            )
+            entry.min_ready = self._visibility_floor(inst)
         else:
             handle = None
             if self.store_sets is not None:
                 handle = self.store_sets.load_dependence(inst.pc)
-                if not (
-                    isinstance(handle, InFlightInst)
-                    and not handle.squashed
-                    and handle.seq < inst.seq
-                ):
-                    handle = None
-            if handle is not None:
-                entry.sched_kind = "load"
-                entry.producers = self._producers_for(inst.srcs) + (handle,)
-                self._enter_issue_queue(entry)
-                self._try_schedule(entry)
-            else:
-                # Common case (no store-set dependence): the fast
-                # dispatch-time scheduler (handles sq_forwarded loads too).
-                self._setup_nonbypassing_load(entry)
-        if self.config.smb_opportunistic:
+            if not (
+                isinstance(handle, InFlightInst)
+                and not handle.squashed
+                and handle.seq < inst.seq
+            ):
+                # Common case (no store-set dependence), sq_forwarded
+                # loads included.
+                return 0
+            extra = (handle,)
+        entry.sched_kind = "load"
+        entry.producers = self._producers_for(inst.srcs) + extra
+        self._enter_issue_queue(entry)
+        self._try_schedule(entry)
+        if self._smb:
             self._apply_opportunistic_smb(entry)
+        return -1
 
     def _apply_opportunistic_smb(self, entry: InFlightInst) -> None:
         """The Table 1 background design: a high-confidence prediction
@@ -890,11 +875,10 @@ class Processor:
                 resolve + self._frontend_depth,
             )
 
-    def _dispatch_load_nosq(self, entry: InFlightInst, cycle: int) -> None:
+    def _dispatch_load_nosq(self, entry: InFlightInst) -> int:
         inst = entry.inst
         if self.config.bypass is BypassKind.PERFECT:
-            self._dispatch_load_nosq_perfect(entry, cycle)
-            return
+            return self._dispatch_load_nosq_perfect(entry)
 
         pred = self.bypass_predictor.predict(inst.pc, inst.path_hist)
         stats = self.stats
@@ -912,8 +896,7 @@ class Processor:
         if ssn_byp <= counters.commit or ssn_byp > counters.rename:
             # Predictor miss, non-bypass prediction, or the predicted store
             # already committed: plain (unscheduled) cache access.
-            self._setup_nonbypassing_load(entry)
-            return
+            return 0
 
         # srq.lookup inlined (runs once per predicted in-flight bypass).
         srq = self.srq
@@ -926,22 +909,8 @@ class Processor:
             # cache safely.
             entry.delayed = True
             entry.predicted_store_seq = srq_entry.store_seq
-            entry.sched_kind = "load"
-            entry.producers = self._producers_for(inst.srcs)
-            self._enter_issue_queue(entry)
-            if srq_entry.store_seq < len(self._visible_cycles):
-                # The store already left the ROB and is draining through
-                # the back end; its visibility cycle is known.
-                visible = self._visible_cycles[srq_entry.store_seq]
-                entry.min_ready = max(
-                    0, visible - self._l1_latency + 1
-                )
-                self._try_schedule(entry)
-            else:
-                self._commit_waiters.setdefault(
-                    srq_entry.store_seq, []
-                ).append(entry)
-            return
+            self._wait_for_store(entry, srq_entry.store_seq)
+            return -1
 
         transform = transform_for(
             store_size=srq_entry.size,
@@ -956,18 +925,18 @@ class Processor:
             # (e.g. narrow store feeding a wider load).  The load falls back
             # to a plain cache access -- and will mispredict if the store
             # really does feed it.
-            self._setup_nonbypassing_load(entry)
-            return
-        self._setup_bypassing_load(entry, cycle, ssn_byp, srq_entry, transform)
+            return 0
+        self._setup_bypassing_load(entry, ssn_byp, srq_entry, transform)
+        return -1
 
-    def _dispatch_load_nosq_perfect(self, entry: InFlightInst, cycle: int) -> None:
+    def _dispatch_load_nosq_perfect(self, entry: InFlightInst) -> int:
         """Oracle bypassing with idealized partial-word support."""
         inst = entry.inst
+        inflight = self._inflight_stores
         source = inst.containing_store
-        if source != MEMORY_SOURCE and source in self._inflight_stores:
-            srq_entry = self.srq.lookup(
-                self._arch_ssn(source)
-            )
+        if source != MEMORY_SOURCE and source in inflight:
+            ssn_byp = self._arch_ssn(source)
+            srq_entry = self.srq.lookup(ssn_byp)
             if srq_entry is None:
                 raise SimulationError("oracle bypass target missing from SRQ")
             shift = inst.addr - self._store_insts[source].addr
@@ -977,120 +946,22 @@ class Processor:
             )
             if transform is None:
                 raise SimulationError("oracle bypass with impossible transform")
-            self._setup_bypassing_load(
-                entry, cycle, self._arch_ssn(source), srq_entry, transform
-            )
-            return
-        inflight_sources = [
-            s for s in inst.unique_stores if s in self._inflight_stores
-        ]
+            self._setup_bypassing_load(entry, ssn_byp, srq_entry, transform)
+            return -1
+        inflight_sources = [s for s in inst.unique_stores if s in inflight]
         if inflight_sources:
             # Multi-source partial-store case: idealized delay.
             youngest = max(inflight_sources)
             entry.delayed = True
             entry.predicted_store_seq = youngest
-            entry.sched_kind = "load"
-            entry.producers = self._producers_for(inst.srcs)
-            self._enter_issue_queue(entry)
-            self._commit_waiters.setdefault(youngest, []).append(entry)
-            return
+            self._wait_for_store(entry, youngest)
+            return -1
         # Sources (if any) committed: make sure the cache read sees them.
-        visible_floor = 0
-        for s in inst.unique_stores:
-            if s < len(self._visible_cycles):
-                visible_floor = max(visible_floor, self._visible_cycles[s])
-        self._setup_nonbypassing_load(entry, min_ready=visible_floor)
-
-    def _setup_nonbypassing_load(
-        self, entry: InFlightInst, min_ready: int = 0
-    ) -> None:
-        """Dispatch-time setup + scheduling of a plain cache-reading load.
-
-        The second-hottest dispatch path (every non-bypassed load):
-        _enter_issue_queue and _try_schedule's immediate-success case are
-        inlined, mirroring the simple-op fast path in _dispatch_stage (same
-        fresh-entry/no-waiters argument; entry.producers only materializes
-        when a producer is still unscheduled).
-        """
-        inst = entry.inst
-        entry.sched_kind = "load"
-        entry.min_ready = min_ready
-        entry.in_iq = True
-        self.stats.iq_dispatches += 1
-        stacks = self.mapper._stacks
-        ready = entry.dispatch_cycle + 1 + self._exec_delay
-        if min_ready > ready:
-            ready = min_ready
-        blocked_on = None
-        for reg in inst.srcs:
-            stack = stacks[reg]
-            if stack:
-                producer = stack[-1][1]
-                complete = producer.complete_cycle
-                if complete < 0:
-                    blocked_on = producer
-                    break
-                if complete > ready:
-                    ready = complete
-        if blocked_on is not None:
-            entry.producers = tuple(
-                stack[-1][1] for reg in inst.srcs if (stack := stacks[reg])
-            )
-            self._sched_waiters.setdefault(blocked_on.seq, []).append(entry)
-            self.iq.add_unscheduled()
-            return
-        # PortSchedule.reserve's first-probe success inlined; contended
-        # cycles fall back to the full probe loop.
-        ports = self.ports
-        used = ports._used_by_cycle.get(ready)
-        if used is None:
-            used = [0] * (len(ports._limits) + 1)
-            used[_LOAD_PORT] = 1
-            used[-1] = 1
-            ports._used_by_cycle[ready] = used
-            issue = ready
-        elif used[-1] < ports.total_width and (
-            used[_LOAD_PORT] < ports._limits[_LOAD_PORT]
-        ):
-            used[_LOAD_PORT] += 1
-            used[-1] += 1
-            issue = ready
-        else:
-            issue = ports.reserve(_LOAD_PORT, ready + 1)
-        entry.issue_cycle = issue
-        latency = self.hierarchy.read(inst.addr)
-        if entry.sq_forwarded:
-            # The value comes from the store queue at forwarding latency;
-            # the parallel cache probe still happens (and may fetch the
-            # line) but its miss is not on the value path.
-            latency = self._l1_latency
-        # tlb.access's hit path inlined (one probe per scheduled load).
-        tlb = self.tlb
-        addr = inst.addr
-        vpn = addr >> tlb._page_shift
-        tlb_set = tlb._sets[vpn & (tlb.num_sets - 1)]
-        tag = vpn >> (tlb.num_sets.bit_length() - 1)
-        if tag in tlb_set:
-            tlb_set.pop(tag)
-            tlb_set[tag] = None
-            tlb.stats.hits += 1
-        else:
-            latency += tlb.access(addr)
-        entry.dcache_read_cycle = issue + self._l1_latency
-        entry.complete_cycle = issue + latency
-        self.stats.ooo_dcache_reads += 1
-        # iq.add_scheduled inlined.
-        iq = self.iq
-        heap = iq._scheduled
-        heappush(heap, issue)
-        current = len(heap) + iq._unscheduled
-        if current > iq.peak_occupancy:
-            iq.peak_occupancy = current
+        return self._visibility_floor(inst)
 
     def _setup_bypassing_load(
         self,
         entry: InFlightInst,
-        cycle: int,
         ssn_byp: int,
         srq_entry: SRQEntry,
         transform,
@@ -1108,12 +979,11 @@ class Processor:
             if isinstance(def_producer, InFlightInst) and not def_producer.squashed
             else None
         )
+        entry.producers = (live_def,) if live_def is not None else ()
         if transform.is_identity:
             # Pure rename short-circuit: the load's output register IS the
             # DEF's output register (reference-counted sharing).
             entry.sched_kind = "bypass"
-            entry.skips_issue_queue = True
-            entry.producers = (live_def,) if live_def is not None else ()
             if live_def is not None and live_def.allocated_preg:
                 self.pregs.share(live_def.seq)
                 entry.shared_with_seq = live_def.seq
@@ -1122,7 +992,6 @@ class Processor:
             entry.sched_kind = "exec"
             entry.port_class = int(OpClass.ALU)
             entry.injected_op = True
-            entry.producers = (live_def,) if live_def is not None else ()
             self._enter_issue_queue(entry)
             self.pregs.allocate(entry.seq)
             entry.allocated_preg = True
@@ -1287,7 +1156,7 @@ class Processor:
                 flushed = self._commit_load(entry, cycle)
             elif inst.is_branch:
                 stats.branches += 1
-            # _release_at_commit inlined (runs once per committed inst).
+            # Release at commit (runs once per committed inst).
             seq = entry.seq
             if entry.allocated_preg:
                 # pregs.release inlined: drop one reference, free at zero.
@@ -1360,11 +1229,6 @@ class Processor:
 
     # -- loads ------------------------------------------------------------ #
 
-    def _ssn_nvul_at(self, read_cycle: int) -> int:
-        """Architectural SSN of the youngest store visible by *read_cycle*."""
-        index = bisect_right(self._visible_cycles, read_cycle) - 1
-        return max(0, index + 1 - self._epoch_store_base)
-
     def _arch_ssn(self, store_seq: int) -> int:
         return store_seq + 1 - self._epoch_store_base
 
@@ -1385,7 +1249,7 @@ class Processor:
                 raise SimulationError("forwarding store outlived the load")
             # Forwarded if the store had executed by the load's issue;
             # otherwise the load effectively read the cache.
-            executed_by = self._store_exec_cycle(forward)
+            executed_by = self._store_exec_cycles.get(forward)
             if executed_by is not None and executed_by <= entry.issue_cycle:
                 return True
         # Cache path: every source store must be observable by the read.
@@ -1404,36 +1268,12 @@ class Processor:
                 return False
         return True
 
-    def _store_exec_cycle(self, store_seq: int) -> int | None:
-        """Execution-complete cycle of a (now committed) store, if known."""
-        exec_cycle = self._store_exec_cycles.get(store_seq)
-        return exec_cycle
-
-    def _count_load_class(self, entry: InFlightInst) -> None:
-        """Classification statistics, counted once per *committed* load so
-        flush replays do not inflate them."""
-        if entry.bypassed:
-            self.stats.bypassed_loads += 1
-            if entry.injected_op:
-                self.stats.bypass_injected += 1
-            else:
-                self.stats.bypass_identity += 1
-        elif entry.smb_applied:
-            # Opportunistic SMB: the load still executed, but its consumers
-            # were short-circuited through rename.
-            self.stats.bypassed_loads += 1
-            self.stats.bypass_identity += 1
-            self.stats.nonbypassed_loads += 1
-        elif entry.delayed:
-            self.stats.delayed_loads += 1
-        else:
-            self.stats.nonbypassed_loads += 1
-
     def _commit_load(self, entry: InFlightInst, cycle: int) -> bool:
         """Verify and commit the load at the ROB head; True if it flushed."""
         inst = entry.inst
         stats = self.stats
-        # _count_load_class inlined (runs once per committed load).
+        # Classification statistics, counted once per *committed* load so
+        # flush replays do not inflate them.
         if entry.bypassed:
             stats.bypassed_loads += 1
             if entry.injected_op:
@@ -1485,7 +1325,9 @@ class Processor:
         else:
             forwarded_effective = False
             if entry.sq_forwarded:
-                exec_cycle = self._store_exec_cycle(entry.predicted_store_seq)
+                exec_cycle = self._store_exec_cycles.get(
+                    entry.predicted_store_seq
+                )
                 forwarded_effective = (
                     exec_cycle is not None and exec_cycle <= entry.issue_cycle
                 )
@@ -1494,7 +1336,8 @@ class Processor:
                 # forwarding store" (Section 2.2).
                 ssn_nvul = self._arch_ssn(entry.predicted_store_seq)
             else:
-                # _ssn_nvul_at inlined (runs once per non-forwarded load).
+                # Architectural SSN of the youngest store visible by the
+                # load's cache read.
                 ssn_nvul = (
                     bisect_right(
                         self._visible_cycles, entry.dcache_read_cycle
@@ -1543,44 +1386,31 @@ class Processor:
         return flush
 
     def _train_on_commit(self, entry: InFlightInst, mispredicted: bool) -> None:
-        if self.config.smb_opportunistic:
+        """Commit-time training of a load outside plain NoSQ mode (whose
+        loads train the bypassing predictor straight from _commit_load)."""
+        inst = entry.inst
+        sources = inst.unique_stores
+        if self._train_kind == "smb":
             # Opportunistic SMB verifies at execute; commit-time training
             # uses the ground-truth outcome of the applied short-circuit.
-            if entry.inst.is_load:
-                inst = entry.inst
-                if entry.smb_applied:
-                    train_event = (
-                        inst.containing_store != entry.predicted_store_seq
-                    )
-                else:
-                    # A missed short-circuit opportunity: the load forwarded
-                    # from a nearby store but no prediction was available.
-                    sources = inst.unique_stores
-                    train_event = bool(sources) and not entry.pred_hit and (
-                        entry.ssn_rename_at_dispatch + 1
-                        - self._arch_ssn(max(sources))
-                        <= self.config.bypass_predictor.max_distance
-                    )
-                self._train_bypass_predictor(entry, train_event)
-            if mispredicted and self.store_sets is not None:
-                sources = entry.inst.unique_stores
-                if sources:
-                    store_pc = self._store_insts[max(sources)].pc
-                    self.store_sets.train_violation(entry.inst.pc, store_pc)
-            return
-        if self.bypass_predictor is None:
-            if (
-                mispredicted
-                and self.store_sets is not None
-            ):
-                # Conventional violation: put the load and the youngest
-                # in-window source store in a common store set.
-                sources = entry.inst.unique_stores
-                if sources:
-                    store_pc = self._store_insts[max(sources)].pc
-                    self.store_sets.train_violation(entry.inst.pc, store_pc)
-            return
-        self._train_bypass_predictor(entry, mispredicted)
+            if entry.smb_applied:
+                train_event = (
+                    inst.containing_store != entry.predicted_store_seq
+                )
+            else:
+                # A missed short-circuit opportunity: the load forwarded
+                # from a nearby store but no prediction was available.
+                train_event = bool(sources) and not entry.pred_hit and (
+                    entry.ssn_rename_at_dispatch + 1
+                    - self._arch_ssn(max(sources))
+                    <= self.config.bypass_predictor.max_distance
+                )
+            self._train_bypass_predictor(entry, train_event)
+        if mispredicted and self.store_sets is not None and sources:
+            # Ordering violation: put the load and the youngest in-window
+            # source store in a common store set.
+            store_pc = self._store_insts[max(sources)].pc
+            self.store_sets.train_violation(inst.pc, store_pc)
 
     def _train_bypass_predictor(
         self, entry: InFlightInst, mispredicted: bool

@@ -134,7 +134,9 @@ class InstrumentedProcessor(Processor):
         flushed = super()._commit_load(entry, cycle)
         forward_exec = None
         if entry.sq_forwarded:
-            forward_exec = self._store_exec_cycle(entry.predicted_store_seq)
+            forward_exec = self._store_exec_cycles.get(
+                entry.predicted_store_seq
+            )
         self.load_commits.append(LoadCommit(
             seq=entry.seq,
             flushed=flushed,

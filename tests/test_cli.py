@@ -152,6 +152,35 @@ class TestCommands:
         assert "config set" in out
 
 
+class TestScaleRejection:
+    """A scale that measures nothing exits 2 with one stderr line, on every
+    command that takes -n/-w (ExperimentScale is the one check)."""
+
+    @pytest.mark.parametrize("command", (
+        ["run", "nosq", "gzip"],
+        ["validate", "run", "nosq", "gzip"],
+        ["campaign", "run", "gzip", "--no-cache", "--quiet"],
+    ))
+    @pytest.mark.parametrize("scale", (
+        ["-n", "0"], ["-n", "-5"], ["-n", "-1"], ["-n", "2000", "-w", "-3"],
+        ["-n", "100", "-w", "500"],
+    ))
+    def test_rejected(self, capsys, tmp_path, monkeypatch, command, scale):
+        monkeypatch.chdir(tmp_path)
+        assert main(command + scale) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert "must be" in err
+
+    @pytest.mark.parametrize("count", ("0", "-3"))
+    def test_trace_record_rejected(self, capsys, tmp_path, count):
+        out = tmp_path / "t.bt"
+        assert main(["trace", "record", "gzip", "-n", count,
+                     "-o", str(out)]) == 2
+        assert "must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestValidateCLI:
     def test_run_clean(self, capsys):
         assert main(["validate", "run", "nosq", "zoo.pchase",

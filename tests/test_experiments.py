@@ -355,8 +355,10 @@ class TestPlan:
             tiny_spec(seeds=(17, 17))
 
     def test_rejects_all_warmup_scale(self):
-        drained = ExperimentScale("bad", num_instructions=1_000, warmup=1_000)
         with pytest.raises(ValueError, match="warmup"):
+            drained = ExperimentScale(
+                "bad", num_instructions=1_000, warmup=1_000
+            )
             tiny_spec(scale=drained)
 
     def test_rejects_bad_jobs(self):

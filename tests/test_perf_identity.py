@@ -6,7 +6,9 @@ standard configurations at a tiny scale.  The optimized cycle loop
 (precomputed trace annotations, batched RAT pruning, SVW short-circuit,
 idle-cycle fast-forward, inlined dispatch/commit fast paths) must
 reproduce every counter exactly -- performance work is not allowed to
-move a single statistic.
+move a single statistic.  Its ``preset_stats`` section adds presets
+outside the standard set (``conventional-smb``), recorded the same way
+from the simulator before a later restructuring of their dispatch path.
 
 Regenerate the fixture only when the *model* (not its implementation)
 intentionally changes:
@@ -21,11 +23,18 @@ from pathlib import Path
 
 import pytest
 
-from repro.api import standard_configs
+from repro.api import resolve_config, standard_configs
 from repro.harness.runner import ExperimentScale, make_trace
 from repro.pipeline.processor import Processor
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_tiny_stats.json"
+
+
+def _counters(stats) -> dict:
+    return {
+        k: v for k, v in vars(stats).items()
+        if isinstance(v, (int, float)) and k != "config_name"
+    }
 
 
 def load_golden():
@@ -41,16 +50,19 @@ def regenerate(path: Path = GOLDEN_PATH) -> None:
         warmup=golden["scale"]["warmup"],
     )
     stats_out = {}
+    preset_out = {spec: {} for spec in golden["preset_stats"]}
     for bench in golden["stats"]:
         trace = make_trace(bench, scale, golden["seed"])
         stats_out[bench] = {}
         for config in standard_configs():
             stats = Processor(config).run(trace, warmup=scale.warmup)
-            stats_out[bench][config.name] = {
-                k: v for k, v in vars(stats).items()
-                if isinstance(v, (int, float)) and k != "config_name"
-            }
-    payload = dict(golden, stats=stats_out)
+            stats_out[bench][config.name] = _counters(stats)
+        for spec in preset_out:
+            stats = Processor(resolve_config(spec)).run(
+                trace, warmup=scale.warmup
+            )
+            preset_out[spec][bench] = _counters(stats)
+    payload = dict(golden, stats=stats_out, preset_stats=preset_out)
     path.write_text(json.dumps(payload, indent=1, sort_keys=True))
 
 
@@ -82,6 +94,31 @@ def test_optimized_processor_matches_seed_stats(bench_name):
             f"{bench_name}/{config.name}: counters diverged from the seed "
             f"simulator: {mismatched}"
         )
+
+
+@pytest.mark.parametrize(
+    "spec,bench_name",
+    sorted(
+        (spec, bench)
+        for spec, per_bench in GOLDEN["preset_stats"].items()
+        for bench in per_bench
+    ),
+)
+def test_preset_matches_recorded_stats(spec, bench_name):
+    """Presets outside the standard set, recorded from the simulator as it
+    stood before their dispatch path was last restructured
+    (``conventional-smb``: the opportunistic-SMB short-circuit rides on
+    the conventional load scheduler)."""
+    expected = GOLDEN["preset_stats"][spec][bench_name]
+    trace = make_trace(bench_name, SCALE, GOLDEN["seed"])
+    stats = Processor(resolve_config(spec)).run(trace, warmup=SCALE.warmup)
+    got = _counters(stats)
+    mismatched = {
+        k: (expected.get(k), got.get(k))
+        for k in set(expected) | set(got)
+        if expected.get(k) != got.get(k)
+    }
+    assert not mismatched, f"{bench_name}/{spec}: {mismatched}"
 
 
 def test_golden_covers_all_standard_configs():

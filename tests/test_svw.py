@@ -91,6 +91,20 @@ class TestBypassingEquality:
         verdict = svw.test_bypassing(0x104, 8, ssn_byp=5, predicted_shift=4)
         assert verdict is BypassVerdict.REEXEC
 
+    def test_straddling_store_correct_shift_skips(self):
+        """A store that began in the previous word: the shift counts from
+        the store's start, not from the later word's base."""
+        svw = make_filter()
+        svw.store_commit(0x8036, 8, ssn=5)   # bytes 0x8036..0x803d
+        verdict = svw.test_bypassing(0x8038, 4, ssn_byp=5, predicted_shift=2)
+        assert verdict is BypassVerdict.SKIP
+
+    def test_straddling_store_wrong_shift_detected(self):
+        svw = make_filter()
+        svw.store_commit(0x8036, 8, ssn=5)
+        verdict = svw.test_bypassing(0x8038, 4, ssn_byp=5, predicted_shift=0)
+        assert verdict is BypassVerdict.TRANSFORM_MISMATCH
+
     def test_equality_needs_exact_ssn(self):
         """An equality test with a stale SSN (e.g. after the word was
         rewritten) must not SKIP -- that is why the SSBF needs tags."""

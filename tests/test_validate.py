@@ -381,7 +381,12 @@ class TestReproCases:
             load_repro_case(path)
 
     @pytest.mark.parametrize(
-        "fixture", ("repro_svw_miss.bt", "repro_partial_word.bt")
+        "fixture",
+        (
+            "repro_svw_miss.bt",
+            "repro_partial_word.bt",
+            "repro_straddle_bypass.bt",
+        ),
     )
     def test_committed_fixtures_replay_clean(self, fixture):
         # The committed minimal repros were shrunk against *mutated*
