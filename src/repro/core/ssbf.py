@@ -38,7 +38,7 @@ class SSBFEntry:
     #: Store start relative to the word base: ``offset``, or negative when
     #: the store began in the previous word (the low-order address bits
     #: plus one began-in-previous-word bit).
-    start: int = 0
+    start: int
 
     @property
     def store_range(self) -> tuple[int, int]:
