@@ -9,34 +9,33 @@ Each program exercises a store-load communication idiom from the paper:
 * ``histogram``     -- data-dependent reuse distances;
 * ``memcpy``        -- no in-window communication at all.
 
-For every program the script assembles it, executes it functionally to get
-an annotated trace, then simulates the conventional baseline and NoSQ and
-reports how NoSQ classified the loads.
+Every program is a trace source, ``prog.<name>``: resolving it assembles
+the program and executes it functionally into an annotated trace.  The
+script simulates the conventional baseline and NoSQ on each one (warming
+up on the first half of the program, as ``repro run`` does) and reports
+how NoSQ classified the loads.
 
 Run:  python examples/forwarding_idioms.py
 """
 
-from repro import MachineConfig, simulate
-from repro.isa.trace import communication_stats
+from repro.api import simulate
 from repro.workloads import programs
 
 
 def main() -> None:
     for program in programs.all_programs():
-        result = programs.build_trace(program)
-        trace = result.trace
-        stats = communication_stats(trace)
-        print(f"== {program.name}: {program.description}")
+        source = f"prog.{program.name}"
+        baseline = simulate("conventional", source)
+        result = simulate("nosq", source)
+        stats, nosq = result.trace_stats, result.stats
+        print(f"== {source}: {program.description}")
         print(
-            f"   {len(trace)} instructions, {stats.loads} loads, "
+            f"   {stats.loads} loads, "
             f"{stats.pct_communicating:.0f}% communicating "
             f"({stats.pct_partial_word:.0f}% partial-word, "
-            f"{stats.multi_source_loads} multi-source)"
+            f"{stats.multi_source_loads} multi-source); "
+            f"{nosq.instructions} instructions measured"
         )
-
-        warmup = len(trace) // 4
-        baseline = simulate(MachineConfig.conventional(), trace, warmup=warmup)
-        nosq = simulate(MachineConfig.nosq(), trace, warmup=warmup)
 
         rel = nosq.cycles / max(1, baseline.cycles)
         print(

@@ -39,8 +39,8 @@ In list contexts (``repro campaign run --configs``,
 like a bare override (contains ``=`` but no ``?``) re-attaches to the
 preceding spec, so ``nosq?a=1,b=2,conventional`` means two specs.  Name
 parts may use ``*``/``[...]`` globs over preset names (``nosq*``), and
-config *set* names (``standard``, ``table5``, ``figure4``) expand to their
-member presets.
+config *set* names (``standard``, ``table5``, ``figure3``, ``figure4``,
+``figure5``, ``ablations``) expand to their member specs.
 """
 
 from __future__ import annotations
@@ -589,11 +589,40 @@ REGISTRY.register(
                 "(Figure 2 bar 4)",
 )
 
+#: The five-configuration sweep behind Table 5 and Figures 2-4.
+STANDARD = (
+    "conventional-perfect", "conventional", "nosq-nodelay", "nosq",
+    "nosq-perfect",
+)
+
+
+#: Figure 5 (top): 512/1K/2K/4K/unbounded total bypassing-predictor
+#: entries (two tables) at 8 history bits.
+FIGURE5_CAPACITY = tuple(
+    f"nosq?bypass.{size},bypass.history_bits=8" for size in (
+        "entries_per_table=256", "entries_per_table=512",
+        "entries_per_table=1024", "entries_per_table=2048", "unbounded=true",
+    )
+)
+#: Figure 5 (bottom): 4-12 history bits at 2K entries, then unbounded.
+FIGURE5_HISTORY = tuple(
+    f"nosq?bypass.{size},bypass.history_bits={bits}"
+    for size in ("entries_per_table=1024", "unbounded=true")
+    for bits in (4, 6, 8, 10, 12)
+)
+#: The ablation studies' NoSQ variants, one tuple per study (rendered,
+#: with their column labels, by :mod:`repro.harness.ablations`).
+ABLATIONS = {
+    "load_queue": ("nosq?lq_size=48", "nosq"),
+    "tssbf": tuple(f"nosq?tssbf_entries={n}" for n in (32, 64, 128, 256)),
+    "confidence": tuple(f"nosq?bypass.conf_dec={d}" for d in (16, 64, 127)),
+    "svw": ("nosq", "nosq?svw_enabled=false"),
+    "hybrid": ("nosq", "nosq?bypass.history_bits=1"),
+}
+
 REGISTRY.register_set(
-    "standard",
-    ("conventional-perfect", "conventional", "nosq-nodelay", "nosq",
-     "nosq-perfect"),
-    description="the five-configuration sweep behind Table 5 / Figures 2-4",
+    "standard", STANDARD,
+    description="the sweep behind Table 5 and Figures 2 and 4",
 )
 REGISTRY.register_set(
     "table5",
@@ -601,9 +630,30 @@ REGISTRY.register_set(
     description="the two NoSQ variants Table 5 measures",
 )
 REGISTRY.register_set(
+    "figure3",
+    tuple(f"{spec}@256" for spec in STANDARD),
+    description="the standard sweep on the 256-entry window (Figure 3)",
+)
+REGISTRY.register_set(
     "figure4",
     ("conventional", "nosq"),
     description="baseline vs NoSQ-with-delay (Figure 4 cache bandwidth)",
+)
+REGISTRY.register_set(
+    "figure5",
+    tuple(dict.fromkeys(
+        ("conventional-perfect", *FIGURE5_CAPACITY, *FIGURE5_HISTORY)
+    )),
+    description="the baseline plus the bypassing-predictor capacity and "
+                "history sweeps (Figure 5)",
+)
+REGISTRY.register_set(
+    "ablations",
+    tuple(dict.fromkeys(
+        spec for study in ABLATIONS.values() for spec in study
+    )),
+    description="the NoSQ variants of the load-queue, T-SSBF, "
+                "confidence, SVW and hybrid-predictor ablations",
 )
 
 

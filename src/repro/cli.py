@@ -11,7 +11,7 @@ Installed as the ``repro`` console script (``pip install -e .``);
     repro run nosq@256 conventional@256 gzip  # several configs, one table
     repro run conventional nosq gzip vortex   # several benchmarks
     repro list                                # benchmarks, configs, sources
-    repro program stack_spill                 # run a mini-ISA program
+    repro run conventional nosq prog.memcpy   # a mini-ISA program
 
 ``run`` positionals mix freely: anything that resolves as a benchmark id
 (profiles, ``zoo.*`` families, ``trace:``/``extern:`` paths) is a
@@ -29,8 +29,10 @@ Campaigns (sharded + cached sweeps; see :mod:`repro.experiments`)::
     python -m repro campaign status                         # cache coverage
     python -m repro campaign report                         # render tables
 
-Table 5 and Figures 2-4 come from the result store: ``campaign run
---configs standard`` (or ``table5``) followed by ``campaign report``.
+``campaign report`` renders every table, figure and ablation of the
+paper that the store's runs support: ``campaign run --configs standard``
+feeds Table 5 and Figures 2 and 4; ``figure3``, ``figure5`` and
+``ablations`` feed the rest.
 
 Traces (sources, formats, importers; see :mod:`repro.traces`)::
 
@@ -58,6 +60,7 @@ from typing import Sequence
 
 from repro.api import (
     NAMED_SCALES as _NAMED_SCALES,
+    REGISTRY,
     ConfigSpecError,
     list_components,
     list_config_sets,
@@ -74,17 +77,9 @@ from repro.experiments import (
     plan_campaign,
     run_campaign,
 )
-from repro.harness import (
-    ExperimentScale,
-    render_figure2,
-    render_figure4,
-    render_table5,
-)
-from repro.harness.figure2 import BARS, BASELINE, figure2_series
-from repro.harness.figure4 import figure4_series
+from repro.harness import ExperimentScale
 from repro.harness.report import render_table
 from repro.harness.runner import run_configs
-from repro.harness.table5 import table5_row
 from repro.workloads.profiles import PROFILES
 
 #: The scale of ``repro run`` and ``repro validate run`` without
@@ -162,10 +157,11 @@ def cmd_list(args) -> int:
     ))
     print()
     print(render_table(
-        ["config set", "members"],
-        [[name, ", ".join(members)]
+        ["config set", "specs", "description"],
+        [[name, len(members), REGISTRY.describe_set(name)]
          for name, members in sorted(list_config_sets().items())],
-        title="Registered config sets (expand inside --configs)",
+        title="Registered config sets (expand inside --configs; "
+              "repro.api.list_config_sets() lists the specs)",
     ))
     print()
     print(render_table(
@@ -303,29 +299,6 @@ def cmd_run(args) -> int:
                   f"({warmup} warmup; rel.time vs "
                   f"{baseline.config_name})",
         ))
-    return 0
-
-
-def cmd_program(args) -> int:
-    from repro.pipeline.processor import simulate
-    from repro.workloads import programs
-
-    builders = {p.name: p for p in programs.all_programs()}
-    if args.name not in builders:
-        print(f"unknown program {args.name!r}; available: "
-              f"{', '.join(sorted(builders))}", file=sys.stderr)
-        return 1
-    program = builders[args.name]
-    result = programs.build_trace(program)
-    print(f"{program.name}: {program.description}")
-    print(f"{len(result.trace)} dynamic instructions, halted={result.halted}")
-    for config in resolve_configs("conventional,nosq"):
-        stats = simulate(config, result.trace)
-        print(
-            f"  {config.name:14s} IPC {stats.ipc:.2f}  "
-            f"bypassed {stats.bypassed_loads}  delayed {stats.delayed_loads}  "
-            f"flushes {stats.flushes}"
-        )
     return 0
 
 
@@ -743,8 +716,8 @@ def _add_campaign_spec_args(parser: argparse.ArgumentParser) -> None:
         "--configs", default="standard",
         help="configs to sweep: a comma list of registry presets "
              "(preset[@window][?key=value,...] overrides), globs over "
-             "preset names ('nosq*'), or set names "
-             "(standard/table5/figure4; default standard) — "
+             "preset names ('nosq*'), or set names (standard, table5, "
+             "figure3, figure4, figure5, ablations; default standard) — "
              "see `repro list`",
     )
     parser.add_argument(
@@ -845,45 +818,77 @@ def cmd_campaign_report(args) -> int:
         names += sorted(n for n in results if n not in PROFILES)
     results = {b: results[b] for b in names}
 
-    # Render each table/figure over the benchmarks whose stored configs
+    # Render each section over the benchmarks whose stored configs
     # support it (stores may mix config sets across campaigns).  The
-    # paper tables only make sense for calibrated profiles; trace-source
-    # benchmarks (zoo.*, trace:/extern: files) get the generic table.
-    def having(required: set[str]) -> list[str]:
-        return [
-            n for n, r in results.items()
-            if n in PROFILES and required <= set(r.runs)
+    # paper tables only make sense for calibrated profiles; every stored
+    # run no section used (trace-source benchmarks, extra configs, other
+    # windows) goes to the generic table.
+    used = set()
+    for specs, render in _report_sections(results):
+        required = {config.name for config in resolve_configs(specs)}
+        covered = [
+            name for name, result in results.items()
+            if name in PROFILES and required <= set(result.runs)
         ]
-
-    rendered = False
-    table5_names = having({"nosq-nodelay", "nosq-delay"})
-    if table5_names:
-        rows = [
-            table5_row(name, result=results[name]) for name in table5_names
-        ]
-        print(render_table5(rows))
-        rendered = True
-    figure2_names = having({BASELINE, *BARS})
-    if figure2_names:
-        print(render_figure2(figure2_series(figure2_names, results=results)))
-        rendered = True
-    figure4_names = having({"sq-storesets", "nosq-delay"})
-    if figure4_names:
-        print(render_figure4(figure4_series(figure4_names, results=results)))
-        rendered = True
-    generic = [name for name in results if name not in PROFILES]
-    if generic or not rendered:
-        names = generic if rendered else list(results)
-        rows = [
-            [name, config, f"{results[name].runs[config].ipc:.3f}"]
-            for name in names
-            for config in sorted(results[name].runs)
-        ]
+        if covered:
+            print(render(covered))
+            used.update((name, config) for name in covered for config in required)
+    rows = [
+        [name, config, f"{result.runs[config].ipc:.3f}"]
+        for name, result in results.items()
+        for config in sorted(result.runs)
+        if (name, config) not in used
+    ]
+    if rows:
         print(render_table(
             ["benchmark", "config", "IPC"], rows,
             title=f"stored campaign results (seed {seed})",
         ))
     return 0
+
+
+def _report_sections(results):
+    """The paper's tables, figures and ablations in report order, as
+    ``(config specs, render(benchmarks) -> text)`` over *results*."""
+    # Imported here: a cached `campaign run` loads no figure code.
+    from repro.harness import ablations, figure2, figure4, figure5, table5
+
+    def figure5_section(columns, title):
+        return (["conventional-perfect", *columns.values()], lambda names:
+                figure5.render_figure5(
+                    figure5.figure5_series(names, results, columns), title
+                ))
+
+    def ablation_text(columns, render):
+        return lambda names: render(
+            ablations.ablation_points(names, results, columns)
+        )
+
+    return [
+        ("table5", lambda names: table5.render_table5(
+            [table5.table5_row(name, results[name]) for name in names]
+        )),
+        ("standard", lambda names: figure2.render_figure2(
+            figure2.figure2_series(names, results)
+        )),
+        ("figure3", lambda names: figure2.render_figure2(
+            figure2.figure2_series(names, results, window=256),
+            title="Figure 3: relative execution time, 256-entry window",
+        )),
+        ("figure4", lambda names: figure4.render_figure4(
+            figure4.figure4_series(names, results)
+        )),
+        figure5_section(
+            figure5.CAPACITY, "Figure 5 (top): predictor capacity sweep"
+        ),
+        figure5_section(
+            figure5.HISTORY, "Figure 5 (bottom): path-history length sweep"
+        ),
+        *(
+            (list(columns.values()), ablation_text(columns, render))
+            for columns, render in ablations.STUDIES
+        ),
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -913,10 +918,6 @@ def build_parser() -> argparse.ArgumentParser:
         run, "named experiment scale (default: 30000 instructions)"
     )
     run.set_defaults(func=cmd_run)
-
-    program = sub.add_parser("program", help="run a mini-ISA example program")
-    program.add_argument("name")
-    program.set_defaults(func=cmd_program)
 
     trace = sub.add_parser(
         "trace",

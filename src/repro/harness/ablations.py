@@ -17,21 +17,18 @@ probe the claims made in its prose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.api.configs import ABLATIONS, resolve_config
 from repro.harness.report import render_table
-from repro.harness.runner import DEFAULT, ExperimentScale, run_suite
-from repro.pipeline.config import MachineConfig
+from repro.harness.runner import BenchmarkResult
 
 
-def _nosq(overrides: str | None = None) -> MachineConfig:
-    """A NoSQ variant through the registry's override grammar, so every
-    ablation is expressible as a config string (see :mod:`repro.api`)."""
-    # Imported lazily: repro.api builds on the harness.
-    from repro.api.configs import resolve_config
-
-    return resolve_config("nosq" if overrides is None else f"nosq?{overrides}")
+def _columns(labels: Sequence[str], study: str) -> dict[str, str]:
+    """Column label -> config spec for one study of the ``ablations``
+    config set."""
+    return dict(zip(labels, ABLATIONS[study], strict=True))
 
 
 @dataclass
@@ -48,25 +45,23 @@ class AblationPoint:
         return self.cycles[variant] / self.cycles[baseline]
 
 
-def _run(
+def ablation_points(
     benchmarks: Sequence[str],
-    variants: Sequence[MachineConfig],
-    scale: ExperimentScale,
-    seed: int = 17,
-    jobs: int = 1,
-    cache=None,
+    results: dict[str, BenchmarkResult],
+    columns: dict[str, str],
 ) -> list[AblationPoint]:
-    results = run_suite(list(benchmarks), list(variants), scale=scale,
-                        seed=seed, jobs=jobs, cache=cache)
+    """One study's points from the runs in *results*, keyed by column
+    label (*columns* maps each label to its config spec)."""
+    stored = {label: resolve_config(spec).name for label, spec in columns.items()}
     points = []
     for name in benchmarks:
         point = AblationPoint(name=name)
-        for variant in variants:
-            stats = results[name].runs[variant.name]
-            point.cycles[variant.name] = stats.cycles
-            point.mispredicts[variant.name] = stats.mispredicts_per_10k_loads
-            point.delayed_pct[variant.name] = stats.pct_loads_delayed
-            point.reexec_rate[variant.name] = stats.reexec_rate
+        for label, config_name in stored.items():
+            stats = results[name].runs[config_name]
+            point.cycles[label] = stats.cycles
+            point.mispredicts[label] = stats.mispredicts_per_10k_loads
+            point.delayed_pct[label] = stats.pct_loads_delayed
+            point.reexec_rate[label] = stats.reexec_rate
         points.append(point)
     return points
 
@@ -75,13 +70,8 @@ def _run(
 # Load-queue elimination
 # --------------------------------------------------------------------- #
 
-def load_queue_ablation(
-    benchmarks: Sequence[str], scale: ExperimentScale = DEFAULT
-) -> list[AblationPoint]:
-    """NoSQ with the paper's 48-entry load queue vs without one."""
-    with_lq = replace(_nosq("lq_size=48"), name="nosq-lq48")
-    without_lq = replace(_nosq(), name="nosq-nolq")
-    return _run(benchmarks, [with_lq, without_lq], scale)
+#: NoSQ with the paper's 48-entry load queue vs without one.
+LOAD_QUEUE = _columns(("nosq-lq48", "nosq-nolq"), "load_queue")
 
 
 def render_load_queue(points: Sequence[AblationPoint]) -> str:
@@ -101,18 +91,9 @@ def render_load_queue(points: Sequence[AblationPoint]) -> str:
 # T-SSBF sizing
 # --------------------------------------------------------------------- #
 
+#: The T-SSBF entry count around the paper's 128-entry default.
 TSSBF_SWEEP = (32, 64, 128, 256)
-
-
-def tssbf_ablation(
-    benchmarks: Sequence[str], scale: ExperimentScale = DEFAULT
-) -> list[AblationPoint]:
-    """Sweep the T-SSBF entry count around the paper's 128-entry default."""
-    variants = [
-        replace(_nosq(f"tssbf_entries={entries}"), name=f"tssbf-{entries}")
-        for entries in TSSBF_SWEEP
-    ]
-    return _run(benchmarks, variants, scale)
+TSSBF = _columns([f"tssbf-{entries}" for entries in TSSBF_SWEEP], "tssbf")
 
 
 def render_tssbf(points: Sequence[AblationPoint]) -> str:
@@ -137,31 +118,20 @@ def render_tssbf(points: Sequence[AblationPoint]) -> str:
 # Confidence / delay policy
 # --------------------------------------------------------------------- #
 
-CONF_SWEEP = (
-    ("eager", 16),    # small decrement: delay engages reluctantly
-    ("default", 64),
-    ("sticky", 127),  # full reset: delay engages after one repeat offence
-)
-
-
-def confidence_ablation(
-    benchmarks: Sequence[str], scale: ExperimentScale = DEFAULT
-) -> list[AblationPoint]:
-    variants = [
-        replace(_nosq(f"bypass.conf_dec={dec}"), name=f"conf-{label}")
-        for label, dec in CONF_SWEEP
-    ]
-    return _run(benchmarks, variants, scale)
+#: Confidence decrements: ``eager`` is small (delay engages reluctantly),
+#: ``sticky`` a full reset (delay engages after one repeat offence).
+CONF_SWEEP = ("eager", "default", "sticky")
+CONFIDENCE = _columns([f"conf-{label}" for label in CONF_SWEEP], "confidence")
 
 
 def render_confidence(points: Sequence[AblationPoint]) -> str:
     headers = ["benchmark"]
-    for label, _ in CONF_SWEEP:
+    for label in CONF_SWEEP:
         headers += [f"{label} m10k", f"{label} del%"]
     rows = []
     for p in points:
         row = [p.name]
-        for label, _ in CONF_SWEEP:
+        for label in CONF_SWEEP:
             row += [
                 f"{p.mispredicts[f'conf-{label}']:.1f}",
                 f"{p.delayed_pct[f'conf-{label}']:.1f}",
@@ -177,18 +147,11 @@ def render_confidence(points: Sequence[AblationPoint]) -> str:
 # SVW filtering value
 # --------------------------------------------------------------------- #
 
-def svw_ablation(
-    benchmarks: Sequence[str], scale: ExperimentScale = DEFAULT
-) -> list[AblationPoint]:
-    """SVW-filtered re-execution vs re-executing every speculative load.
-
-    Section 2.2: without filtering, aggressive load speculation "would
-    seemingly require re-executing all loads ... or would otherwise induce
-    overheads that overwhelm the benefit of the speculation itself."
-    """
-    filtered = replace(_nosq(), name="svw-on")
-    unfiltered = replace(_nosq("svw_enabled=false"), name="svw-off")
-    return _run(benchmarks, [filtered, unfiltered], scale)
+#: SVW-filtered re-execution vs re-executing every speculative load.
+#: Section 2.2: without filtering, aggressive load speculation "would
+#: seemingly require re-executing all loads ... or would otherwise induce
+#: overheads that overwhelm the benefit of the speculation itself."
+SVW = _columns(("svw-on", "svw-off"), "svw")
 
 
 def render_svw(points: Sequence[AblationPoint]) -> str:
@@ -213,13 +176,8 @@ def render_svw(points: Sequence[AblationPoint]) -> str:
 # Hybrid predictor organization
 # --------------------------------------------------------------------- #
 
-def hybrid_ablation(
-    benchmarks: Sequence[str], scale: ExperimentScale = DEFAULT
-) -> list[AblationPoint]:
-    """Hybrid (default) vs path-insensitive-only prediction."""
-    hybrid = replace(_nosq(), name="pred-hybrid")
-    plain_only = replace(_nosq("bypass.history_bits=1"), name="pred-plain")
-    return _run(benchmarks, [hybrid, plain_only], scale)
+#: Hybrid (default) vs path-insensitive-only prediction.
+HYBRID = _columns(("pred-hybrid", "pred-plain"), "hybrid")
 
 
 def render_hybrid(points: Sequence[AblationPoint]) -> str:
@@ -240,3 +198,13 @@ def render_hybrid(points: Sequence[AblationPoint]) -> str:
         rows,
         title="Ablation: hybrid path-sensitive predictor vs PC-only",
     )
+
+
+#: Every study's columns and renderer, in report order.
+STUDIES = (
+    (LOAD_QUEUE, render_load_queue),
+    (TSSBF, render_tssbf),
+    (CONFIDENCE, render_confidence),
+    (SVW, render_svw),
+    (HYBRID, render_hybrid),
+)

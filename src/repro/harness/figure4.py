@@ -13,16 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.harness.runner import (
-    DEFAULT,
-    BenchmarkResult,
-    ExperimentScale,
-    amean,
-    run_suite,
-)
+from repro.harness.runner import BenchmarkResult, amean
 from repro.harness.report import render_table
-from repro.pipeline.config import MachineConfig
-from repro.workloads.profiles import PROFILES, SELECTED_BENCHMARKS
+from repro.workloads.profiles import PROFILES
 
 
 @dataclass
@@ -40,28 +33,14 @@ class Figure4Point:
         return self.ooo_relative + self.backend_relative
 
 
-def figure4_configs() -> list[MachineConfig]:
-    """Baseline vs NoSQ-with-delay (registry set ``figure4``)."""
-    # Imported lazily: repro.api builds on the harness.
-    from repro.api.configs import config_set
-
-    return config_set("figure4")
-
-
 def figure4_series(
-    benchmarks: Sequence[str] | None = None,
-    scale: ExperimentScale = DEFAULT,
-    seed: int = 17,
-    results: dict[str, BenchmarkResult] | None = None,
-    jobs: int = 1,
-    cache=None,
+    benchmarks: Sequence[str],
+    results: dict[str, BenchmarkResult],
 ) -> list[Figure4Point]:
-    names = list(benchmarks) if benchmarks is not None else SELECTED_BENCHMARKS
-    if results is None:
-        results = run_suite(names, figure4_configs(), scale=scale, seed=seed,
-                            jobs=jobs, cache=cache)
+    """The Figure 4 bars from the ``figure4`` config-set runs in
+    *results*."""
     points = []
-    for name in names:
+    for name in benchmarks:
         result = results[name]
         baseline = result.runs["sq-storesets"]
         nosq = result.runs["nosq-delay"]

@@ -15,36 +15,28 @@ All numbers are execution times relative to the same baseline as Figure 2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.bypass_predictor import BypassPredictorConfig
+from repro.api.configs import FIGURE5_CAPACITY, FIGURE5_HISTORY, resolve_config
 from repro.harness.figure2 import BASELINE
-from repro.harness.runner import (
-    DEFAULT,
-    ExperimentScale,
-    geomean,
-    run_suite,
-)
+from repro.harness.runner import BenchmarkResult, geomean
 from repro.harness.report import render_table
-from repro.pipeline.config import MachineConfig
-from repro.workloads.profiles import PROFILES, SELECTED_BENCHMARKS
+from repro.workloads.profiles import PROFILES
 
-#: Total predictor entries swept in the top graph (None = unbounded).
-CAPACITY_SWEEP: tuple[int | None, ...] = (512, 1024, 2048, 4096, None)
-#: History lengths swept in the bottom graph.
-HISTORY_SWEEP: tuple[int, ...] = (4, 6, 8, 10, 12)
-
-
-def _nosq_with_predictor(total_entries: int | None, history_bits: int) -> MachineConfig:
-    predictor = BypassPredictorConfig(
-        entries_per_table=(total_entries // 2) if total_entries else 1024,
-        history_bits=history_bits,
-        unbounded=total_entries is None,
-    )
-    label = "inf" if total_entries is None else f"{total_entries}e"
-    config = MachineConfig.nosq(delay=True, predictor=predictor)
-    return replace(config, name=f"nosq-{label}-{history_bits}h")
+#: Column label -> config spec, top graph (``<entries>e``/``inf`` = total
+#: predictor entries, ``<bits>h`` = history bits).
+CAPACITY = dict(zip(
+    ("nosq-512e-8h", "nosq-1024e-8h", "nosq-2048e-8h", "nosq-4096e-8h",
+     "nosq-inf-8h"),
+    FIGURE5_CAPACITY, strict=True,
+))
+#: Column label -> config spec, bottom graph.
+HISTORY = dict(zip(
+    (f"nosq-{size}-{bits}h"
+     for size in ("2048e", "inf") for bits in (4, 6, 8, 10, 12)),
+    FIGURE5_HISTORY, strict=True,
+))
 
 
 @dataclass
@@ -56,71 +48,22 @@ class SweepPoint:
     relative: dict[str, float] = field(default_factory=dict)
 
 
-def _sweep(
+def figure5_series(
     benchmarks: Sequence[str],
-    variants: Sequence[MachineConfig],
-    scale: ExperimentScale,
-    seed: int,
-    jobs: int = 1,
-    cache=None,
+    results: dict[str, BenchmarkResult],
+    columns: dict[str, str],
 ) -> list[SweepPoint]:
-    # Imported lazily: repro.api builds on the harness.
-    from repro.api.configs import resolve_config
-
-    configs = [
-        resolve_config("conventional-perfect"),
-        *variants,
-    ]
-    results = run_suite(list(benchmarks), configs, scale=scale, seed=seed,
-                        jobs=jobs, cache=cache)
+    """One graph's points: each *columns* spec's execution time relative
+    to the Figure 2 baseline, keyed by column label."""
+    stored = {label: resolve_config(spec).name for label, spec in columns.items()}
     points = []
     for name in benchmarks:
         result = results[name]
         point = SweepPoint(name=name, suite=PROFILES[name].suite)
-        for variant in variants:
-            point.relative[variant.name] = result.relative_time(
-                variant.name, BASELINE
-            )
+        for label, config_name in stored.items():
+            point.relative[label] = result.relative_time(config_name, BASELINE)
         points.append(point)
     return points
-
-
-def figure5_capacity_series(
-    benchmarks: Sequence[str] | None = None,
-    scale: ExperimentScale = DEFAULT,
-    seed: int = 17,
-    history_bits: int = 8,
-    jobs: int = 1,
-    cache=None,
-) -> list[SweepPoint]:
-    """Top graph: capacity sweep at the default history length."""
-    names = list(benchmarks) if benchmarks is not None else SELECTED_BENCHMARKS
-    variants = [
-        _nosq_with_predictor(capacity, history_bits)
-        for capacity in CAPACITY_SWEEP
-    ]
-    return _sweep(names, variants, scale, seed, jobs=jobs, cache=cache)
-
-
-def figure5_history_series(
-    benchmarks: Sequence[str] | None = None,
-    scale: ExperimentScale = DEFAULT,
-    seed: int = 17,
-    total_entries: int | None = 2048,
-    include_unbounded: bool = True,
-    jobs: int = 1,
-    cache=None,
-) -> list[SweepPoint]:
-    """Bottom graph: history sweep at fixed (or unbounded) capacity."""
-    names = list(benchmarks) if benchmarks is not None else SELECTED_BENCHMARKS
-    variants = [
-        _nosq_with_predictor(total_entries, bits) for bits in HISTORY_SWEEP
-    ]
-    if include_unbounded:
-        variants += [
-            _nosq_with_predictor(None, bits) for bits in HISTORY_SWEEP
-        ]
-    return _sweep(names, variants, scale, seed, jobs=jobs, cache=cache)
 
 
 def suite_geomeans(points: Sequence[SweepPoint]) -> list[SweepPoint]:

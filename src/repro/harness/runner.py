@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.isa.trace import DynInst, TraceStats, communication_stats
 from repro.pipeline.config import MachineConfig
@@ -63,11 +63,11 @@ def effective_warmup(scale: ExperimentScale, trace_length: int) -> int:
     return scale.warmup
 
 
-#: Seconds-per-benchmark scale for tests and pytest-benchmark runs.
+#: Seconds-per-benchmark scale: campaigns' default and the tests'.
 SMOKE = ExperimentScale("smoke", num_instructions=8_000, warmup=3_000)
 #: Default scale for the examples.
 DEFAULT = ExperimentScale("default", num_instructions=30_000, warmup=12_000)
-#: The scale used for EXPERIMENTS.md.
+#: The largest named scale (``campaign run --scale full``).
 FULL = ExperimentScale("full", num_instructions=60_000, warmup=30_000)
 
 
@@ -163,38 +163,3 @@ def run_benchmark(
     for config, stats, _elapsed in run_configs(trace, configs, scale):
         result.runs[config.name] = stats
     return result
-
-
-def run_suite(
-    benchmarks: Sequence[str],
-    configs: Sequence[MachineConfig],
-    scale: ExperimentScale = DEFAULT,
-    seed: int = 17,
-    progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
-    cache=None,
-) -> dict[str, BenchmarkResult]:
-    """Run a list of benchmarks through a list of configurations.
-
-    Built on the campaign engine (:mod:`repro.experiments`): each
-    benchmark's trace is generated once and shared across all of its
-    configurations, ``jobs`` shards the benchmarks over that many worker
-    processes, and ``cache`` (a :class:`~repro.experiments.ResultCache` or
-    directory path) makes repeated sweeps instant.  Results are
-    bit-identical for any ``jobs``/``cache`` combination.
-    """
-    # Imported lazily: repro.experiments builds on this module.
-    from repro.experiments import CampaignSpec, run_campaign
-
-    spec = CampaignSpec(
-        benchmarks=list(benchmarks), configs=list(configs),
-        scale=scale, seeds=(seed,), name="suite",
-    )
-    on_event = None
-    if progress is not None:
-        def on_event(event):
-            if event.kind == "start":
-                progress(event.benchmark)
-    campaign = run_campaign(spec, jobs=jobs, cache=cache, progress=on_event)
-    return campaign.suite_results(seed)
-

@@ -25,7 +25,7 @@ command line; see ``docs/traces.md`` for the format specification and the
 importer field mapping.
 
 Importing this package registers the workload-zoo generator families
-(``zoo.*``) as named sources.
+(``zoo.*``) and the mini-ISA programs (``prog.*``) as named sources.
 """
 
 from repro.traces.binformat import (
@@ -56,9 +56,11 @@ from repro.traces.source import (
     source_identity,
     unregister_source,
 )
+from repro.workloads.programs import register_program_sources
 from repro.workloads.zoo import ZOO_BENCHMARKS, register_zoo_sources
 
 register_zoo_sources()
+register_program_sources()
 
 __all__ = [
     "BINARY_VERSION",

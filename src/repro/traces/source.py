@@ -12,6 +12,8 @@ benchmark id     resolves to
 ``gzip``         :class:`SyntheticSource` (a Table 5 profile; the
                  historical namespace, unchanged)
 ``zoo.pchase``   a registered :class:`GeneratorSource` (workload zoo)
+``prog.memcpy``  a registered :class:`GeneratorSource` running a mini-ISA
+                 program (intrinsic length, like a trace file)
 ``trace:PATH``   :class:`FileTraceSource` — a saved v1/v2 trace file
 ``extern:PATH``  :class:`ExternalTraceSource` — an external event trace
                  run through the SynchroTrace-style importer

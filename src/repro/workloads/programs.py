@@ -17,15 +17,18 @@ mechanisms exist for:
 
 Each builder returns an :class:`ExampleProgram`; :func:`build_trace` runs it
 and returns the annotated trace plus final architectural state for checking.
+Every program is also a trace source, ``prog.<name>``
+(:func:`register_program_sources`), so ``repro run``, campaigns and
+``repro validate run`` take it like any benchmark id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from repro.isa.assembler import assemble
-from repro.isa.executor import ExecutionResult, FunctionalExecutor
-from repro.memory.main_memory import SparseMemory
+if TYPE_CHECKING:
+    from repro.isa.executor import ExecutionResult
 
 #: Memory layout used by all example programs.
 SRC_BASE = 0x2000
@@ -48,13 +51,17 @@ class ExampleProgram:
 
 def build_trace(program: ExampleProgram) -> ExecutionResult:
     """Assemble, functionally execute, and annotate *program*."""
+    # Imported here: registering the prog.* sources loads neither.
+    from repro.isa.assembler import assemble
+    from repro.isa.executor import FunctionalExecutor
+    from repro.isa.instructions import Register
+    from repro.memory.main_memory import SparseMemory
+
     instructions = assemble(program.source)
     memory = SparseMemory()
     for addr, data in program.setup_memory.items():
         memory.load_bytes(addr, data)
     executor = FunctionalExecutor(instructions, memory)
-    from repro.isa.instructions import Register
-
     for reg_name, value in program.setup_regs.items():
         executor.set_reg(Register.parse(reg_name), value)
     return executor.run(max_instructions=program.max_instructions)
@@ -211,3 +218,22 @@ def all_programs() -> list[ExampleProgram]:
         fp_convert_program(),
         histogram_program(),
     ]
+
+
+def register_program_sources() -> None:
+    """Register every program as trace source ``prog.<name>``
+    (idempotent).  Like a trace file's, a program's length is intrinsic:
+    the scale's instruction count and the seed are ignored, and the
+    default warmup is clamped to half the program."""
+    from repro.traces.source import GeneratorSource, register_source
+
+    for program in all_programs():
+        register_source(
+            GeneratorSource(
+                f"prog.{program.name}",
+                lambda _length, _seed, program=program:
+                    build_trace(program).trace,
+                description=f"mini-ISA program: {program.description}",
+            ),
+            replace=True,
+        )

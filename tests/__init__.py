@@ -1,2 +1,2 @@
-"""Unit-test package (a regular package so basenames shared with
-``benchmarks/`` import under unique module names)."""
+"""Unit-test package (a regular package, so test modules import under
+package-qualified names such as ``tests.test_cli``)."""

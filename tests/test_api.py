@@ -108,14 +108,19 @@ class TestPresetIdentity:
         ]
 
     def test_harness_config_sets(self):
-        from repro.harness.figure4 import figure4_configs
-        from repro.harness.table5 import table5_configs
-
-        assert [c.name for c in table5_configs()] == \
+        assert [c.name for c in config_set("table5")] == \
             ["nosq-nodelay", "nosq-delay"]
-        assert [c.name for c in figure4_configs()] == \
+        assert [c.name for c in config_set("figure4")] == \
             ["sq-storesets", "nosq-delay"]
-        assert table5_configs() == config_set("table5")
+        assert config_set("figure3") == standard_configs(256)
+        # Figure 5: the baseline plus 13 distinct predictor variants; the
+        # 2K/8-bit and unbounded/8-bit points sit on both graphs.
+        figure5 = config_set("figure5")
+        assert figure5[0].name == "sq-perfect" and len(figure5) == 14
+        # Ablations: 13 study columns, 3 of them the plain nosq preset.
+        ablations = config_set("ablations")
+        assert len(ablations) == 11
+        assert "nosq-delay" in [c.name for c in ablations]
 
 
 # --------------------------------------------------------------------- #

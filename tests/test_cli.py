@@ -68,13 +68,18 @@ class TestCommands:
         assert "nosq-delay (rel)" in out
 
     def test_program(self, capsys):
-        assert main(["program", "memcpy"]) == 0
+        # Mini-ISA programs are prog.* trace sources with an intrinsic
+        # length: the default warmup is half the program.
+        assert main(["run", "conventional", "nosq", "prog.memcpy"]) == 0
         out = capsys.readouterr().out
-        assert "byte-wise copy" in out
+        assert "prog.memcpy: 1282 instructions (641 warmup" in out
+        assert "nosq-delay" in out
 
     def test_program_unknown(self, capsys):
-        assert main(["program", "doom"]) == 1
-        assert "unknown program" in capsys.readouterr().err
+        assert main(["run", "conventional", "nosq", "prog.doom"]) == 2
+        err = capsys.readouterr().err
+        assert "'prog.doom' is neither a benchmark id" in err
+        assert err.count("\n") == 1
 
     def test_explicit_warmup(self, capsys):
         assert main(["run", "applu", "-n", "3000", "-w", "1000"]) == 0

@@ -23,11 +23,8 @@ from repro.experiments import (
     plan_campaign,
     run_campaign,
 )
-from repro.harness.runner import (
-    ExperimentScale,
-    run_benchmark,
-    run_suite,
-)
+from repro.api import sweep
+from repro.harness.runner import ExperimentScale, run_benchmark
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
 
@@ -202,8 +199,8 @@ class TestParallelEqualsSerial:
 
     def test_run_suite_matches_cached_rerun(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        first = run_suite(BENCHMARKS, tiny_configs(), scale=TINY, cache=cache)
-        second = run_suite(BENCHMARKS, tiny_configs(), scale=TINY, cache=cache)
+        first = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache).results()
+        second = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache).results()
         assert {n: r.runs for n, r in first.items()} == {
             n: r.runs for n, r in second.items()
         }
@@ -474,6 +471,39 @@ class TestCampaignCli:
         assert "Table 5" in out and "mcf" not in out.split("Figure 4")[0]
         figure4_section = out.split("Figure 4")[1]
         assert "gzip" in figure4_section and "mcf" in figure4_section
+
+    def test_report_lists_runs_no_section_uses(self, capsys):
+        # Runs that no table or figure renders -- configs outside the
+        # paper's sets, a benchmark lacking a set's configs -- still
+        # appear, in the generic table.
+        assert main([
+            "campaign", "run", "applu", "-n", "2000", "--quiet",
+        ]) == 0
+        assert main([
+            "campaign", "run", "gzip", "-n", "2000", "--quiet",
+            "--configs", "conventional-smb,nosq-perfect",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report"]) == 0
+        out = capsys.readouterr().out
+        generic = out.split("stored campaign results")[1]
+        assert "gzip" in generic and "sq-smb" in generic
+        assert "nosq-perfect" in generic and "applu" not in generic
+
+    def test_paper_report_matches_golden(self, capsys):
+        # Every table, figure and ablation for three benchmarks, from
+        # one campaign over the paper's config sets.
+        from pathlib import Path
+
+        assert main([
+            "campaign", "run", "g721.e", "gzip", "applu",
+            "-n", "3000", "-w", "1000", "--jobs", "2", "--quiet",
+            "--configs", "standard,figure3,figure5,ablations",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report"]) == 0
+        golden = Path(__file__).parent / "data" / "golden_paper_report.txt"
+        assert capsys.readouterr().out == golden.read_text()
 
     def test_report_uses_newest_scale(self, capsys):
         assert main(self.run_args("--quiet")) == 0

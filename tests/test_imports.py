@@ -87,6 +87,24 @@ def test_cached_campaign_never_loads_processor(tmp_path):
         )
 
 
+def test_program_sources_load_no_assembler():
+    # prog.* sources register on import and resolve without the mini-ISA
+    # toolchain; only building a trace assembles and executes.
+    done = _python("-c", (
+        "import sys\n"
+        "from repro.harness import SMOKE\n"
+        "from repro.traces import resolve_source\n"
+        "source = resolve_source('prog.memcpy')\n"
+        "tools = ('repro.isa.assembler', 'repro.isa.executor')\n"
+        "print([m for m in tools if m in sys.modules])\n"
+        "source.trace(SMOKE, 17)\n"
+        "print([m for m in tools if m in sys.modules])\n"
+    ))
+    assert done.stdout.split("\n")[:2] == [
+        "[]", "['repro.isa.assembler', 'repro.isa.executor']",
+    ]
+
+
 @pytest.mark.parametrize("package", PACKAGES)
 def test_every_export_resolves(package):
     module = importlib.import_module(package)
