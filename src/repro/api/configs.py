@@ -617,7 +617,7 @@ ABLATIONS = {
     "tssbf": tuple(f"nosq?tssbf_entries={n}" for n in (32, 64, 128, 256)),
     "confidence": tuple(f"nosq?bypass.conf_dec={d}" for d in (16, 64, 127)),
     "svw": ("nosq", "nosq?svw_enabled=false"),
-    "hybrid": ("nosq", "nosq?bypass.history_bits=1"),
+    "hybrid": ("nosq", "nosq?bypass.history_bits=0"),
 }
 
 REGISTRY.register_set(
