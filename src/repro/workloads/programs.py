@@ -25,10 +25,12 @@ Every program is also a trace source, ``prog.<name>``
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from repro.isa.executor import ExecutionResult
+    from repro.isa.trace import DynInst
 
 #: Memory layout used by all example programs.
 SRC_BASE = 0x2000
@@ -220,6 +222,12 @@ def all_programs() -> list[ExampleProgram]:
     ]
 
 
+def _program_trace(
+    program: ExampleProgram, _length: int, _seed: int
+) -> list[DynInst]:
+    return build_trace(program).trace
+
+
 def register_program_sources() -> None:
     """Register every program as trace source ``prog.<name>``
     (idempotent).  Like a trace file's, a program's length is intrinsic:
@@ -231,8 +239,9 @@ def register_program_sources() -> None:
         register_source(
             GeneratorSource(
                 f"prog.{program.name}",
-                lambda _length, _seed, program=program:
-                    build_trace(program).trace,
+                # A partial, not a lambda: campaign job groups pickle
+                # their source for the worker processes.
+                partial(_program_trace, program),
                 description=f"mini-ISA program: {program.description}",
             ),
             replace=True,

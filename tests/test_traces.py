@@ -440,6 +440,17 @@ class TestSources:
         b = generate_zoo_trace("hashjoin", 800, seed=2)
         assert [i.addr for i in a] != [i.addr for i in b]
 
+    def test_program_sources_have_intrinsic_length(self):
+        lengths = {}
+        for name in ("memcpy", "stack_spill", "struct_pack", "fp_convert",
+                     "histogram"):
+            source = resolve_source(f"prog.{name}")
+            assert source.content_id().startswith("generator:prog."), name
+            lengths[name] = len(source.trace(ExperimentScale("a", 10, 5), 1))
+            assert len(source.trace(ExperimentScale("b", 9_000, 0), 2)) == \
+                lengths[name], name
+        assert lengths["memcpy"] == 1282
+
     def test_trace_file_source(self, tmp_path):
         trace = generate_trace("applu", num_instructions=1_500)
         path = tmp_path / "a.bt"
@@ -552,7 +563,9 @@ class TestCampaignIntegration:
         save_trace(make_trace("gzip", self.SCALE, 17), trace_file,
                    version=2)
         spec = CampaignSpec(
-            benchmarks=["gzip", "zoo.overlap", f"trace:{trace_file}"],
+            benchmarks=[
+                "gzip", "zoo.overlap", f"trace:{trace_file}", "prog.memcpy",
+            ],
             configs=[MachineConfig.nosq()],
             scale=self.SCALE,
         )
