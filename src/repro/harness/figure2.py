@@ -78,7 +78,7 @@ def suite_geomeans(points: Sequence[Figure2Point]) -> list[Figure2Point]:
             name=label, suite=suite,
             baseline_ipc=geomean(p.baseline_ipc for p in suite_points),
         )
-        for bar in BARS:
+        for bar in suite_points[0].relative:
             mean.relative[bar] = geomean(p.relative[bar] for p in suite_points)
         means.append(mean)
     return means

@@ -15,12 +15,11 @@ All numbers are execution times relative to the same baseline as Figure 2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.api.configs import FIGURE5_CAPACITY, FIGURE5_HISTORY, resolve_config
-from repro.harness.figure2 import BASELINE
-from repro.harness.runner import BenchmarkResult, geomean
+from repro.harness.figure2 import BASELINE, Figure2Point, suite_geomeans
+from repro.harness.runner import BenchmarkResult
 from repro.harness.report import render_table
 from repro.workloads.profiles import PROFILES
 
@@ -39,47 +38,28 @@ HISTORY = dict(zip(
 ))
 
 
-@dataclass
-class SweepPoint:
-    """Relative execution time of one benchmark at each sweep setting."""
-
-    name: str
-    suite: str
-    relative: dict[str, float] = field(default_factory=dict)
-
-
 def figure5_series(
     benchmarks: Sequence[str],
     results: dict[str, BenchmarkResult],
     columns: dict[str, str],
-) -> list[SweepPoint]:
+) -> list[Figure2Point]:
     """One graph's points: each *columns* spec's execution time relative
     to the Figure 2 baseline, keyed by column label."""
     stored = {label: resolve_config(spec).name for label, spec in columns.items()}
     points = []
     for name in benchmarks:
         result = results[name]
-        point = SweepPoint(name=name, suite=PROFILES[name].suite)
+        point = Figure2Point(
+            name=name, suite=PROFILES[name].suite,
+            baseline_ipc=result.runs[BASELINE].ipc,
+        )
         for label, config_name in stored.items():
             point.relative[label] = result.relative_time(config_name, BASELINE)
         points.append(point)
     return points
 
 
-def suite_geomeans(points: Sequence[SweepPoint]) -> list[SweepPoint]:
-    means = []
-    for suite, label in (("media", "M.gmean"), ("int", "I.gmean"), ("fp", "F.gmean")):
-        suite_points = [p for p in points if p.suite == suite]
-        if not suite_points:
-            continue
-        mean = SweepPoint(name=label, suite=suite)
-        for key in suite_points[0].relative:
-            mean.relative[key] = geomean(p.relative[key] for p in suite_points)
-        means.append(mean)
-    return means
-
-
-def render_figure5(points: Sequence[SweepPoint], title: str) -> str:
+def render_figure5(points: Sequence[Figure2Point], title: str) -> str:
     all_points = list(points) + suite_geomeans(points)
     keys = list(all_points[0].relative) if all_points else []
     headers = ["benchmark"] + keys
