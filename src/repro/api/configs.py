@@ -589,13 +589,12 @@ REGISTRY.register(
                 "(Figure 2 bar 4)",
 )
 
-#: The five-configuration sweep behind Table 5 and Figures 2-4.
+#: The five-configuration sweep behind Table 5 and Figures 2 and 4 (and,
+#: at ``@256``, Figure 3).
 STANDARD = (
     "conventional-perfect", "conventional", "nosq-nodelay", "nosq",
     "nosq-perfect",
 )
-
-
 #: Figure 5 (top): 512/1K/2K/4K/unbounded total bypassing-predictor
 #: entries (two tables) at 8 history bits.
 FIGURE5_CAPACITY = tuple(

@@ -859,10 +859,10 @@ def _report_sections(results):
                     figure5.figure5_series(names, results, columns), title
                 ))
 
-    def ablation_text(columns, render):
-        return lambda names: render(
+    def ablation_section(columns, render):
+        return (list(columns.values()), lambda names: render(
             ablations.ablation_points(names, results, columns)
-        )
+        ))
 
     return [
         ("table5", lambda names: table5.render_table5(
@@ -885,7 +885,7 @@ def _report_sections(results):
             figure5.HISTORY, "Figure 5 (bottom): path-history length sweep"
         ),
         *(
-            (list(columns.values()), ablation_text(columns, render))
+            ablation_section(columns, render)
             for columns, render in ablations.STUDIES
         ),
     ]
