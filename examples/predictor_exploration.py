@@ -12,7 +12,7 @@ Run:  python examples/predictor_exploration.py
 from dataclasses import replace
 
 from repro import MachineConfig, generate_trace, simulate
-from repro.core.bypass_predictor import BypassPredictorConfig
+from repro.pipeline.config import BypassPredictorConfig
 
 
 def sweep(benchmark: str, length: int = 30_000) -> None:

@@ -60,10 +60,12 @@ from repro.api.components import (
     selected_components,
     validate_component,
 )
-from repro.core.bypass_predictor import BypassPredictorConfig
-from repro.core.commit_pipeline import BackendConfig
-from repro.memory.hierarchy import HierarchyConfig
-from repro.pipeline.config import MachineConfig
+from repro.pipeline.config import (
+    BackendConfig,
+    BypassPredictorConfig,
+    HierarchyConfig,
+    MachineConfig,
+)
 
 
 class ConfigSpecError(ValueError):

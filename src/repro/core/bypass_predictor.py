@@ -29,51 +29,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.pipeline.config import BypassPredictorConfig
+
 #: Distance value meaning "predicted non-bypassing".
 NO_BYPASS = 0
 
 #: Store-size encodings for the 2-bit size field.
 _SIZE_CODES = {1: 0, 2: 1, 4: 2, 8: 3}
 _SIZE_DECODE = {v: k for k, v in _SIZE_CODES.items()}
-
-
-@dataclass
-class BypassPredictorConfig:
-    """Sizing and policy knobs (defaults reproduce the 10KB predictor)."""
-
-    entries_per_table: int = 1024
-    assoc: int = 4
-    history_bits: int = 8
-    distance_bits: int = 6
-    shift_bits: int = 3
-    tag_bits: int = 22
-    conf_bits: int = 7
-    #: New entries start just above threshold ("initialized at an
-    #: above-threshold value").
-    conf_init: int = 72
-    conf_threshold: int = 64
-    #: Sharp decrement on path-sensitive-available mispredictions; gentle
-    #: increment otherwise.
-    conf_dec: int = 64
-    conf_inc: int = 2
-    #: Unbounded tables (the "Inf" points of Figure 5).
-    unbounded: bool = False
-
-    @property
-    def max_distance(self) -> int:
-        return (1 << self.distance_bits) - 1
-
-    @property
-    def conf_max(self) -> int:
-        return (1 << self.conf_bits) - 1
-
-    @property
-    def storage_bytes(self) -> int:
-        """Total predictor storage, for reporting (10KB at defaults)."""
-        entry_bits = (
-            self.tag_bits + self.distance_bits + self.shift_bits + 2 + self.conf_bits
-        )
-        return 2 * self.entries_per_table * ((entry_bits + 7) // 8)
 
 
 @dataclass(slots=True)

@@ -27,24 +27,7 @@ from dataclasses import dataclass
 
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import TLB
-
-
-@dataclass(frozen=True)
-class BackendConfig:
-    """Shape of the in-order back end."""
-
-    depth: int           # total stages from commit-entry to final commit
-    dcache_offset: int   # stages from entry to the data-cache access stage
-
-    @staticmethod
-    def conventional() -> "BackendConfig":
-        """1 setup, 1 SVW, 3 data cache, 1 commit."""
-        return BackendConfig(depth=6, dcache_offset=2)
-
-    @staticmethod
-    def nosq() -> "BackendConfig":
-        """1 setup, 2 register read, 1 agen/SVW, 3 data cache, 1 commit."""
-        return BackendConfig(depth=8, dcache_offset=4)
+from repro.pipeline.config import BackendConfig
 
 
 @dataclass

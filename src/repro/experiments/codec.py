@@ -21,7 +21,10 @@ from typing import Any
 
 from repro.isa.trace import TraceStats
 from repro.pipeline.config import (
+    BackendConfig,
     BypassKind,
+    BypassPredictorConfig,
+    HierarchyConfig,
     MachineConfig,
     Mode,
     SchedulerKind,
@@ -79,10 +82,6 @@ def config_to_dict(config: MachineConfig) -> dict[str, Any]:
 
 def config_from_dict(data: dict[str, Any]) -> MachineConfig:
     """Rebuild a :class:`MachineConfig` from :func:`config_to_dict` output."""
-    from repro.core.bypass_predictor import BypassPredictorConfig
-    from repro.core.commit_pipeline import BackendConfig
-    from repro.memory.hierarchy import HierarchyConfig
-
     fields = dict(data)
     fields["mode"] = Mode(fields["mode"])
     fields["scheduler"] = SchedulerKind(fields["scheduler"])

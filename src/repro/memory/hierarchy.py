@@ -8,24 +8,8 @@ memory latency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.memory.cache import Cache
-
-
-@dataclass
-class HierarchyConfig:
-    """Parameters of the cache/memory hierarchy."""
-
-    l1_size: int = 64 * 1024
-    l1_assoc: int = 2
-    l1_latency: int = 3
-    l2_size: int = 1024 * 1024
-    l2_assoc: int = 8
-    l2_latency: int = 10
-    line_bytes: int = 64
-    memory_latency: int = 150
-    bus_bytes_per_cycle: int = 4  # 16-byte bus at quarter frequency
+from repro.pipeline.config import HierarchyConfig
 
 
 class MemoryHierarchy:

@@ -10,7 +10,10 @@ from repro._lazy import lazy_exports
 
 #: Public name -> the submodule defining it, loaded on first access.
 _EXPORTS = {
+    "BackendConfig": "config",
     "BypassKind": "config",
+    "BypassPredictorConfig": "config",
+    "HierarchyConfig": "config",
     "MachineConfig": "config",
     "Mode": "config",
     "SchedulerKind": "config",

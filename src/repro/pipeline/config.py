@@ -18,6 +18,10 @@ Factories build the five evaluated configurations:
 
 ``window=256`` doubles all window resources, quadruples the branch predictor,
 and leaves the bypassing predictor unchanged, exactly as in Section 4.4.
+
+The records nested in a ``MachineConfig`` (:class:`BackendConfig`,
+:class:`BypassPredictorConfig`, :class:`HierarchyConfig`) live here too,
+so describing a machine imports no simulator module.
 """
 
 from __future__ import annotations
@@ -25,9 +29,81 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.core.bypass_predictor import BypassPredictorConfig
-from repro.core.commit_pipeline import BackendConfig
-from repro.memory.hierarchy import HierarchyConfig
+
+@dataclass(frozen=True)
+class BackendConfig:
+    """Shape of the in-order back end
+    (:class:`~repro.core.commit_pipeline.CommitPipeline`)."""
+
+    depth: int           # total stages from commit-entry to final commit
+    dcache_offset: int   # stages from entry to the data-cache access stage
+
+    @staticmethod
+    def conventional() -> "BackendConfig":
+        """1 setup, 1 SVW, 3 data cache, 1 commit."""
+        return BackendConfig(depth=6, dcache_offset=2)
+
+    @staticmethod
+    def nosq() -> "BackendConfig":
+        """1 setup, 2 register read, 1 agen/SVW, 3 data cache, 1 commit."""
+        return BackendConfig(depth=8, dcache_offset=4)
+
+
+@dataclass
+class BypassPredictorConfig:
+    """Sizing and policy knobs of the bypassing predictor
+    (:class:`~repro.core.bypass_predictor.BypassingPredictor`); the
+    defaults reproduce the 10KB predictor."""
+
+    entries_per_table: int = 1024
+    assoc: int = 4
+    history_bits: int = 8
+    distance_bits: int = 6
+    shift_bits: int = 3
+    tag_bits: int = 22
+    conf_bits: int = 7
+    #: New entries start just above threshold ("initialized at an
+    #: above-threshold value").
+    conf_init: int = 72
+    conf_threshold: int = 64
+    #: Sharp decrement on path-sensitive-available mispredictions; gentle
+    #: increment otherwise.
+    conf_dec: int = 64
+    conf_inc: int = 2
+    #: Unbounded tables (the "Inf" points of Figure 5).
+    unbounded: bool = False
+
+    @property
+    def max_distance(self) -> int:
+        return (1 << self.distance_bits) - 1
+
+    @property
+    def conf_max(self) -> int:
+        return (1 << self.conf_bits) - 1
+
+    @property
+    def storage_bytes(self) -> int:
+        """Total predictor storage, for reporting (10KB at defaults)."""
+        entry_bits = (
+            self.tag_bits + self.distance_bits + self.shift_bits + 2 + self.conf_bits
+        )
+        return 2 * self.entries_per_table * ((entry_bits + 7) // 8)
+
+
+@dataclass
+class HierarchyConfig:
+    """Parameters of the cache/memory hierarchy
+    (:class:`~repro.memory.hierarchy.MemoryHierarchy`)."""
+
+    l1_size: int = 64 * 1024
+    l1_assoc: int = 2
+    l1_latency: int = 3
+    l2_size: int = 1024 * 1024
+    l2_assoc: int = 8
+    l2_latency: int = 10
+    line_bytes: int = 64
+    memory_latency: int = 150
+    bus_bytes_per_cycle: int = 4  # 16-byte bus at quarter frequency
 
 
 class Mode(enum.Enum):
