@@ -24,24 +24,13 @@ simulators (gem5's SynchroTrace tester is the pattern's reference):
 command line; see ``docs/traces.md`` for the format specification and the
 importer field mapping.
 
-Importing this package registers the workload-zoo generator families
-(``zoo.*``) and the mini-ISA programs (``prog.*``) as named sources.
+Importing this package loads :mod:`~repro.traces.source` and registers
+the workload-zoo generator families (``zoo.*``) and the mini-ISA programs
+(``prog.*``) as named sources; the format, importer and repro-case names
+load their modules on first access.
 """
 
-from repro.traces.binformat import (
-    BINARY_VERSION,
-    BinaryTraceWriter,
-    is_binary_trace,
-    read_trace,
-    trace_info,
-    write_trace,
-)
-from repro.traces.importers import import_synchrotrace
-from repro.traces.reprocase import (
-    ReproCase,
-    load_repro_case,
-    save_repro_case,
-)
+from repro._lazy import lazy_exports
 from repro.traces.source import (
     ExternalTraceSource,
     FileTraceSource,
@@ -61,6 +50,22 @@ from repro.workloads.zoo import ZOO_BENCHMARKS, register_zoo_sources
 
 register_zoo_sources()
 register_program_sources()
+
+#: The codecs, the importer and the repro-case API, loaded on first
+#: access: resolving and hashing a benchmark id needs none of them.
+_EXPORTS = {
+    "BINARY_VERSION": "binformat",
+    "BinaryTraceWriter": "binformat",
+    "is_binary_trace": "binformat",
+    "read_trace": "binformat",
+    "trace_info": "binformat",
+    "write_trace": "binformat",
+    "import_synchrotrace": "importers",
+    "ReproCase": "reprocase",
+    "load_repro_case": "reprocase",
+    "save_repro_case": "reprocase",
+}
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BINARY_VERSION",
