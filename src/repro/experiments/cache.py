@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any
 
 import repro
-from repro.experiments.codec import canonical_json, config_to_dict
+from repro.experiments.codec import config_to_dict
 from repro.experiments.spec import Job
 
 #: Bump when the record layout or simulator semantics change incompatibly.
@@ -84,8 +84,10 @@ def job_key(job: Job, memo: dict[Any, Any] | None = None) -> str:
         payload["source"] = source
     if components:
         payload["components"] = components
-    digest = hashlib.sha256(canonical_json(payload).encode("utf-8"))
-    return digest.hexdigest()
+    # Every value is already plain JSON (config_to_dict converted the
+    # config), so this is canonical_json(payload) without a second walk.
+    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def _component_identities(config: Any) -> dict[str, str]:
@@ -109,6 +111,10 @@ class ResultCache:
 
     def __init__(self, root: str | os.PathLike[str]) -> None:
         self.root = Path(root)
+        # get() formats entry paths onto this string: a plan looks up
+        # every job, and formatting is about 20x cheaper than two
+        # pathlib joins.
+        self._prefix = os.path.join(self.root, "")
         self.hits = 0
         self.misses = 0
 
@@ -120,9 +126,9 @@ class ResultCache:
 
         Corrupt or foreign files under the cache root count as misses.
         """
-        path = self.path(key)
         try:
-            record = json.loads(path.read_text())
+            with open(f"{self._prefix}{key[:2]}{os.sep}{key}.json") as handle:
+                record = json.loads(handle.read())
         except (OSError, ValueError):
             self.misses += 1
             return None
@@ -141,7 +147,9 @@ class ResultCache:
         )
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(record, handle, sort_keys=True)
+                # dumps, not dump: dump streams through the pure-Python
+                # encoder; the bytes are the same.
+                handle.write(json.dumps(record, sort_keys=True))
             os.replace(tmp, path)
         except BaseException:
             try:

@@ -20,6 +20,7 @@ the in-flight groups; a re-run resumes from the cached remainder.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -246,22 +247,23 @@ def plan_campaign(
 def run_campaign(
     spec: CampaignSpec,
     jobs: int = 1,
-    cache: ResultCache | str | None = None,
-    store: ResultStore | str | None = None,
+    cache: ResultCache | str | os.PathLike[str] | None = None,
+    store: ResultStore | str | os.PathLike[str] | None = None,
     progress: ProgressFn | None = None,
     force: bool = False,
 ) -> CampaignResult:
     """Execute *spec*, serving cached jobs from *cache* and sharding the
     rest across *jobs* worker processes.
 
-    ``cache``/``store`` accept paths for convenience.  ``force=True``
-    ignores (but still refreshes) existing cache entries.
+    ``cache``/``store`` accept paths (``str`` or ``os.PathLike``) for
+    convenience.  ``force=True`` ignores (but still refreshes) existing
+    cache entries.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if isinstance(cache, str):
+    if cache is not None and not isinstance(cache, ResultCache):
         cache = ResultCache(cache)
-    if isinstance(store, str):
+    if store is not None and not isinstance(store, ResultStore):
         store = ResultStore(store)
 
     started = time.perf_counter()
@@ -277,19 +279,15 @@ def run_campaign(
                 completed=result.hits + result.executed, total=total,
             ))
 
-    def finish(record: dict[str, Any], key: str, cached: bool) -> None:
-        record = dict(record, cached=cached)
+    def finish(record: dict[str, Any], key: str) -> None:
+        record = dict(record, cached=False)
         result.records.append(record)
-        if cached:
-            result.hits += 1
-        else:
-            result.executed += 1
-            if cache is not None:
-                cache.put(key, record)
+        result.executed += 1
+        if cache is not None:
+            cache.put(key, record)
         if store is not None:
             store.append(record)
-        emit("hit" if cached else "done",
-             record["benchmark"], record["seed"], record["config_name"])
+        emit("done", record["benchmark"], record["seed"], record["config_name"])
 
     hits, groups = plan_campaign(spec, cache, force=force)
 
@@ -300,9 +298,15 @@ def run_campaign(
             started_groups.add((benchmark, seed))
             emit("start", benchmark, seed, None)
 
-    for job, key, record in hits:
+    # Cache hits reach the store in one write, ahead of any executed job.
+    served = [dict(record, cached=True) for _job, _key, record in hits]
+    if store is not None:
+        store.append(*served)
+    for (job, _key, _record), record in zip(hits, served):
         announce(job.benchmark, job.seed)
-        finish(record, key, cached=True)
+        result.records.append(record)
+        result.hits += 1
+        emit("hit", job.benchmark, job.seed, record["config_name"])
 
     inline_groups = list(groups)
     pool_groups: list[JobGroup] = []
@@ -328,7 +332,7 @@ def run_campaign(
         for group in inline_groups:
             announce(group.benchmark, group.seed)
             for key, record in _iter_group_records(group):
-                finish(record, key, cached=False)
+                finish(record, key)
 
     if groups:
         # Load the group modules once, before the first trace.  Forked
@@ -365,7 +369,7 @@ def run_campaign(
                         for record, key in zip(
                             future.result(), group.keys
                         ):
-                            finish(record, key, cached=False)
+                            finish(record, key)
             except BaseException:
                 for future in not_done:
                     future.cancel()

@@ -28,10 +28,15 @@ class ResultStore:
     def __init__(self, path: str | os.PathLike[str]) -> None:
         self.path = Path(path)
 
-    def append(self, record: dict[str, Any]) -> None:
+    def append(self, *records: dict[str, Any]) -> None:
+        """Append *records*, one line each, in one write."""
+        if not records:
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with self.path.open("a") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+            handle.write("".join(
+                json.dumps(record, sort_keys=True) + "\n" for record in records
+            ))
 
     def load(self) -> list[dict[str, Any]]:
         """All valid records in file order (bad lines are skipped)."""

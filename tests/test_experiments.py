@@ -7,11 +7,14 @@ zero simulations, changed inputs miss, and interrupted campaigns resume.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.experiments import (
     CampaignSpec,
@@ -24,6 +27,8 @@ from repro.experiments import (
     run_campaign,
 )
 from repro.api import sweep
+from repro.experiments.cache import CACHE_SCHEMA
+from repro.experiments.codec import canonical_json, config_to_dict
 from repro.harness.runner import ExperimentScale, run_benchmark
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.processor import Processor
@@ -99,6 +104,97 @@ class TestJobKey:
         assert job_key(self.job()) == job_key(self.job(scale=renamed))
         longer = ExperimentScale("tiny", 3_000, 1_000)
         assert job_key(self.job()) != job_key(self.job(scale=longer))
+
+
+@dataclass
+class _TupleFieldConfig(MachineConfig):
+    """A user-extended machine whose extra field holds a tuple."""
+
+    issue_ports: tuple[int, ...] = (2, 1, 1)
+
+
+class TestKeyPayload:
+    """job_key hashes ``json.dumps`` of a payload that config_to_dict has
+    already made plain; the key must equal the SHA-256 of canonical_json
+    (which jsonifies again) of that same payload, whatever the config
+    holds."""
+
+    @staticmethod
+    def canonical_key(job: Job) -> str:
+        from repro.api.components import component_identity, selected_components
+        from repro.traces import source_identity
+
+        payload = {
+            "schema": CACHE_SCHEMA,
+            "version": repro.__version__,
+            "benchmark": job.benchmark,
+            "config": config_to_dict(job.config),
+            "num_instructions": job.scale.num_instructions,
+            "warmup": job.scale.warmup,
+            "seed": job.seed,
+        }
+        source = source_identity(job.benchmark)
+        if source is not None:
+            payload["source"] = source
+        components = {
+            kind: component_identity(kind, name) or name
+            for kind, name in selected_components(job.config).items()
+        }
+        if components:
+            payload["components"] = components
+        return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+    @pytest.fixture
+    def keys_component(self):
+        from repro.api import register_bypass_predictor, unregister_component
+        from repro.core.bypass_predictor import BypassingPredictor
+
+        register_bypass_predictor(
+            "payload-test",
+            lambda config: BypassingPredictor(config.bypass_predictor),
+            version=2,
+        )
+        yield
+        unregister_component("bypass_predictor", "payload-test")
+
+    def check(self, benchmark: str, config: MachineConfig) -> None:
+        job = Job(benchmark, config, TINY, 17)
+        assert job_key(job) == job_key(job, memo={}) == self.canonical_key(job)
+
+    def test_tuple_field(self):
+        config = _TupleFieldConfig(**vars(MachineConfig.nosq()))
+        assert isinstance(config_to_dict(config)["issue_ports"], list)
+        self.check("gzip", config)
+
+    def test_enum_field(self):
+        from repro.api import resolve_config
+        from repro.pipeline.config import SchedulerKind
+
+        config = resolve_config("conventional-perfect")
+        assert config.scheduler is SchedulerKind.PERFECT
+        self.check("gzip", config)
+
+    def test_nested_config(self):
+        from repro.api import resolve_config
+
+        self.check("gzip", resolve_config(
+            "nosq?bypass.history_bits=10,hierarchy.l1_size=32768"
+        ))
+
+    def test_component_selector(self, keys_component):
+        from repro.api import resolve_config
+
+        config = resolve_config("nosq?bypass.impl=payload-test")
+        assert config.bypass_predictor_impl == "payload-test"
+        self.check("gzip", config)
+
+    def test_trace_source(self, tmp_path):
+        from repro.isa.tracefile import save_trace
+        from repro.workloads.generator import generate_trace
+
+        path = tmp_path / "g.bt"
+        save_trace(generate_trace("gzip", 600, seed=5), path, version=2)
+        self.check(f"trace:{path}", MachineConfig.nosq())
 
 
 class TestKeyStability:
@@ -248,6 +344,58 @@ class TestCache:
         run_counter.clear()
         forced = run_campaign(tiny_spec(), cache=cache, force=True)
         assert forced.executed == 4 and len(run_counter) == 4
+
+    def test_entry_bytes_unchanged(self, tmp_path):
+        """put() writes the bytes ``json.dump(record, sort_keys=True)``
+        always wrote, so entries stay readable by every version."""
+        record = {
+            "run_stats": {"cycles": 1234, "ipc": 1.25},
+            "config_name": "nosq-delay?rob_size=256",
+            "scale": {"name": "tiny", "num_instructions": 2500},
+            "trace_stats": {"loads": [1, 2, 3], "label": "caf\u00e9 \"q\""},
+            "cached": False,
+        }
+        cache = ResultCache(tmp_path / "cache")
+        cache.put("ab" * 32, record)
+        expected = io.StringIO()
+        json.dump(record, expected, sort_keys=True)
+        written = cache.path("ab" * 32).read_bytes()
+        assert written == expected.getvalue().encode()
+        assert cache.get("ab" * 32) == record
+
+    def test_accepts_path_objects(self, tmp_path):
+        """sweep()/run_campaign take any os.PathLike for cache and store."""
+        first = sweep(
+            tiny_configs(), BENCHMARKS, TINY,
+            cache=tmp_path / "cache", store=tmp_path / "campaign.jsonl",
+        )
+        second = sweep(
+            tiny_configs(), BENCHMARKS, TINY,
+            cache=tmp_path / "cache", store=tmp_path / "campaign.jsonl",
+        )
+        assert first.campaign.executed == 4
+        assert second.campaign.hits == 4 and second.campaign.executed == 0
+        assert len(ResultStore(tmp_path / "campaign.jsonl").load()) == 8
+
+    def test_hits_reach_the_store_in_one_write(self, tmp_path, monkeypatch):
+        cache, path = ResultCache(tmp_path / "cache"), tmp_path / "s.jsonl"
+        run_campaign(tiny_spec(), cache=cache, store=path)
+        filled = path.read_text().splitlines()
+        writes = []
+        original = ResultStore.append
+
+        def counted(self, *records):
+            writes.append(len(records))
+            return original(self, *records)
+
+        monkeypatch.setattr(ResultStore, "append", counted)
+        rerun = run_campaign(tiny_spec(), cache=cache, store=path)
+        assert rerun.hits == 4 and writes == [4]
+        served = path.read_text().splitlines()[len(filled):]
+        assert [json.loads(line) for line in served] == rerun.records
+        assert [
+            dict(json.loads(line), cached=True) for line in filled
+        ] == rerun.records
 
     def test_corrupt_entry_is_a_miss(self, tmp_path, run_counter):
         cache = ResultCache(tmp_path / "cache")
