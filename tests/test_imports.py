@@ -10,6 +10,7 @@ long since imported everything.
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -31,6 +32,17 @@ HEAVY = (
     "repro.validate",
     "concurrent.futures.process",
 )
+
+#: Modules that planning a campaign never needs: the simulator's
+#: components and the trace codecs, importer and repro-case files.
+NOT_PLANNED = re.compile(
+    r"repro\.(core|memory)(\..*)?"
+    r"|repro\.isa\.tracefile|repro\.traces\.(binformat|importers|reprocase)"
+)
+
+#: The ``repro`` modules a cached ``campaign run`` loads (DESIGN.md,
+#: "Import boundaries").  A change that loads more must justify it here.
+CACHED_RUN_MODULES = 28
 
 #: Every package of the library, by dotted name.
 PACKAGES = sorted(
@@ -74,6 +86,11 @@ def test_cached_campaign_never_loads_processor(tmp_path):
     _python(*run, cwd=tmp_path)  # fills the cache (simulates)
     cached = _python("-X", "importtime", *run, cwd=tmp_path)
     assert "4 cached, 0 executed" in cached.stdout
+    loaded = re.findall(
+        r"\|\s*(repro(?:\.[\w.]+)?)$", cached.stderr, re.MULTILINE
+    )
+    assert not [m for m in loaded if NOT_PLANNED.fullmatch(m)], loaded
+    assert len(loaded) == CACHED_RUN_MODULES, loaded
     report = _python(
         "-X", "importtime", "-m", "repro", "campaign", "report",
         "--store", "campaign.jsonl", cwd=tmp_path,
@@ -85,6 +102,29 @@ def test_cached_campaign_never_loads_processor(tmp_path):
         assert not re.search(
             r"\|\s*repro\.pipeline\.processor$", done.stderr, re.MULTILINE
         )
+
+
+def test_planning_loads_no_simulator_or_codec(tmp_path):
+    # Resolving the standard set and planning a profile campaign against
+    # a cache: the config records live in repro.pipeline.config, and the
+    # trace package exports its codecs lazily.
+    done = _python("-c", (
+        "import json, sys\n"
+        "from repro.api import resolve_configs\n"
+        "from repro.experiments import CampaignSpec, ResultCache, plan_campaign\n"
+        "from repro.harness import SMOKE\n"
+        "spec = CampaignSpec(benchmarks=['gzip', 'mcf', 'applu'],\n"
+        "                    configs=resolve_configs('standard'),\n"
+        "                    scale=SMOKE, seeds=(17,))\n"
+        "hits, groups = plan_campaign(spec, ResultCache('cache'))\n"
+        "print(sum(len(group.keys) for group in groups))\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('repro')]))\n"
+    ), cwd=tmp_path)
+    planned, loaded = done.stdout.splitlines()
+    assert planned == "15"
+    modules = json.loads(loaded)
+    assert "repro.experiments.scheduler" in modules
+    assert [m for m in modules if NOT_PLANNED.fullmatch(m)] == []
 
 
 def test_program_sources_load_no_assembler():
