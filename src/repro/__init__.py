@@ -37,8 +37,8 @@ Package map:
 * :mod:`repro.harness` -- Table 5 / Figures 2-5 regeneration
 * :mod:`repro.experiments` -- sharded, cached, resumable campaign engine
 * :mod:`repro.traces` -- pluggable trace sources (benchmark-id registry)
-* :mod:`repro.api` -- the public façade: string-addressable configs,
-  component registry, typed ``simulate``/``sweep`` entry points
+* :mod:`repro.api` -- the public façade: string-addressable configs and
+  typed ``simulate``/``sweep`` entry points
 """
 
 from repro._lazy import lazy_exports

@@ -10,11 +10,6 @@ the trace-source registry of :mod:`repro.traces`:
   ``nosq-nodelay``, ``nosq-perfect``), dotted-path overrides with typed
   coercion and did-you-mean errors, glob/set expansion, JSON/TOML round
   trips, and stable hashing into campaign cache keys.
-* **Components** (:mod:`repro.api.components`) — register swappable
-  predictor/scheduler/memory implementations
-  (``register_bypass_predictor(...)`` etc.) and select them per machine
-  with ``...?bypass.impl=<name>`` overrides, so ablations are config
-  strings rather than code edits.
 * **Entry points** (:mod:`repro.api.facade`) — typed
   ``simulate(config, source, scale) -> SimResult`` and
   ``sweep(configs, benchmarks, ...) -> SweepResult`` built on the
@@ -41,8 +36,6 @@ from repro._lazy import lazy_exports
 
 #: Public name -> the submodule defining it, loaded on first access.
 _EXPORTS = {
-    "Component": "components",
-    "ComponentError": "components",
     "ConfigPreset": "configs",
     "ConfigRegistry": "configs",
     "ConfigSpecError": "configs",
@@ -50,7 +43,6 @@ _EXPORTS = {
     "REGISTRY": "configs",
     "SimResult": "facade",
     "SweepResult": "facade",
-    "component_names": "components",
     "config_from_dict": "configs",
     "config_from_json": "configs",
     "config_from_toml": "configs",
@@ -59,23 +51,16 @@ _EXPORTS = {
     "config_to_dict": "configs",
     "config_to_json": "configs",
     "config_to_toml": "configs",
-    "create_component": "components",
     "effective_warmup": "facade",
-    "list_components": "components",
     "list_config_sets": "configs",
     "list_configs": "configs",
-    "register_bypass_predictor": "components",
-    "register_component": "components",
     "register_config": "configs",
-    "register_memory_hierarchy": "components",
-    "register_scheduler": "components",
     "resolve_config": "configs",
     "resolve_configs": "configs",
     "resolve_scale": "facade",
     "simulate": "facade",
     "standard_configs": "configs",
     "sweep": "facade",
-    "unregister_component": "components",
     "unregister_config": "configs",
     "validate": "facade",
 }

@@ -16,16 +16,14 @@ Examples::
     nosq?backend.rob_size=256        same (window resources answer to
                                      the ``backend.`` namespace too)
     nosq?bypass.history_bits=10,hierarchy.l1_size=32768
-    nosq?bypass.impl=myimpl          select a registered component
 
 Sections are the nested config dataclasses — ``backend``
 (:class:`BackendConfig`), ``bypass_predictor``
 (:class:`BypassPredictorConfig`, alias ``bypass``) and ``hierarchy``
-(:class:`HierarchyConfig`, alias ``memory``) — plus the special
-``<section>.impl`` keys that select registered component implementations
-(:mod:`repro.api.components`).  Values are coerced to the field's declared
-type (``none`` for optional fields, ``true``/``false`` for booleans, enums
-by value); unknown presets and keys fail with a did-you-mean suggestion.
+(:class:`HierarchyConfig`, alias ``memory``).  Values are coerced to the
+field's declared type (``none`` for optional fields, ``true``/``false``
+for booleans, enums by value); unknown presets and keys fail with a
+did-you-mean suggestion.
 
 The five standard presets resolve to configs *identical* to the historical
 ``MachineConfig.conventional()``/``nosq()`` factories — same fields, same
@@ -54,12 +52,6 @@ import types
 import typing
 from typing import Any, Callable, Iterable, Union
 
-from repro.api.components import (
-    IMPL_FIELDS,
-    ComponentError,
-    selected_components,
-    validate_component,
-)
 from repro.pipeline.config import (
     BackendConfig,
     BypassPredictorConfig,
@@ -85,11 +77,6 @@ _SECTIONS: dict[str, type] = {
     "hierarchy": HierarchyConfig,
 }
 _SECTION_ALIASES = {"bypass": "bypass_predictor", "memory": "hierarchy"}
-#: ``<namespace>.impl`` -> top-level component-selector field, and the
-#: inverse (for registry validation) — both derived from the canonical
-#: kind->field map in :mod:`repro.api.components`.
-_IMPL_KEYS = dict(IMPL_FIELDS)
-_IMPL_KINDS = {field: kind for kind, field in IMPL_FIELDS.items()}
 
 _TRUE = {"true", "yes", "on", "1"}
 _FALSE = {"false", "no", "off", "0"}
@@ -150,8 +137,6 @@ def _coerce(key: str, raw: str, hint: Any) -> Any:
             raise ConfigSpecError(
                 f"{key}: expected a number, got {raw!r}"
             ) from None
-    if hint is str:
-        return raw.strip()
     if isinstance(hint, type) and dataclasses.is_dataclass(hint):
         raise ConfigSpecError(
             f"{key}: is a config section; set one of its fields instead "
@@ -200,8 +185,6 @@ def _resolve_key(key: str) -> tuple[str | None, str]:
     if len(parts) == 2:
         head, leaf = parts
         section = _SECTION_ALIASES.get(head, head)
-        if leaf == "impl" and section in _IMPL_KEYS:
-            return None, _IMPL_KEYS[section]
         if section in _SECTIONS:
             section_fields = _type_hints(_SECTIONS[section])
             if leaf in section_fields:
@@ -212,7 +195,7 @@ def _resolve_key(key: str) -> tuple[str | None, str]:
                 # are back-end machinery; let them answer to backend.*
                 # ('name' stays non-overridable through every spelling).
                 return None, leaf
-            candidates = list(section_fields) + ["impl"]
+            candidates = list(section_fields)
             if section == "backend":
                 candidates += [f for f in top_fields if f != "name"]
             raise ConfigSpecError(
@@ -221,7 +204,7 @@ def _resolve_key(key: str) -> tuple[str | None, str]:
             )
         raise ConfigSpecError(
             f"unknown config section {head!r}"
-            f"{_suggest(head, list(_SECTIONS) + list(_SECTION_ALIASES) + list(_IMPL_KEYS))}"
+            f"{_suggest(head, list(_SECTIONS) + list(_SECTION_ALIASES))}"
         )
     raise ConfigSpecError(
         f"config keys nest at most one level (field or section.field), "
@@ -254,22 +237,6 @@ def parse_overrides(text: str) -> dict[str, Any]:
     return overrides
 
 
-def _check_impl_applicability(config: MachineConfig) -> None:
-    """Reject selectors for components the config never instantiates
-    (:func:`repro.api.components.component_applicable`), so the error
-    surfaces at spec-resolution time — before cache keys are planned or
-    a campaign starts.  ``Processor.__init__`` raises too, as defense in
-    depth for programmatically-built configs."""
-    from repro.api.components import (
-        component_applicable,
-        inapplicable_message,
-    )
-
-    for kind, name in selected_components(config).items():
-        if not component_applicable(kind, config):
-            raise ConfigSpecError(inapplicable_message(kind, name, config))
-
-
 def apply_overrides(
     config: MachineConfig, overrides: dict[str, Any]
 ) -> MachineConfig:
@@ -277,11 +244,6 @@ def apply_overrides(
     top: dict[str, Any] = {}
     nested: dict[str, dict[str, Any]] = {}
     for canonical, value in overrides.items():
-        if canonical in _IMPL_KINDS and value != "default":
-            try:
-                validate_component(_IMPL_KINDS[canonical], value)
-            except ComponentError as exc:
-                raise ConfigSpecError(f"{canonical}: {exc}") from None
         if "." in canonical:
             section, field = canonical.split(".", 1)
             nested.setdefault(section, {})[field] = value
@@ -294,11 +256,9 @@ def apply_overrides(
     suffix = ",".join(
         f"{key}={_render(value)}" for key, value in sorted(overrides.items())
     )
-    config = dataclasses.replace(
+    return dataclasses.replace(
         config, name=f"{config.name}?{suffix}", **top
     )
-    _check_impl_applicability(config)
-    return config
 
 
 @dataclasses.dataclass(frozen=True)
@@ -723,8 +683,7 @@ def standard_configs(window: int = 128) -> list[MachineConfig]:
 # --------------------------------------------------------------------- #
 
 def config_to_dict(config: MachineConfig) -> dict[str, Any]:
-    """Canonical JSON-compatible dict (codec layer; default-valued
-    component selectors omitted for cache-key stability)."""
+    """Canonical JSON-compatible dict (codec layer)."""
     from repro.experiments.codec import config_to_dict as _to_dict
 
     return _to_dict(config)
@@ -753,7 +712,7 @@ def config_hash(config: MachineConfig) -> str:
 
     This is exactly the config contribution to campaign cache keys
     (:func:`repro.experiments.cache.job_key`): equal configs hash equal,
-    any field change (component selectors included) changes the hash.
+    any field change changes the hash.
     """
     import hashlib
 

@@ -62,7 +62,6 @@ from repro.api import (
     NAMED_SCALES as _NAMED_SCALES,
     REGISTRY,
     ConfigSpecError,
-    list_components,
     list_config_sets,
     list_configs,
     resolve_config,
@@ -163,15 +162,6 @@ def cmd_list(args) -> int:
         title="Registered config sets (expand inside --configs; "
               "repro.api.list_config_sets() lists the specs)",
     ))
-    print()
-    print(render_table(
-        ["component kind", "impl", "description"],
-        [[kind, name, description]
-         for kind, impls in sorted(list_components().items())
-         for name, description in impls.items()],
-        title="Registered components (select with ?<kind>.impl=<name>; "
-              "see repro.api.components)",
-    ))
     from repro.validate import list_invariants
 
     print()
@@ -269,12 +259,16 @@ def cmd_run(args) -> int:
         except (TraceFormatError, OSError) as exc:
             print(f"{benchmark}: {exc}", file=sys.stderr)
             return 2
-        results = {
-            config.name: stats
-            for config, stats, _elapsed in run_configs(
-                trace, configs, scale, args.warmup
-            )
-        }
+        try:
+            results = {
+                config.name: stats
+                for config, stats, _elapsed in run_configs(
+                    trace, configs, scale, args.warmup
+                )
+            }
+        except ValueError as exc:
+            print(f"{benchmark}: {exc}", file=sys.stderr)
+            return 2
         baseline = next(iter(results.values()))
         # Statistics exclude the warmup, so a defaulted (possibly
         # clamped) warmup is the rest of the trace.

@@ -55,16 +55,13 @@ def job_key(job: Job, memo: dict[Any, Any] | None = None) -> str:
     """
     if memo is None:
         memo = {}
-    # Memo entries: id(config) -> (config, its fields, its components),
-    # holding the config so its id cannot be reused; benchmark id ->
-    # source content id.
+    # Memo entries: id(config) -> (config, its fields), holding the
+    # config so its id cannot be reused; benchmark id -> source content id.
     entry = memo.get(id(job.config))
     if entry is None:
-        entry = memo[id(job.config)] = (
-            job.config, config_to_dict(job.config),
-            _component_identities(job.config),
-        )
-    _config, config_fields, components = entry
+        entry = memo[id(job.config)] = (job.config,
+                                        config_to_dict(job.config))
+    _config, config_fields = entry
     if job.benchmark in memo:
         source = memo[job.benchmark]
     else:
@@ -82,28 +79,10 @@ def job_key(job: Job, memo: dict[Any, Any] | None = None) -> str:
     }
     if source is not None:
         payload["source"] = source
-    if components:
-        payload["components"] = components
     # Every value is already plain JSON (config_to_dict converted the
     # config), so this is canonical_json(payload) without a second walk.
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _component_identities(config: Any) -> dict[str, str]:
-    """The registered components *config* selects, kind -> identity.
-
-    Configs selecting registered components fold the registration's
-    identity (name:v<version>) into the key, so bumping a component's
-    version invalidates its cached results — exactly as generator
-    versions do for trace sources.  Default-only configs contribute
-    nothing extra, keeping their historical keys byte-stable."""
-    from repro.api.components import component_identity, selected_components
-
-    return {
-        kind: component_identity(kind, name) or name
-        for kind, name in selected_components(config).items()
-    }
 
 
 class ResultCache:

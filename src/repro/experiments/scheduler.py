@@ -47,16 +47,14 @@ from repro.pipeline.config import MachineConfig
 class ProgressEvent:
     """One scheduler progress tick, suitable for logging."""
 
-    kind: str                 # "start" | "hit" | "done" | "note"
-    benchmark: str            # for "note": the message itself
+    kind: str                 # "start" | "hit" | "done"
+    benchmark: str
     seed: int
     config_name: str | None
     completed: int            # jobs finished so far (hits included)
     total: int
 
     def describe(self) -> str:
-        if self.kind == "note":
-            return f"note: {self.benchmark}"
         label = self.benchmark
         if self.config_name:
             label += f"/{self.config_name}"
@@ -169,47 +167,6 @@ def _run_group(group: JobGroup) -> list[dict[str, Any]]:
     return [record for _key, record in _iter_group_records(group)]
 
 
-def _config_uses_registry(config: MachineConfig) -> bool:
-    """Whether *config* selects a registered component implementation.
-
-    Component factories live in a per-process registry
-    (:mod:`repro.api.components`) and, unlike trace sources, cannot be
-    shipped to workers (arbitrary callables don't survive a spawn
-    pickle).  Jobs with such configs run inline in the parent — where
-    the registration happened — instead of in the pool; results are
-    bit-identical either way."""
-    # Imported lazily: repro.api builds on this package.
-    from repro.api.components import selected_components
-
-    return bool(selected_components(config))
-
-
-def _split_by_registry(group: JobGroup) -> tuple[JobGroup | None, JobGroup | None]:
-    """Partition one group into (inline part, poolable part).
-
-    A mixed group is split so only its registry-selecting configs lose
-    parallelism; the two halves regenerate the shared trace once each
-    (parent and worker)."""
-    flags = [_config_uses_registry(config) for config in group.configs]
-    if not any(flags):
-        return None, group
-    if all(flags):
-        return group, None
-
-    def subset(keep: bool) -> JobGroup:
-        picked = [i for i, flag in enumerate(flags) if flag is keep]
-        return JobGroup(
-            benchmark=group.benchmark,
-            scale=group.scale,
-            seed=group.seed,
-            configs=tuple(group.configs[i] for i in picked),
-            keys=tuple(group.keys[i] for i in picked),
-            source=group.source,
-        )
-
-    return subset(True), subset(False)
-
-
 def plan_campaign(
     spec: CampaignSpec, cache: ResultCache | None, force: bool = False
 ) -> tuple[list[tuple[Job, str, dict[str, Any]]], list[JobGroup]]:
@@ -308,32 +265,8 @@ def run_campaign(
         result.hits += 1
         emit("hit", job.benchmark, job.seed, record["config_name"])
 
-    inline_groups = list(groups)
-    pool_groups: list[JobGroup] = []
-    if jobs > 1:
-        split = [_split_by_registry(g) for g in groups]
-        pooled = [pooled for _inline, pooled in split if pooled]
-        inline = [inline for inline, _pooled in split if inline]
-        # A pool pays off when there is anything to overlap: several
-        # poolable groups, or one poolable group running while the
-        # parent works through inline (registry-component) groups.
-        if pooled and (len(pooled) > 1 or inline):
-            inline_groups, pool_groups = inline, pooled
-        if inline_groups and any(
-            _config_uses_registry(c) for g in inline_groups for c in g.configs
-        ):
-            inline_jobs = sum(len(g.configs) for g in inline_groups)
-            emit("note",
-                 f"{inline_jobs} job(s) select registered components and "
-                 "run inline in the parent (per-process registrations "
-                 "cannot ship to worker processes)", 0, None)
-
-    def run_inline() -> None:
-        for group in inline_groups:
-            announce(group.benchmark, group.seed)
-            for key, record in _iter_group_records(group):
-                finish(record, key)
-
+    # A pool pays off only when there are groups to overlap.
+    use_pool = jobs > 1 and len(groups) > 1
     if groups:
         # Load the group modules once, before the first trace.  Forked
         # workers inherit them, which spares every worker of every
@@ -345,21 +278,21 @@ def run_campaign(
         # "Import boundaries").
         for module in _GROUP_MODULES:
             __import__(module)
-    if not pool_groups:
-        run_inline()
+    if not use_pool:
+        for group in groups:
+            announce(group.benchmark, group.seed)
+            for key, record in _iter_group_records(group):
+                finish(record, key)
     else:
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {}
-            for group in pool_groups:
+            for group in groups:
                 announce(group.benchmark, group.seed)
                 futures[pool.submit(_run_group, group)] = group
             not_done = set(futures)
             try:
-                # Inline (component-registry) groups run in the parent
-                # while the pool works, so their wall-clock overlaps.
-                run_inline()
                 while not_done:
                     done, not_done = wait(
                         not_done, return_when=FIRST_COMPLETED

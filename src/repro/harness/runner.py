@@ -131,14 +131,21 @@ def run_configs(
 
     The one loop behind :func:`run_benchmark`, the campaign scheduler,
     :func:`repro.api.simulate` and ``repro run``, so they share one
-    warmup policy: an explicit *warmup* is honored as given, and the
-    default is *scale*'s warmup clamped by :func:`effective_warmup`.
+    warmup policy: an explicit *warmup* is honored as given (and
+    rejected with :class:`ValueError` if it leaves nothing of the trace to
+    measure), and the default is *scale*'s warmup clamped by
+    :func:`effective_warmup`.
     """
     # Imported lazily: a campaign served from the cache never loads it.
     from repro.pipeline.processor import Processor
 
     if warmup is None:
         warmup = effective_warmup(scale, len(trace))
+    elif warmup >= len(trace):
+        raise ValueError(
+            f"warmup ({warmup}) must be less than the trace length "
+            f"({len(trace)}) — nothing would be measured"
+        )
     for config in configs:
         started = time.perf_counter()
         stats = Processor(config).run(trace, warmup=warmup)

@@ -190,16 +190,6 @@ class MachineConfig:
     # Safety valve for the cycle loop.
     max_cycles_per_inst: int = 400
 
-    # Pluggable component implementations (see :mod:`repro.api.components`).
-    # "default" selects the built-in model; any other value names a factory
-    # registered with ``register_bypass_predictor``/``register_scheduler``/
-    # ``register_memory_hierarchy``.  Default-valued selectors are omitted
-    # from the serialized form (:func:`repro.experiments.codec.config_to_dict`)
-    # so historical campaign cache keys stay byte-stable.
-    bypass_predictor_impl: str = "default"
-    scheduler_impl: str = "default"
-    hierarchy_impl: str = "default"
-
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -251,24 +241,6 @@ class MachineConfig:
             bypass_predictor=predictor or BypassPredictorConfig(),
         )
         return scale_window(config, window)
-
-
-def uses_load_scheduler(config: MachineConfig) -> bool:
-    """Whether the pipeline builds a load scheduler (the StoreSets slot).
-
-    The canonical build gate: ``Processor.__init__`` constructs the
-    scheduler exactly when this holds, and the component registry
-    (:mod:`repro.api.components`) validates ``scheduler_impl`` selectors
-    against it."""
-    return (config.mode is Mode.CONVENTIONAL
-            and config.scheduler is SchedulerKind.STORESETS)
-
-
-def uses_bypass_predictor(config: MachineConfig) -> bool:
-    """Whether the pipeline builds a bypassing predictor (see
-    :func:`uses_load_scheduler` for the contract)."""
-    return ((config.mode is Mode.NOSQ and config.bypass is BypassKind.REAL)
-            or config.smb_opportunistic)
 
 
 def scale_window(config: MachineConfig, window: int) -> MachineConfig:

@@ -60,8 +60,6 @@ from repro.pipeline.config import (
     MachineConfig,
     Mode,
     SchedulerKind,
-    uses_bypass_predictor,
-    uses_load_scheduler,
 )
 from repro.pipeline.stats import RunStats
 from repro.predictors.store_sets import StoreSets
@@ -86,20 +84,7 @@ class Processor:
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        # Component selectors ("default" = the built-in classes) resolve
-        # through the registry (repro.api.components), imported lazily so
-        # the default construction path stays registry-free.  The build
-        # gates (uses_load_scheduler/uses_bypass_predictor, defined next
-        # to MachineConfig) are shared with spec-time validation, so the
-        # two can never drift.
-        if config.hierarchy_impl != "default":
-            from repro.api.components import create_component
-
-            self.hierarchy = create_component(
-                "hierarchy", config.hierarchy_impl, config
-            )
-        else:
-            self.hierarchy = MemoryHierarchy(config.hierarchy)
+        self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.tlb = TLB(
             entries=config.tlb_entries,
             assoc=config.tlb_assoc,
@@ -134,47 +119,13 @@ class Processor:
         # span can exceed the ROB by the back-end drain backlog.
         self.srq = StoreRegisterQueue(capacity=2 * max(config.rob_size, 64))
         self.store_sets = None
-        if uses_load_scheduler(config):
-            if config.scheduler_impl != "default":
-                from repro.api.components import create_component
-
-                self.store_sets = create_component(
-                    "scheduler", config.scheduler_impl, config
-                )
-            else:
-                self.store_sets = StoreSets()
-        elif config.scheduler_impl != "default":
-            # Fail loudly: a selector on a config that never builds the
-            # component would otherwise be silently ignored while still
-            # changing the cache key.
-            from repro.api.components import inapplicable_message
-
-            raise ValueError(
-                inapplicable_message(
-                    "scheduler", config.scheduler_impl, config
-                )
-            )
+        if (config.mode is Mode.CONVENTIONAL
+                and config.scheduler is SchedulerKind.STORESETS):
+            self.store_sets = StoreSets()
         self.bypass_predictor = None
-        if uses_bypass_predictor(config):
-            if config.bypass_predictor_impl != "default":
-                from repro.api.components import create_component
-
-                self.bypass_predictor = create_component(
-                    "bypass_predictor", config.bypass_predictor_impl, config
-                )
-            else:
-                self.bypass_predictor = BypassingPredictor(
-                    config.bypass_predictor
-                )
-        elif config.bypass_predictor_impl != "default":
-            from repro.api.components import inapplicable_message
-
-            raise ValueError(
-                inapplicable_message(
-                    "bypass_predictor", config.bypass_predictor_impl,
-                    config,
-                )
-            )
+        if ((config.mode is Mode.NOSQ and config.bypass is BypassKind.REAL)
+                or config.smb_opportunistic):
+            self.bypass_predictor = BypassingPredictor(config.bypass_predictor)
         self.stats = RunStats(config_name=config.name)
 
         # Per-run state (initialized in run()).

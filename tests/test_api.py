@@ -3,8 +3,8 @@
 Pins the PR's compatibility contract — the five standard presets resolved
 through the registry are bit-identical (fields, names, campaign cache
 keys) to the historical factories — and covers the override grammar,
-serialization round trips, stable hashing, the component registry, and
-the typed `simulate`/`sweep` entry points.
+serialization round trips, stable hashing, and the typed
+`simulate`/`sweep` entry points.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ import dataclasses
 import pytest
 
 from repro.api import (
-    ComponentError,
     ConfigSpecError,
-    component_names,
     config_from_dict,
     config_from_json,
     config_from_toml,
@@ -25,27 +23,21 @@ from repro.api import (
     config_to_dict,
     config_to_json,
     config_to_toml,
-    list_components,
     list_config_sets,
     list_configs,
-    register_bypass_predictor,
     register_config,
-    register_memory_hierarchy,
     resolve_config,
     resolve_configs,
     resolve_scale,
     simulate,
     standard_configs,
     sweep,
-    unregister_component,
     unregister_config,
 )
 from repro.api.configs import split_spec_list
-from repro.core.bypass_predictor import BypassingPredictor
 from repro.experiments.cache import job_key
 from repro.experiments.spec import CampaignSpec, Job
 from repro.harness.runner import SMOKE, ExperimentScale
-from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import MachineConfig, SchedulerKind
 from repro.pipeline.processor import Processor
 from repro.workloads import generate_trace
@@ -91,14 +83,6 @@ class TestPresetIdentity:
         via_registry = Job("gzip", resolve_config(spec), SMOKE, 17)
         via_factory = Job("gzip", factory, SMOKE, 17)
         assert job_key(via_registry) == job_key(via_factory)
-
-    def test_component_selectors_absent_from_serialized_form(self):
-        """Default-valued impl selectors must not appear in the codec
-        output, or every historical cache key would change."""
-        data = config_to_dict(MachineConfig.nosq())
-        assert "bypass_predictor_impl" not in data
-        assert "scheduler_impl" not in data
-        assert "hierarchy_impl" not in data
 
     def test_standard_configs_shim(self):
         configs = standard_configs()
@@ -196,7 +180,7 @@ class TestValidationErrors:
         ("nosq?rob_size=1,rob_size=2", "duplicate override"),
         ("nosq?a.b.c=1", "nest at most one level"),
         ("standard", "is a config *set*"),
-        ("nosq?bypass.impl=nope", "no registered bypass_predictor"),
+        ("nosq?bypass.impl=x", "unknown key 'impl'"),
     ])
     def test_error_messages(self, spec, fragment):
         with pytest.raises(ConfigSpecError) as excinfo:
@@ -385,152 +369,14 @@ class TestSerialization:
             config_from_toml("not [valid")
 
     def test_toml_none_sentinel_only_for_optional_fields(self):
-        # A *string* field legitimately holding "none" (a component
-        # registered under that name) must survive the round trip; only
-        # Optional fields map "none" back to null.
-        register_bypass_predictor(
-            "none", lambda config: BypassingPredictor(
-                config.bypass_predictor
-            ),
-        )
-        try:
-            config = resolve_config("nosq?bypass.impl=none")
-            assert config.bypass_predictor_impl == "none"
-            restored = config_from_toml(config_to_toml(config))
-            assert restored == config
-            assert restored.bypass_predictor_impl == "none"
-            assert restored.lq_size is None
-        finally:
-            unregister_component("bypass_predictor", "none")
-
-
-# --------------------------------------------------------------------- #
-# Component registry
-# --------------------------------------------------------------------- #
-
-@pytest.fixture
-def sticky_predictor():
-    register_bypass_predictor(
-        "sticky-test",
-        lambda config: BypassingPredictor(
-            dataclasses.replace(config.bypass_predictor, conf_dec=127)
-        ),
-        description="full confidence reset on misprediction",
-    )
-    yield "sticky-test"
-    unregister_component("bypass_predictor", "sticky-test")
-
-
-@pytest.fixture
-def passthrough_hierarchy():
-    register_memory_hierarchy(
-        "passthrough-test",
-        lambda config: MemoryHierarchy(config.hierarchy),
-    )
-    yield "passthrough-test"
-    unregister_component("hierarchy", "passthrough-test")
-
-
-class TestComponents:
-    def test_registered_component_is_listed(self, sticky_predictor):
-        assert sticky_predictor in component_names("bypass_predictor")
-        listing = list_components()
-        assert "default" in listing["bypass_predictor"]
-        assert sticky_predictor in listing["bypass_predictor"]
-
-    def test_selected_through_override_string(self, sticky_predictor):
-        trace = generate_trace("vortex", TINY.num_instructions, seed=17)
-        default = Processor(resolve_config("nosq")).run(
-            trace, warmup=TINY.warmup
-        )
-        sticky = Processor(
-            resolve_config(f"nosq?bypass.impl={sticky_predictor}")
-        ).run(trace, warmup=TINY.warmup)
-        assert sticky.instructions == default.instructions
-        # The sticky policy delays more aggressively after mispredictions.
-        assert sticky.delayed_loads >= default.delayed_loads
-
-    def test_selector_changes_cache_key(self, sticky_predictor):
-        plain = resolve_config("nosq")
-        custom = resolve_config(f"nosq?bypass.impl={sticky_predictor}")
-        assert config_hash(custom) != config_hash(plain)
-        data = config_to_dict(custom)
-        assert data["bypass_predictor_impl"] == sticky_predictor
-        assert config_from_dict(data) == custom
-
-    def test_component_version_changes_cache_key(self, sticky_predictor):
-        """Re-registering a component with a bumped version invalidates
-        its cached campaign results (mirrors trace-source content ids);
-        default-only configs never gain a components key."""
-        custom = resolve_config(f"nosq?bypass.impl={sticky_predictor}")
-        job = Job("gzip", custom, SMOKE, 17)
-        key_v0 = job_key(job)
-        register_bypass_predictor(
-            sticky_predictor,
-            lambda config: BypassingPredictor(config.bypass_predictor),
-            replace=True, version=1,
-        )
-        assert job_key(job) != key_v0
-        # The plain preset's key is untouched by registrations.
-        plain_job = Job("gzip", resolve_config("nosq"), SMOKE, 17)
-        key_plain = job_key(plain_job)
-        assert key_plain == job_key(plain_job)
-
-    def test_identical_reimplementation_is_bit_identical(
-        self, passthrough_hierarchy
-    ):
-        trace = generate_trace("gzip", TINY.num_instructions, seed=17)
-        default = Processor(resolve_config("nosq")).run(
-            trace, warmup=TINY.warmup
-        )
-        swapped = Processor(
-            resolve_config(f"nosq?hierarchy.impl={passthrough_hierarchy}")
-        ).run(trace, warmup=TINY.warmup)
-        assert dataclasses.replace(swapped, config_name="") == \
-            dataclasses.replace(default, config_name="")
-
-    def test_component_sweep_with_worker_pool(self, sticky_predictor):
-        """Jobs whose configs select registered components run inline
-        (the per-process registry can't ship to spawn-started workers);
-        mixed groups are split so the default-impl configs still pool.
-        jobs=2 must complete and match a serial run bit-for-bit."""
-        spec = f"nosq,nosq?bypass.impl={sticky_predictor},conventional"
-        serial = sweep(spec, ["gzip", "mcf"], scale=TINY, jobs=1)
-        pooled = sweep(spec, ["gzip", "mcf"], scale=TINY, jobs=2)
-        for bench in ("gzip", "mcf"):
-            for name in serial.config_names:
-                assert serial.stats(bench, name) == pooled.stats(bench, name)
-
-    def test_unknown_component_suggests(self, sticky_predictor):
-        with pytest.raises(ConfigSpecError, match="did you mean"):
-            resolve_config("nosq?bypass.impl=sticky-tst")
-
-    def test_reserved_name_rejected(self):
-        with pytest.raises(ComponentError):
-            register_bypass_predictor("default", lambda config: None)
-
-    def test_ineffective_selector_fails_loudly(self, sticky_predictor):
-        """A selector on a config that never instantiates the component
-        must raise, not silently run the stock machine under a
-        component-tagged cache key."""
-        # At spec-resolution time (before any cache key is planned)...
-        with pytest.raises(ConfigSpecError, match="has no effect"):
-            resolve_config(f"nosq-perfect?bypass.impl={sticky_predictor}")
-        # ...and at processor construction for programmatic configs.
-        with pytest.raises(ValueError, match="has no effect"):
-            Processor(dataclasses.replace(
-                MachineConfig.nosq(perfect=True),
-                bypass_predictor_impl=sticky_predictor,
-            ))
-        # Scheduler components only exist on conventional+storesets.
-        from repro.api import register_scheduler
-
-        register_scheduler("probe-test", lambda config: None)
-        try:
-            with pytest.raises(ConfigSpecError, match="has no effect"):
-                resolve_config("nosq?scheduler.impl=probe-test")
-        finally:
-            unregister_component("scheduler", "probe-test")
+        # A *string* field legitimately holding "none" (a config named
+        # "none") must survive the round trip; only Optional fields map
+        # "none" back to null.
+        config = dataclasses.replace(resolve_config("nosq"), name="none")
+        restored = config_from_toml(config_to_toml(config))
+        assert restored == config
+        assert restored.name == "none"
+        assert restored.lq_size is None
 
 
 # --------------------------------------------------------------------- #
@@ -571,6 +417,18 @@ class TestSimulate:
     def test_rejects_unusable_source(self):
         with pytest.raises(TypeError, match="cannot produce a trace"):
             simulate("nosq", object(), scale=TINY)
+
+    def test_explicit_warmup_beyond_trace_rejected(self, tmp_path):
+        from repro.isa.tracefile import save_trace
+
+        path = tmp_path / "g600.bt"
+        trace = generate_trace("gzip", 600, seed=17)
+        save_trace(trace, path)
+        with pytest.raises(ValueError, match=(
+            rf"warmup \(1500\) must be less than the trace length "
+            rf"\({len(trace)}\)"
+        )):
+            simulate("nosq", f"trace:{path}", scale=2_000, warmup=1_500)
 
     def test_short_file_trace_clamps_default_warmup(self, tmp_path, capsys):
         from repro.cli import main
@@ -628,15 +486,6 @@ class TestSweep:
         assert "sq-storesets?rob_size=96" in runs
         assert second.stats("gzip", "nosq-delay").ipc == \
             second.stats("gzip", MachineConfig.nosq()).ipc
-
-    def test_inline_component_jobs_emit_note(self, sticky_predictor):
-        events = []
-        sweep(f"nosq?bypass.impl={sticky_predictor},conventional",
-              ["gzip"], scale=TINY, jobs=2, progress=events.append)
-        notes = [e for e in events if e.kind == "note"]
-        assert notes, "expected a note about inline component jobs"
-        assert "registered components" in notes[0].benchmark
-        assert notes[0].describe().startswith("note:")
 
     def test_campaign_spec_accepts_spec_strings(self):
         spec = CampaignSpec(

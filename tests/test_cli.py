@@ -153,7 +153,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "conventional-perfect" in out
         assert "nosq-nodelay" in out
-        assert "bypass_predictor" in out
         assert "config set" in out
 
 
@@ -176,6 +175,22 @@ class TestScaleRejection:
         err = capsys.readouterr().err
         assert len(err.strip().splitlines()) == 1
         assert "must be" in err
+
+    def test_warmup_beyond_trace_rejected(self, capsys, tmp_path):
+        # The trace file is shorter than the explicit warmup: nothing of
+        # it is left to measure.
+        from repro.isa.tracefile import save_trace
+        from repro.workloads import generate_trace
+
+        path = tmp_path / "g600.bt"
+        trace = generate_trace("gzip", 600, seed=17)
+        save_trace(trace, path)
+        assert main(["run", "nosq", f"trace:{path}",
+                     "-n", "2000", "-w", "1500"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.strip().splitlines()) == 1
+        assert f"warmup (1500) must be less than the trace length " \
+            f"({len(trace)})" in err
 
     @pytest.mark.parametrize("count", ("0", "-3"))
     def test_trace_record_rejected(self, capsys, tmp_path, count):

@@ -121,7 +121,6 @@ class TestKeyPayload:
 
     @staticmethod
     def canonical_key(job: Job) -> str:
-        from repro.api.components import component_identity, selected_components
         from repro.traces import source_identity
 
         payload = {
@@ -136,26 +135,7 @@ class TestKeyPayload:
         source = source_identity(job.benchmark)
         if source is not None:
             payload["source"] = source
-        components = {
-            kind: component_identity(kind, name) or name
-            for kind, name in selected_components(job.config).items()
-        }
-        if components:
-            payload["components"] = components
         return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
-
-    @pytest.fixture
-    def keys_component(self):
-        from repro.api import register_bypass_predictor, unregister_component
-        from repro.core.bypass_predictor import BypassingPredictor
-
-        register_bypass_predictor(
-            "payload-test",
-            lambda config: BypassingPredictor(config.bypass_predictor),
-            version=2,
-        )
-        yield
-        unregister_component("bypass_predictor", "payload-test")
 
     def check(self, benchmark: str, config: MachineConfig) -> None:
         job = Job(benchmark, config, TINY, 17)
@@ -180,13 +160,6 @@ class TestKeyPayload:
         self.check("gzip", resolve_config(
             "nosq?bypass.history_bits=10,hierarchy.l1_size=32768"
         ))
-
-    def test_component_selector(self, keys_component):
-        from repro.api import resolve_config
-
-        config = resolve_config("nosq?bypass.impl=payload-test")
-        assert config.bypass_predictor_impl == "payload-test"
-        self.check("gzip", config)
 
     def test_trace_source(self, tmp_path):
         from repro.isa.tracefile import save_trace
@@ -214,28 +187,17 @@ class TestKeyStability:
 
     @pytest.fixture
     def mixed_spec(self, tmp_path):
-        """Presets, an override, a registered component and a trace file."""
-        from repro.api import register_bypass_predictor, unregister_component
-        from repro.core.bypass_predictor import BypassingPredictor
+        """Presets, an override and a trace file."""
         from repro.isa.tracefile import save_trace
         from repro.workloads.generator import generate_trace
 
-        register_bypass_predictor(
-            "keys-test", lambda config: BypassingPredictor(
-                config.bypass_predictor
-            ), version=3,
-        )
         path = tmp_path / "g.bt"
         save_trace(generate_trace("gzip", 600, seed=5), path, version=2)
-        yield CampaignSpec(
+        return CampaignSpec(
             benchmarks=["gzip", "zoo.pchase", f"trace:{path}"],
-            configs=[
-                "nosq", "conventional", "nosq?backend.rob_size=256",
-                "nosq?bypass.impl=keys-test",
-            ],
+            configs=["nosq", "conventional", "nosq?backend.rob_size=256"],
             scale=TINY, seeds=(17, 18),
         )
-        unregister_component("bypass_predictor", "keys-test")
 
     def test_plan_keys_equal_job_key(self, mixed_spec, tmp_path):
         expected = {
