@@ -2,7 +2,7 @@
 """Quickstart: simulate one benchmark on the conventional baseline and NoSQ.
 
 Uses the public façade (:mod:`repro.api`): configurations are addressed
-by spec string — registry presets (``conventional``, ``nosq``, ...) with
+by spec string — presets (``conventional``, ``nosq``, ...) with
 optional dotted-path overrides (``nosq?backend.rob_size=256``) — and
 ``simulate()`` resolves the benchmark through the trace-source layer, so
 profiles, ``zoo.*`` families and ``trace:``/``extern:`` files all work.

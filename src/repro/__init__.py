@@ -36,7 +36,7 @@ Package map:
 * :mod:`repro.workloads` -- benchmark profiles, generator, programs
 * :mod:`repro.harness` -- Table 5 / Figures 2-5 regeneration
 * :mod:`repro.experiments` -- sharded, cached, resumable campaign engine
-* :mod:`repro.traces` -- pluggable trace sources (benchmark-id registry)
+* :mod:`repro.traces` -- trace sources addressed by benchmark id
 * :mod:`repro.api` -- the public façade: string-addressable configs and
   typed ``simulate``/``sweep`` entry points
 """

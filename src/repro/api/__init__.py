@@ -1,15 +1,14 @@
 """`repro.api` — the stable public façade.
 
 One import surface for everything above the cycle loop, symmetric with
-the trace-source registry of :mod:`repro.traces`:
+the benchmark ids of :mod:`repro.traces`:
 
 * **Configs** (:mod:`repro.api.configs`) — every machine variant is
   addressable by a *config spec* string
-  (``preset[@window][?key=value,...]``): named presets
-  (``conventional``, ``conventional-perfect``, ``nosq``,
-  ``nosq-nodelay``, ``nosq-perfect``), dotted-path overrides with typed
-  coercion and did-you-mean errors, glob/set expansion, JSON/TOML round
-  trips, and stable hashing into campaign cache keys.
+  (``preset[@window][?key=value,...]``): the paper's six presets
+  (``conventional``, ``conventional-perfect``, ``conventional-smb``,
+  ``nosq``, ``nosq-nodelay``, ``nosq-perfect``), dotted-path overrides
+  with typed coercion and did-you-mean errors, and glob/set expansion.
 * **Entry points** (:mod:`repro.api.facade`) — typed
   ``simulate(config, source, scale) -> SimResult`` and
   ``sweep(configs, benchmarks, ...) -> SweepResult`` built on the
@@ -36,32 +35,17 @@ from repro._lazy import lazy_exports
 
 #: Public name -> the submodule defining it, loaded on first access.
 _EXPORTS = {
-    "ConfigPreset": "configs",
-    "ConfigRegistry": "configs",
     "ConfigSpecError": "configs",
     "NAMED_SCALES": "facade",
-    "REGISTRY": "configs",
     "SimResult": "facade",
     "SweepResult": "facade",
-    "config_from_dict": "configs",
-    "config_from_json": "configs",
-    "config_from_toml": "configs",
-    "config_hash": "configs",
-    "config_set": "configs",
-    "config_to_dict": "configs",
-    "config_to_json": "configs",
-    "config_to_toml": "configs",
     "effective_warmup": "facade",
-    "list_config_sets": "configs",
-    "list_configs": "configs",
-    "register_config": "configs",
     "resolve_config": "configs",
     "resolve_configs": "configs",
     "resolve_scale": "facade",
     "simulate": "facade",
     "standard_configs": "configs",
     "sweep": "facade",
-    "unregister_config": "configs",
     "validate": "facade",
 }
 

@@ -60,10 +60,7 @@ from typing import Sequence
 
 from repro.api import (
     NAMED_SCALES as _NAMED_SCALES,
-    REGISTRY,
     ConfigSpecError,
-    list_config_sets,
-    list_configs,
     resolve_config,
     resolve_configs,
 )
@@ -87,11 +84,10 @@ _RUN_SCALE = ExperimentScale("cli", 30_000, 15_000)
 
 
 def _add_scale_args(
-    parser: argparse.ArgumentParser,
-    scale_help: str,
-    warmup_help: str = "custom warmup (with -n; default n/2)",
+    parser: argparse.ArgumentParser, scale_help: str, warmup: bool = True
 ) -> None:
-    """``--scale``/``-n``/``-w``/``--seed``, read by :func:`_cli_scale`."""
+    """``--scale``/``-n``/``--seed``, plus ``-w`` for commands that use a
+    warmup, read by :func:`_cli_scale`."""
     parser.add_argument(
         "--scale", choices=sorted(_NAMED_SCALES), default=None,
         help=scale_help,
@@ -100,9 +96,13 @@ def _add_scale_args(
         "-n", "--instructions", type=int, default=None,
         help="custom trace length (overrides --scale)",
     )
-    parser.add_argument(
-        "-w", "--warmup", type=int, default=None, help=warmup_help,
-    )
+    if warmup:
+        parser.add_argument(
+            "-w", "--warmup", type=int, default=None,
+            help="custom warmup (with -n; default n/2)",
+        )
+    else:
+        parser.set_defaults(warmup=None)
     parser.add_argument("--seed", type=int, default=17)
 
 
@@ -125,7 +125,8 @@ def _cli_scale(args, default: ExperimentScale) -> ExperimentScale:
 
 
 def cmd_list(args) -> int:
-    from repro.traces import list_sources
+    from repro.api.configs import PRESETS, SETS
+    from repro.traces.source import SOURCES
 
     rows = [
         [p.name, p.suite, f"{p.comm_pct:.1f}", f"{p.partial_pct:.1f}",
@@ -136,31 +137,29 @@ def cmd_list(args) -> int:
         ["benchmark", "suite", "comm%", "partial%", "paper IPC"], rows,
         title="Available benchmark profiles (Table 5 of the paper)",
     ))
-    sources = list_sources()
-    if sources:
-        print()
-        print(render_table(
-            ["source", "description"],
-            [[name, source.describe()] for name, source in
-             sorted(sources.items())],
-            title="Registered trace sources (also campaign benchmarks; "
-                  "trace:<path> and extern:<path> address files directly)",
-        ))
+    print()
+    print(render_table(
+        ["source", "description"],
+        [[name, source.describe()] for name, source in
+         sorted(SOURCES.items())],
+        title="Trace sources (also campaign benchmarks; "
+              "trace:<path> and extern:<path> address files directly)",
+    ))
     print()
     print(render_table(
         ["preset", "config name", "description"],
-        [[name, preset.build().name, preset.description]
-         for name, preset in sorted(list_configs().items())],
-        title="Registered config presets (repro run / campaign --configs; "
+        [[name, factory(128).name, description]
+         for name, (factory, description) in sorted(PRESETS.items())],
+        title="Config presets (repro run / campaign --configs; "
               "spec grammar: preset[@window][?key=value,...])",
     ))
     print()
     print(render_table(
         ["config set", "specs", "description"],
-        [[name, len(members), REGISTRY.describe_set(name)]
-         for name, members in sorted(list_config_sets().items())],
-        title="Registered config sets (expand inside --configs; "
-              "repro.api.list_config_sets() lists the specs)",
+        [[name, len(specs), description]
+         for name, (specs, description) in sorted(SETS.items())],
+        title="Config sets (expand inside --configs; "
+              "repro.api.configs.SETS lists the specs)",
     ))
     from repro.validate import list_invariants
 
@@ -189,7 +188,7 @@ def _split_run_specs(specs):
     run`` so the spec rules and messages cannot diverge."""
     from repro.traces import resolve_source
 
-    configs, benchmarks = [], []
+    config_specs, benchmarks = [], []
     for spec in specs:
         try:
             resolve_source(spec)
@@ -198,24 +197,30 @@ def _split_run_specs(specs):
             return None
         except KeyError as key_error:
             if ":" in spec.split("?", 1)[0]:
-                # source:/trace:/extern:-shaped ids can never be config
-                # specs; the trace registry's message has the right
-                # suggestions.
+                # trace:/extern:-shaped ids can never be config specs;
+                # the trace source's message names the id forms.
                 print(key_error.args[0], file=sys.stderr)
                 return None
-            try:
-                # resolve_configs, not resolve_config: run positionals
-                # accept everything campaign --configs does, including
-                # set names ('standard') and globs ('nosq*').
-                configs.extend(resolve_configs(spec))
-            except ConfigSpecError as exc:
-                print(
-                    f"{spec!r} is neither a benchmark id nor a config "
-                    f"spec: {exc}", file=sys.stderr,
-                )
-                return None
+            config_specs.append(spec)
         else:
             benchmarks.append(spec)
+    try:
+        # resolve_configs, not resolve_config: run positionals accept
+        # everything campaign --configs does, including set names
+        # ('standard') and globs ('nosq*'), and aliases of one machine
+        # (nosq, nosq-delay) collapse to one config.
+        configs = resolve_configs(config_specs) if config_specs else []
+    except ConfigSpecError as exc:
+        for spec in config_specs:  # name the first one that fails alone
+            try:
+                resolve_configs(spec)
+            except ConfigSpecError:
+                break
+        print(
+            f"{spec!r} is neither a benchmark id nor a config spec: {exc}",
+            file=sys.stderr,
+        )
+        return None
     if not benchmarks:
         print(
             "no benchmark among the arguments; pass a profile, zoo.* "
@@ -224,16 +229,6 @@ def _split_run_specs(specs):
         )
         return None
     return configs, benchmarks
-
-
-def _dedup_configs(configs):
-    """Aliases can resolve to the same machine (nosq == nosq-delay);
-    keep the first of each name rather than simulating twice and
-    silently overwriting the table row."""
-    unique: dict[str, object] = {}
-    for config in configs:
-        unique.setdefault(config.name, config)
-    return list(unique.values())
 
 
 def cmd_run(args) -> int:
@@ -248,8 +243,6 @@ def cmd_run(args) -> int:
         return 2
     if not configs:
         configs = resolve_configs(_DEFAULT_RUN_CONFIGS)
-    else:
-        configs = _dedup_configs(configs)
     from repro.isa.tracefile import TraceFormatError
     from repro.traces import resolve_source
 
@@ -317,8 +310,6 @@ def cmd_validate_run(args) -> int:
         return 2
     if not configs:
         configs = resolve_configs("standard")
-    else:
-        configs = _dedup_configs(configs)
     failed = False
     for benchmark in benchmarks:
         try:
@@ -644,7 +635,7 @@ def cmd_trace_validate(args) -> int:
 def _campaign_benchmarks(args) -> list[str]:
     """Positional ids, narrowed by ``--benchmarks`` globs, extended by
     ``--source`` ids.  With a filter but no positionals, the filter
-    matches over every known id (profiles and registered sources)."""
+    matches over every known id (profiles, zoo.* and prog.* sources)."""
     from repro.traces import known_benchmark_ids
 
     if args.benchmarks:
@@ -693,13 +684,13 @@ def _add_campaign_spec_args(parser: argparse.ArgumentParser) -> None:
         metavar="GLOBS",
         help="comma-separated fnmatch globs narrowing the sweep "
              "(e.g. 'mesa.*' or 'zoo.*,gzip'); without positional ids the "
-             "globs match over all profiles and registered sources",
+             "globs match over all profiles and zoo.*/prog.* sources",
     )
     parser.add_argument(
         "--source", dest="sources", action="append", default=None,
         metavar="ID",
-        help="add a trace source to the sweep (repeatable): a registered "
-             "name, trace:<path> or extern:<path>",
+        help="add a trace source to the sweep (repeatable): a zoo.* or "
+             "prog.* id, trace:<path> or extern:<path>",
     )
     _add_scale_args(parser, "named experiment scale (default smoke)")
     parser.add_argument(
@@ -708,7 +699,7 @@ def _add_campaign_spec_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--configs", default="standard",
-        help="configs to sweep: a comma list of registry presets "
+        help="configs to sweep: a comma list of presets "
              "(preset[@window][?key=value,...] overrides), globs over "
              "preset names ('nosq*'), or set names (standard, table5, "
              "figure3, figure4, figure5, ablations; default standard) — "
@@ -925,7 +916,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_record.add_argument(
         "benchmark",
-        help="benchmark id: a profile, zoo.* family or registered source",
+        help="benchmark id: a profile, zoo.* family or prog.* program",
     )
     trace_record.add_argument(
         "-n", "--instructions", type=int, default=30_000,
@@ -1002,9 +993,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_args(
         validate_run,
-        "named experiment scale (default: 30000 instructions)",
-        warmup_help="accepted for symmetry with `repro run`; validation "
-                    "always measures the whole trace",
+        "named experiment scale (default: 30000 instructions); "
+        "validation measures the whole trace",
+        warmup=False,
     )
     validate_run.set_defaults(func=cmd_validate_run)
 

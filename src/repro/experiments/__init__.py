@@ -45,7 +45,7 @@ result**, and nothing else:
   special-cased;
 * the benchmark id and the seed;
 * for trace-source benchmarks (``zoo.*`` families, ``trace:``/
-  ``extern:`` files, registered sources), the source's *content id*
+  ``extern:`` files, ``prog.*`` programs), the source's *content id*
   (:func:`repro.traces.source_identity`): a sha256 of the file bytes or
   a generator code version — so swapping the bytes behind a path, or
   bumping ``ZOO_VERSION``, misses instead of serving stale results;

@@ -41,8 +41,8 @@ DEFAULT_CACHE_DIR = Path("results") / "cache"
 def job_key(job: Job, memo: dict[Any, Any] | None = None) -> str:
     """Content hash addressing *job*'s result on disk.
 
-    For trace-source benchmarks (``zoo.*``, ``trace:``/``extern:`` files,
-    registered sources) the source's content id — a file hash or a
+    For trace-source benchmarks (``zoo.*``, ``prog.*``, ``trace:``/
+    ``extern:`` files) the source's content id — a file hash or a
     generator version — joins the payload, so swapping the bytes behind a
     path can never be served a stale result.  Synthetic profiles
     contribute nothing extra, keeping their historical keys byte-stable.

@@ -1,8 +1,9 @@
 """JSON codecs for campaign records.
 
-Everything the campaign engine persists — machine configurations, run and
-trace statistics, experiment scales — is converted to plain JSON-compatible
-dictionaries here.  Two properties matter:
+Everything the campaign engine hashes or persists — machine configurations
+(hashed into cache keys, never decoded), run and trace statistics,
+experiment scales — is converted to plain JSON-compatible dictionaries
+here.  Two properties matter:
 
 1. **Canonical**: :func:`canonical_json` sorts keys and strips whitespace,
    so equal objects always hash to the same cache key.
@@ -20,15 +21,7 @@ import json
 from typing import Any
 
 from repro.isa.trace import TraceStats
-from repro.pipeline.config import (
-    BackendConfig,
-    BypassKind,
-    BypassPredictorConfig,
-    HierarchyConfig,
-    MachineConfig,
-    Mode,
-    SchedulerKind,
-)
+from repro.pipeline.config import MachineConfig
 from repro.pipeline.stats import RunStats
 
 
@@ -64,20 +57,6 @@ def canonical_json(value: Any) -> str:
 def config_to_dict(config: MachineConfig) -> dict[str, Any]:
     """Every field of *config*, nested dataclasses included."""
     return jsonify(config)
-
-
-def config_from_dict(data: dict[str, Any]) -> MachineConfig:
-    """Rebuild a :class:`MachineConfig` from :func:`config_to_dict` output."""
-    fields = dict(data)
-    fields["mode"] = Mode(fields["mode"])
-    fields["scheduler"] = SchedulerKind(fields["scheduler"])
-    fields["bypass"] = BypassKind(fields["bypass"])
-    fields["backend"] = BackendConfig(**fields["backend"])
-    fields["bypass_predictor"] = BypassPredictorConfig(
-        **fields["bypass_predictor"]
-    )
-    fields["hierarchy"] = HierarchyConfig(**fields["hierarchy"])
-    return MachineConfig(**fields)
 
 
 # --------------------------------------------------------------------- #

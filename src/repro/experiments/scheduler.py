@@ -23,7 +23,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import TYPE_CHECKING, Any, Callable
 
 import repro
 from repro.experiments.cache import CACHE_SCHEMA, ResultCache, job_key
@@ -36,11 +36,13 @@ from repro.experiments.store import ResultStore, collect_results
 from repro.harness.runner import (
     BenchmarkResult,
     ExperimentScale,
-    make_trace,
     run_configs,
 )
 from repro.isa.trace import communication_stats
 from repro.pipeline.config import MachineConfig
+
+if TYPE_CHECKING:
+    from repro.traces.source import TraceSource
 
 
 @dataclass(frozen=True)
@@ -69,11 +71,9 @@ ProgressFn = Callable[[ProgressEvent], None]
 class JobGroup:
     """One benchmark's uncached configs at one seed (shares one trace).
 
-    ``source`` is the benchmark's resolved
-    :class:`~repro.traces.TraceSource`, captured in the parent process so
-    worker processes never depend on per-process registry state
-    (user-registered sources would otherwise resolve here but KeyError
-    in a spawn-started worker).
+    ``source`` is the benchmark's :class:`~repro.traces.TraceSource`,
+    resolved once by :func:`plan_campaign`; a pool run pickles it into
+    the worker that builds the trace.
     """
 
     benchmark: str
@@ -81,7 +81,7 @@ class JobGroup:
     seed: int
     configs: tuple[MachineConfig, ...]
     keys: tuple[str, ...]
-    source: Any = None
+    source: TraceSource
 
 
 @dataclass
@@ -144,10 +144,7 @@ _GROUP_MODULES = (
 def _iter_group_records(group: JobGroup):
     """Run a group's jobs on one shared trace, yielding ``(key, record)``
     as each finishes (so inline callers can persist per job)."""
-    if group.source is not None:
-        trace = group.source.trace(group.scale, group.seed)
-    else:
-        trace = make_trace(group.benchmark, group.scale, group.seed)
+    trace = group.source.trace(group.scale, group.seed)
     trace_stats = communication_stats(trace)
     # run_configs clamps the default warmup for intrinsic-length sources
     # (trace:/extern: files) exactly as simulate()/repro run do.  The
@@ -183,8 +180,7 @@ def plan_campaign(
             hits.append((job, key, record))
         else:
             pending.setdefault(job.group_id, []).append((job, key))
-    # Resolve sources here, in the parent: groups ship the source object
-    # to workers, so registry state never has to survive a spawn.
+    # Resolve each source once, here: groups ship it to the workers.
     from repro.traces import resolve_source
 
     groups = [

@@ -23,7 +23,7 @@ class Job:
 
     ``benchmark`` is any id the trace-source layer resolves
     (:func:`repro.traces.resolve_source`): a synthetic profile name, a
-    registered source such as a ``zoo.*`` family, or a self-describing
+    named source such as a ``zoo.*`` family, or a self-describing
     ``trace:<path>``/``extern:<path>`` id."""
 
     benchmark: str
@@ -49,7 +49,7 @@ class Job:
 
 def _standard_configs(window: int = 128) -> list[MachineConfig]:
     # Imported lazily: importing the campaign engine does not load the
-    # config registry, and repro.api builds on this package.
+    # config presets, and repro.api builds on this package.
     from repro.api import standard_configs
 
     return standard_configs(window)
@@ -61,7 +61,7 @@ class CampaignSpec:
 
     ``configs`` entries may be :class:`MachineConfig` objects or config
     spec strings (``nosq?backend.rob_size=256``, ``conventional@256``),
-    resolved through the registry (:mod:`repro.api.configs`) — the config
+    resolved by :func:`repro.api.configs.resolve_config` — the config
     axis is string-addressable exactly like the benchmark axis."""
 
     benchmarks: Sequence[str]
@@ -86,7 +86,7 @@ class CampaignSpec:
             self.configs = list(self.configs)
         self.seeds = list(self.seeds)
         # Validate through the trace-source layer: every benchmark id
-        # must resolve (profiles, registered sources, trace:/extern: paths).
+        # must resolve (profiles, zoo.*/prog.* sources, trace:/extern: paths).
         from repro.traces import resolve_source
 
         unknown = []

@@ -6,10 +6,10 @@ consumes them — the trace-capture/replay split standard in architecture
 simulators (gem5's SynchroTrace tester is the pattern's reference):
 
 * :mod:`repro.traces.source` — the :class:`TraceSource` abstraction and
-  registry; campaign benchmark ids (``gzip``, ``zoo.pchase``,
-  ``trace:<path>``, ``extern:<path>``, ``source:<name>``) all resolve
-  through :func:`resolve_source`, and :func:`source_identity` is what the
-  campaign cache folds into job keys;
+  the fixed table of named sources; campaign benchmark ids (``gzip``,
+  ``zoo.pchase``, ``prog.memcpy``, ``trace:<path>``, ``extern:<path>``)
+  all resolve through :func:`resolve_source`, and
+  :func:`source_identity` is what the campaign cache folds into job keys;
 * :mod:`repro.traces.binformat` — the v2 binary packed trace format
   (struct-packed records, zlib-framed blocks, index footer) with a
   streaming reader/writer, ~10x smaller than the v1 gzip-JSONL format;
@@ -24,10 +24,10 @@ simulators (gem5's SynchroTrace tester is the pattern's reference):
 command line; see ``docs/traces.md`` for the format specification and the
 importer field mapping.
 
-Importing this package loads :mod:`~repro.traces.source` and registers
-the workload-zoo generator families (``zoo.*``) and the mini-ISA programs
-(``prog.*``) as named sources; the format, importer and repro-case names
-load their modules on first access.
+Importing this package loads :mod:`~repro.traces.source` and fills its
+``SOURCES`` table with the workload-zoo generator families (``zoo.*``)
+and the mini-ISA programs (``prog.*``); the format, importer and
+repro-case names load their modules on first access.
 """
 
 from repro._lazy import lazy_exports
@@ -38,12 +38,8 @@ from repro.traces.source import (
     SyntheticSource,
     TraceSource,
     known_benchmark_ids,
-    list_sources,
-    register_source,
-    register_trace_file,
     resolve_source,
     source_identity,
-    unregister_source,
 )
 from repro.workloads.programs import register_program_sources
 from repro.workloads.zoo import ZOO_BENCHMARKS, register_zoo_sources
@@ -80,16 +76,12 @@ __all__ = [
     "import_synchrotrace",
     "is_binary_trace",
     "known_benchmark_ids",
-    "list_sources",
     "load_repro_case",
     "read_trace",
     "save_repro_case",
-    "register_source",
-    "register_trace_file",
     "register_zoo_sources",
     "resolve_source",
     "source_identity",
     "trace_info",
-    "unregister_source",
     "write_trace",
 ]

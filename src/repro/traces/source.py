@@ -1,8 +1,8 @@
 """Named trace sources: one abstraction over every way to get a trace.
 
 A :class:`TraceSource` produces annotated dynamic-instruction traces for
-the simulator.  The registry makes sources addressable by *benchmark id*
-from campaigns, the CLI and the harness — synthetic profiles, generator
+the simulator.  Every source is addressable by *benchmark id* from
+campaigns, the CLI and the harness — synthetic profiles, generator
 families, saved trace files and external importers all answer to the same
 :func:`resolve_source` call:
 
@@ -11,17 +11,17 @@ benchmark id     resolves to
 ===============  ======================================================
 ``gzip``         :class:`SyntheticSource` (a Table 5 profile; the
                  historical namespace, unchanged)
-``zoo.pchase``   a registered :class:`GeneratorSource` (workload zoo)
-``prog.memcpy``  a registered :class:`GeneratorSource` running a mini-ISA
-                 program (intrinsic length, like a trace file)
+``zoo.pchase``   a :class:`GeneratorSource` in :data:`SOURCES`
+                 (workload zoo)
+``prog.memcpy``  a :class:`GeneratorSource` in :data:`SOURCES` running a
+                 mini-ISA program (intrinsic length, like a trace file)
 ``trace:PATH``   :class:`FileTraceSource` — a saved v1/v2 trace file
 ``extern:PATH``  :class:`ExternalTraceSource` — an external event trace
                  run through the SynchroTrace-style importer
-``source:NAME``  explicit registry lookup (user-registered sources)
 ===============  ======================================================
 
 ``trace:``/``extern:`` ids embed the path, so they resolve identically in
-campaign worker processes without shared registry state.
+every process.
 
 Every source also reports a :meth:`TraceSource.content_id`: the part of
 its identity that the benchmark id, scale and seed do not capture.  File
@@ -43,7 +43,7 @@ from repro.isa.trace import DynInst
 if TYPE_CHECKING:  # circular at runtime: harness.runner uses this module
     from repro.harness.runner import ExperimentScale
 
-#: Bump when a registered generator family changes behaviour, so cached
+#: Bump when a generator family changes behaviour, so cached
 #: campaign results keyed on its content id are invalidated.
 GENERATOR_VERSION = 1
 
@@ -181,42 +181,13 @@ class ExternalTraceSource(TraceSource):
 
 
 # --------------------------------------------------------------------- #
-# Registry
+# Benchmark ids
 # --------------------------------------------------------------------- #
 
-_REGISTRY: dict[str, TraceSource] = {}
+#: The named generator sources, ``zoo.*`` families and ``prog.*``
+#: programs; importing :mod:`repro.traces` fills it.
+SOURCES: dict[str, TraceSource] = {}
 _SYNTHETIC_CACHE: dict[str, SyntheticSource] = {}
-
-
-def register_source(source: TraceSource, replace: bool = False) -> TraceSource:
-    """Make *source* addressable by its name (and ``source:<name>``)."""
-    from repro.workloads.profiles import PROFILES
-
-    if not source.name:
-        raise ValueError("trace source needs a non-empty name")
-    if source.name in PROFILES:
-        raise ValueError(
-            f"{source.name!r} shadows a synthetic benchmark profile"
-        )
-    if not replace and source.name in _REGISTRY:
-        raise ValueError(f"trace source {source.name!r} already registered")
-    _REGISTRY[source.name] = source
-    return source
-
-
-def register_trace_file(name: str, path: str | Path,
-                        replace: bool = False) -> TraceSource:
-    """Register a saved trace file under a short name."""
-    return register_source(FileTraceSource(path, name=name), replace=replace)
-
-
-def unregister_source(name: str) -> None:
-    _REGISTRY.pop(name, None)
-
-
-def list_sources() -> dict[str, TraceSource]:
-    """Registered sources by name (synthetic profiles not included)."""
-    return dict(_REGISTRY)
 
 
 def resolve_source(benchmark_id: str) -> TraceSource:
@@ -235,16 +206,8 @@ def resolve_source(benchmark_id: str) -> TraceSource:
                 benchmark_id, SyntheticSource(benchmark_id)
             )
         return source
-    if benchmark_id in _REGISTRY:
-        return _REGISTRY[benchmark_id]
-    if benchmark_id.startswith("source:"):
-        name = benchmark_id[len("source:"):]
-        if name in _REGISTRY:
-            return _REGISTRY[name]
-        raise KeyError(
-            f"no registered trace source {name!r}; "
-            f"registered: {sorted(_REGISTRY)}"
-        )
+    if benchmark_id in SOURCES:
+        return SOURCES[benchmark_id]
     for prefix, cls in (("trace:", FileTraceSource),
                         ("extern:", ExternalTraceSource)):
         if benchmark_id.startswith(prefix):
@@ -256,8 +219,7 @@ def resolve_source(benchmark_id: str) -> TraceSource:
             return cls(path, name=benchmark_id)
     raise KeyError(
         f"unknown benchmark {benchmark_id!r}: not a synthetic profile, "
-        "registered source, 'source:<name>', 'trace:<path>' or "
-        "'extern:<path>'"
+        "zoo.*/prog.* source, 'trace:<path>' or 'extern:<path>'"
     )
 
 
@@ -271,4 +233,4 @@ def known_benchmark_ids() -> Iterator[str]:
     from repro.workloads.profiles import PROFILES
 
     yield from PROFILES
-    yield from _REGISTRY
+    yield from SOURCES

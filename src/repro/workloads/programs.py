@@ -53,7 +53,7 @@ class ExampleProgram:
 
 def build_trace(program: ExampleProgram) -> ExecutionResult:
     """Assemble, functionally execute, and annotate *program*."""
-    # Imported here: registering the prog.* sources loads neither.
+    # Imported here: filling in the prog.* sources loads neither.
     from repro.isa.assembler import assemble
     from repro.isa.executor import FunctionalExecutor
     from repro.isa.instructions import Register
@@ -229,20 +229,17 @@ def _program_trace(
 
 
 def register_program_sources() -> None:
-    """Register every program as trace source ``prog.<name>``
-    (idempotent).  Like a trace file's, a program's length is intrinsic:
-    the scale's instruction count and the seed are ignored, and the
-    default warmup is clamped to half the program."""
-    from repro.traces.source import GeneratorSource, register_source
+    """Add every program to the trace sources as ``prog.<name>``.  Like
+    a trace file's, a program's length is intrinsic: the scale's
+    instruction count and the seed are ignored, and the default warmup
+    is clamped to half the program."""
+    from repro.traces.source import SOURCES, GeneratorSource
 
     for program in all_programs():
-        register_source(
-            GeneratorSource(
-                f"prog.{program.name}",
-                # A partial, not a lambda: campaign job groups pickle
-                # their source for the worker processes.
-                partial(_program_trace, program),
-                description=f"mini-ISA program: {program.description}",
-            ),
-            replace=True,
+        SOURCES[f"prog.{program.name}"] = GeneratorSource(
+            f"prog.{program.name}",
+            # A partial, not a lambda: campaign job groups pickle their
+            # source for the worker processes.
+            partial(_program_trace, program),
+            description=f"mini-ISA program: {program.description}",
         )

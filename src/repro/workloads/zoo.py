@@ -21,7 +21,8 @@ readable kernels, each isolating one stressor of the bypassing pipeline:
 =================  ====================================================
 
 Every family is a deterministic function of ``(num_instructions, seed)``
-and is registered as a :class:`~repro.traces.source.GeneratorSource`, so
+and is a :class:`~repro.traces.source.GeneratorSource` in
+:data:`repro.traces.source.SOURCES`, so
 ``repro campaign run zoo.pchase zoo.overlap`` sweeps them like any
 benchmark.  Bump :data:`ZOO_VERSION` when a family's output changes:
 campaign cache keys incorporate it.
@@ -336,14 +337,11 @@ def generate_zoo_trace(name: str, num_instructions: int,
 
 
 def register_zoo_sources() -> None:
-    """Register every family with the trace-source registry (idempotent)."""
-    from repro.traces.source import GeneratorSource, register_source
+    """Add every family to the trace sources as ``zoo.<name>``."""
+    from repro.traces.source import SOURCES, GeneratorSource
 
     for name, (generate, description) in FAMILIES.items():
-        register_source(
-            GeneratorSource(
-                f"zoo.{name}", generate,
-                description=description, version=ZOO_VERSION,
-            ),
-            replace=True,
+        SOURCES[f"zoo.{name}"] = GeneratorSource(
+            f"zoo.{name}", generate,
+            description=description, version=ZOO_VERSION,
         )

@@ -1,10 +1,9 @@
 """Tests for the `repro.api` façade.
 
-Pins the PR's compatibility contract — the five standard presets resolved
-through the registry are bit-identical (fields, names, campaign cache
-keys) to the historical factories — and covers the override grammar,
-serialization round trips, stable hashing, and the typed
-`simulate`/`sweep` entry points.
+Pins the compatibility contract — the presets resolve to configs
+bit-identical (fields, names, campaign cache keys) to the historical
+factories — and covers the override grammar, config sets and globs, and
+the typed `simulate`/`sweep` entry points.
 """
 
 from __future__ import annotations
@@ -15,26 +14,14 @@ import pytest
 
 from repro.api import (
     ConfigSpecError,
-    config_from_dict,
-    config_from_json,
-    config_from_toml,
-    config_hash,
-    config_set,
-    config_to_dict,
-    config_to_json,
-    config_to_toml,
-    list_config_sets,
-    list_configs,
-    register_config,
     resolve_config,
     resolve_configs,
     resolve_scale,
     simulate,
     standard_configs,
     sweep,
-    unregister_config,
 )
-from repro.api.configs import split_spec_list
+from repro.api.configs import SETS, split_spec_list
 from repro.experiments.cache import job_key
 from repro.experiments.spec import CampaignSpec, Job
 from repro.harness.runner import SMOKE, ExperimentScale
@@ -46,7 +33,7 @@ TINY = ExperimentScale("tiny", num_instructions=2_000, warmup=500)
 
 
 # --------------------------------------------------------------------- #
-# Preset identity: the registry reproduces the seed factories exactly.
+# Preset identity: the presets reproduce the seed factories exactly.
 # --------------------------------------------------------------------- #
 
 FACTORY_PAIRS = [
@@ -92,17 +79,17 @@ class TestPresetIdentity:
         ]
 
     def test_harness_config_sets(self):
-        assert [c.name for c in config_set("table5")] == \
+        assert [c.name for c in resolve_configs("table5")] == \
             ["nosq-nodelay", "nosq-delay"]
-        assert [c.name for c in config_set("figure4")] == \
+        assert [c.name for c in resolve_configs("figure4")] == \
             ["sq-storesets", "nosq-delay"]
-        assert config_set("figure3") == standard_configs(256)
+        assert resolve_configs("figure3") == standard_configs(256)
         # Figure 5: the baseline plus 13 distinct predictor variants; the
         # 2K/8-bit and unbounded/8-bit points sit on both graphs.
-        figure5 = config_set("figure5")
+        figure5 = resolve_configs("figure5")
         assert figure5[0].name == "sq-perfect" and len(figure5) == 14
         # Ablations: 13 study columns, 3 of them the plain nosq preset.
-        ablations = config_set("ablations")
+        ablations = resolve_configs("ablations")
         assert len(ablations) == 11
         assert "nosq-delay" in [c.name for c in ablations]
 
@@ -137,7 +124,6 @@ class TestOverrides:
         b = resolve_config("nosq?rob_size=96,iq_size=30")
         assert a == b
         assert a.name == "nosq-delay?iq_size=30,rob_size=96"
-        assert config_hash(a) == config_hash(b)
 
     def test_typed_coercion(self):
         assert resolve_config("nosq?svw_enabled=false").svw_enabled is False
@@ -188,8 +174,9 @@ class TestValidationErrors:
         assert fragment in str(excinfo.value)
 
     def test_unknown_set_suggestion(self):
-        with pytest.raises(ConfigSpecError, match="unknown config set"):
-            config_set("standrd")
+        with pytest.raises(ConfigSpecError,
+                           match="did you mean 'standard'"):
+            resolve_configs("standrd")
 
     def test_campaign_spec_rejects_bad_config_string(self):
         with pytest.raises(ValueError, match="unknown config preset"):
@@ -252,131 +239,16 @@ class TestSpecLists:
         ]
 
     def test_same_name_different_config_conflicts(self):
-        register_config(
-            "imposter",
-            lambda window: dataclasses.replace(
-                MachineConfig.nosq(window), rob_size=64
-            ),
-        )
-        try:
-            with pytest.raises(ConfigSpecError, match="conflicting"):
-                resolve_configs("nosq,imposter")
-        finally:
-            unregister_config("imposter")
+        nosq = MachineConfig.nosq()
+        with pytest.raises(ConfigSpecError, match="conflicting"):
+            resolve_configs(["nosq", dataclasses.replace(nosq, rob_size=64)])
 
     def test_no_match_glob(self):
         with pytest.raises(ConfigSpecError, match="matches no preset"):
             resolve_configs("xyz*")
 
-    def test_user_registered_preset(self):
-        register_config(
-            "nosq-tiny-rob",
-            dataclasses.replace(MachineConfig.nosq(), name="nosq-tiny-rob",
-                                rob_size=32),
-            description="test preset",
-        )
-        try:
-            assert resolve_config("nosq-tiny-rob").rob_size == 32
-            # Instance-registered presets are fixed machines: re-applying
-            # the paper's window scaling to an arbitrary base would
-            # compound resources, so @window is an explicit error.
-            with pytest.raises(ConfigSpecError,
-                               match="does not support @window"):
-                resolve_config("nosq-tiny-rob@256")
-            assert "nosq-tiny-rob" in list_configs()
-        finally:
-            unregister_config("nosq-tiny-rob")
-        with pytest.raises(ConfigSpecError):
-            resolve_config("nosq-tiny-rob")
-
     def test_config_sets_listed(self):
-        assert set(list_config_sets()) >= {"standard", "table5", "figure4"}
-
-    def test_replace_cannot_hijack_other_names(self):
-        # replace=True only exempts the preset being replaced: an alias
-        # must not silently shadow another preset's canonical name or a
-        # set name.
-        factory = MachineConfig.nosq
-        with pytest.raises(ConfigSpecError, match="already registered"):
-            register_config("hijacker", lambda window: factory(window),
-                            aliases=("conventional",), replace=True)
-        with pytest.raises(ConfigSpecError, match="already registered"):
-            register_config("standard", lambda window: factory(window),
-                            replace=True)
-        assert resolve_config("conventional").name == "sq-storesets"
-
-    def test_replace_rebinds_own_aliases(self):
-        register_config("replaceme", lambda window: MachineConfig.nosq(window),
-                        aliases=("replaceme-alias",))
-        try:
-            register_config(
-                "replaceme",
-                lambda window: MachineConfig.nosq(window, delay=False),
-                aliases=("replaceme-alias2",), replace=True,
-            )
-            assert resolve_config("replaceme").name == "nosq-nodelay"
-            assert resolve_config("replaceme-alias2").name == "nosq-nodelay"
-            with pytest.raises(ConfigSpecError):
-                resolve_config("replaceme-alias")   # stale alias dropped
-        finally:
-            unregister_config("replaceme")
-
-
-# --------------------------------------------------------------------- #
-# Serialization round trips and stable hashing
-# --------------------------------------------------------------------- #
-
-ROUND_TRIP_SPECS = [
-    "conventional",
-    "nosq",                       # lq_size=None exercises the null path
-    "nosq?backend.rob_size=256",
-    "nosq@256?bypass.history_bits=10",
-    "conventional?scheduler=perfect,svw_enabled=false",
-]
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
-    def test_dict_json_toml_round_trips(self, spec):
-        config = resolve_config(spec)
-        assert config_from_dict(config_to_dict(config)) == config
-        assert config_from_json(config_to_json(config)) == config
-        assert config_from_toml(config_to_toml(config)) == config
-
-    @pytest.mark.parametrize("spec", ROUND_TRIP_SPECS)
-    def test_hash_stable_across_round_trips(self, spec):
-        config = resolve_config(spec)
-        digest = config_hash(config)
-        assert config_hash(config_from_json(config_to_json(config))) == digest
-        assert config_hash(config_from_toml(config_to_toml(config))) == digest
-
-    def test_hash_tracks_every_field(self):
-        base = config_hash(resolve_config("nosq"))
-        assert config_hash(resolve_config("nosq?rob_size=256")) != base
-        assert config_hash(
-            resolve_config("nosq?bypass.history_bits=9")
-        ) != base
-
-    def test_toml_is_parseable_and_sectioned(self):
-        text = config_to_toml(resolve_config("nosq"))
-        assert "[backend]" in text
-        assert "[bypass_predictor]" in text
-        assert "[hierarchy]" in text
-        assert 'lq_size = "none"' in text
-
-    def test_bad_toml_raises(self):
-        with pytest.raises(ConfigSpecError, match="invalid config TOML"):
-            config_from_toml("not [valid")
-
-    def test_toml_none_sentinel_only_for_optional_fields(self):
-        # A *string* field legitimately holding "none" (a config named
-        # "none") must survive the round trip; only Optional fields map
-        # "none" back to null.
-        config = dataclasses.replace(resolve_config("nosq"), name="none")
-        restored = config_from_toml(config_to_toml(config))
-        assert restored == config
-        assert restored.name == "none"
-        assert restored.lq_size is None
+        assert set(SETS) >= {"standard", "table5", "figure4"}
 
 
 # --------------------------------------------------------------------- #

@@ -127,11 +127,12 @@ class TestCommands:
         assert "not a repro trace file" in capsys.readouterr().err
 
     def test_run_source_id_gets_registry_suggestions(self, capsys):
-        # source:-shaped ids can never be config specs; the trace
-        # registry's message (with its suggestions) must survive.
-        assert main(["run", "source:pchse", "gzip", "-n", "2000"]) == 2
+        # prefix:-shaped ids can never be config specs; the trace
+        # source's message (naming the id forms) must survive.
+        assert main(["run", "tarce:g.bt", "gzip", "-n", "2000"]) == 2
         err = capsys.readouterr().err
-        assert "no registered trace source 'pchse'" in err
+        assert "unknown benchmark 'tarce:g.bt'" in err
+        assert "'trace:<path>'" in err
         assert "config" not in err
 
     def test_run_duplicate_config_names_collapse(self, capsys):
@@ -156,19 +157,28 @@ class TestCommands:
         assert "config set" in out
 
 
+_SCALE_COMMANDS = (
+    ["run", "nosq", "gzip"],
+    ["validate", "run", "nosq", "gzip"],
+    ["campaign", "run", "gzip", "--no-cache", "--quiet"],
+)
+_BAD_SCALES = (
+    ["-n", "0"], ["-n", "-5"], ["-n", "-1"], ["-n", "2000", "-w", "-3"],
+    ["-n", "100", "-w", "500"],
+)
+
+
 class TestScaleRejection:
     """A scale that measures nothing exits 2 with one stderr line, on every
     command that takes -n/-w (ExperimentScale is the one check)."""
 
-    @pytest.mark.parametrize("command", (
-        ["run", "nosq", "gzip"],
-        ["validate", "run", "nosq", "gzip"],
-        ["campaign", "run", "gzip", "--no-cache", "--quiet"],
-    ))
-    @pytest.mark.parametrize("scale", (
-        ["-n", "0"], ["-n", "-5"], ["-n", "-1"], ["-n", "2000", "-w", "-3"],
-        ["-n", "100", "-w", "500"],
-    ))
+    # validate run has no -w: validation measures the whole trace.
+    @pytest.mark.parametrize("command,scale", [
+        pytest.param(command, scale, id=f"scale{i}-command{j}")
+        for i, scale in enumerate(_BAD_SCALES)
+        for j, command in enumerate(_SCALE_COMMANDS)
+        if command[0] != "validate" or "-w" not in scale
+    ])
     def test_rejected(self, capsys, tmp_path, monkeypatch, command, scale):
         monkeypatch.chdir(tmp_path)
         assert main(command + scale) == 2
@@ -192,6 +202,13 @@ class TestScaleRejection:
         assert f"warmup (1500) must be less than the trace length " \
             f"({len(trace)})" in err
 
+    def test_validate_run_has_no_warmup(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["validate", "run", "nosq", "gzip", "-n", "2000",
+                  "-w", "5"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: -w 5" in capsys.readouterr().err
+
     @pytest.mark.parametrize("count", ("0", "-3"))
     def test_trace_record_rejected(self, capsys, tmp_path, count):
         out = tmp_path / "t.bt"
@@ -214,6 +231,16 @@ class TestValidateCLI:
         for name in ("sq-perfect", "sq-storesets", "nosq-nodelay",
                      "nosq-delay", "nosq-perfect"):
             assert name in out
+
+    def test_run_trace_file(self, capsys, tmp_path):
+        # A trace file keeps its own length: no -n needed (docs/validation.md).
+        from repro.isa.tracefile import save_trace
+        from repro.workloads import generate_trace
+
+        path = tmp_path / "g600.bt"
+        save_trace(generate_trace("gzip", 600, seed=17), path)
+        assert main(["validate", "run", "nosq", f"trace:{path}"]) == 0
+        assert "all invariants hold" in capsys.readouterr().out
 
     def test_run_requires_benchmark(self, capsys):
         assert main(["validate", "run", "nosq"]) == 2

@@ -627,28 +627,6 @@ class TestCampaignCli:
         assert "reporting the newest scale (3000 instructions" in out
 
 
-class TestCodec:
-    def test_config_roundtrip(self):
-        from repro.experiments.codec import config_from_dict, config_to_dict
-
-        for config in [
-            MachineConfig.conventional(),
-            MachineConfig.conventional(perfect_scheduling=True),
-            MachineConfig.nosq(),
-            MachineConfig.nosq(window=256, perfect=True),
-        ]:
-            assert config_from_dict(config_to_dict(config)) == config
-
-    def test_config_roundtrip_survives_json(self):
-        from repro.experiments.codec import config_from_dict, config_to_dict
-
-        config = MachineConfig.nosq(delay=False)
-        rebuilt = config_from_dict(
-            json.loads(json.dumps(config_to_dict(config)))
-        )
-        assert rebuilt == config
-
-
 class TestDeterminism:
     def test_run_benchmark_reuses_supplied_trace(self):
         from repro.harness.runner import make_trace

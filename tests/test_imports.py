@@ -157,6 +157,17 @@ def test_every_export_resolves(package):
     assert set(module.__all__) <= set(namespace)
 
 
+def test_api_exports():
+    import repro.api
+
+    assert sorted(repro.api.__all__) == [
+        "ConfigSpecError", "NAMED_SCALES", "SimResult", "SweepResult",
+        "effective_warmup", "resolve_config", "resolve_configs",
+        "resolve_scale", "simulate", "standard_configs", "sweep",
+        "validate",
+    ]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'job_kye'"):
         repro.experiments.job_kye

@@ -32,17 +32,14 @@ from repro.harness.runner import ExperimentScale, make_trace
 from repro.isa.tracefile import TraceFormatError, load_trace, save_trace
 from repro.pipeline import MachineConfig, simulate
 from repro.traces import (
-    FileTraceSource,
     GeneratorSource,
     binformat,
     import_synchrotrace,
     is_binary_trace,
     read_trace,
-    register_source,
     resolve_source,
     source_identity,
     trace_info,
-    unregister_source,
     write_trace,
 )
 from repro.workloads import generate_trace
@@ -473,20 +470,6 @@ class TestSources:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             resolve_source("trace:/no/such/file.bt")
-
-    def test_registry_rejects_duplicates_and_shadows(self, tmp_path):
-        path = tmp_path / "t.bt"
-        save_trace(build_trace([("alu", 8)]), path, version=2)
-        register_source(FileTraceSource(path, name="my-trace"))
-        try:
-            assert resolve_source("my-trace").path == path
-            assert resolve_source("source:my-trace").path == path
-            with pytest.raises(ValueError, match="already registered"):
-                register_source(FileTraceSource(path, name="my-trace"))
-            with pytest.raises(ValueError, match="shadows"):
-                register_source(FileTraceSource(path, name="gzip"))
-        finally:
-            unregister_source("my-trace")
 
     def test_generator_source_version_in_content_id(self):
         source = GeneratorSource("x", lambda n, s: [], version=7)

@@ -21,8 +21,7 @@ import dataclasses
 import pytest
 from hypothesis import given, settings
 
-from repro.api import resolve_config, validate
-from repro.api.configs import config_set
+from repro.api import resolve_config, resolve_configs, validate
 from repro.core import partial_word
 from repro.harness.runner import SMOKE, ExperimentScale
 from repro.isa import bits, semantics
@@ -133,7 +132,7 @@ class TestStandardZooRegression:
     def test_zoo_family_clean_on_standard_presets(self, family):
         trace = resolve_source(f"zoo.{family}").trace(SMOKE, 17)
         result = run_validation(
-            config_set("standard"), trace, benchmark=f"zoo.{family}"
+            resolve_configs("standard"), trace, benchmark=f"zoo.{family}"
         )
         assert result.ok, "\n".join(
             r.describe() for r in result.reports if not r.ok
