@@ -83,7 +83,10 @@ class BypassPredictorStats:
 
 
 class _Table:
-    """One set-associative predictor table with LRU sets."""
+    """One set-associative predictor table with LRU sets.
+
+    Each set's dict is built on first touch (``None`` until then).
+    """
 
     def __init__(self, config: BypassPredictorConfig) -> None:
         self.config = config
@@ -95,7 +98,7 @@ class _Table:
             self.num_sets = config.entries_per_table // config.assoc
             if self.num_sets & (self.num_sets - 1):
                 raise ValueError("number of sets must be a power of two")
-        self._sets: list[dict[int, _Entry]] = [dict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, _Entry] | None] = [None] * self.num_sets
         self._tag_mask = (1 << config.tag_bits) - 1
         self._index_bits = max(1, self.num_sets.bit_length() - 1)
         self._hash_shift = 32 - self._index_bits
@@ -103,24 +106,31 @@ class _Table:
         self._unbounded = config.unbounded
 
     def _locate(self, key: int) -> tuple[dict[int, _Entry], int]:
+        """The set for *key* (built if untouched) and *key*'s tag in it."""
         if self.config.unbounded:
-            return self._sets[0], key
-        # Multiplicative (Fibonacci) hash so strided instruction layouts
-        # spread uniformly across sets; the (partial) tag keeps the low key
-        # bits for disambiguation.
-        index = ((key * 0x9E3779B1) >> (32 - self._index_bits)) & (
-            self.num_sets - 1
-        )
-        tag = key & self._tag_mask
-        return self._sets[index], tag
+            index, tag = 0, key
+        else:
+            # Multiplicative (Fibonacci) hash so strided instruction
+            # layouts spread uniformly across sets; the (partial) tag keeps
+            # the low key bits for disambiguation.
+            index = ((key * 0x9E3779B1) >> self._hash_shift) & self._index_mask
+            tag = key & self._tag_mask
+        entries = self._sets[index]
+        if entries is None:
+            entries = self._sets[index] = {}
+        return entries, tag
 
     def lookup(self, key: int) -> _Entry | None:
-        # _locate inlined: two lookups per predicted load.
+        # _locate inlined (two lookups per predicted load); an untouched
+        # set holds nothing, so a lookup never builds one.
         if self._unbounded:
-            return self._sets[0].get(key)
+            entries = self._sets[0]
+            return entries.get(key) if entries is not None else None
         index = ((key * 0x9E3779B1) >> self._hash_shift) & self._index_mask
-        tag = key & self._tag_mask
         entries = self._sets[index]
+        if entries is None:
+            return None
+        tag = key & self._tag_mask
         entry = entries.get(tag)
         if entry is not None:
             # Refresh LRU position.
@@ -145,7 +155,7 @@ class _Table:
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)
 
 
 class BypassingPredictor:

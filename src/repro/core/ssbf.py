@@ -87,8 +87,27 @@ class TaggedSSBF:
             self.max_recorded_ssn = ssn
         first = addr >> _WORD_SHIFT
         last = (addr + size - 1) >> _WORD_SHIFT
-        words = (first,) if first == last else range(first, last + 1)
-        for word in words:
+        if first == last:
+            # A store inside one word: its offset is its start and its
+            # span its size, so the clamps below reduce to nothing.
+            index = first & self._index_mask
+            entries = self._sets[index]
+            tag = first >> self._tag_shift
+            offset = addr & 7
+            entry = entries.get(tag)
+            if entry is not None:
+                entry.ssn = ssn
+                entry.offset = offset
+                entry.size = size
+                entry.start = offset
+                return
+            if len(entries) >= self.assoc:
+                victim = entries.pop(next(iter(entries)))
+                if victim.ssn > self._evicted[index]:
+                    self._evicted[index] = victim.ssn
+            entries[tag] = SSBFEntry(ssn, offset, size, offset)
+            return
+        for word in range(first, last + 1):
             # _locate inlined (runs per committed store).
             index = word & self._index_mask
             entries = self._sets[index]

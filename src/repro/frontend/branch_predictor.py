@@ -107,14 +107,18 @@ class BTB:
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
         self.assoc = assoc
-        self._sets: list[dict[int, int]] = [dict() for _ in range(self.num_sets)]
+        #: Per-set dicts, each built on first touch (``None`` until then).
+        self._sets: list[dict[int, int] | None] = [None] * self.num_sets
+        self._hash_shift = 32 - (self.num_sets.bit_length() - 1)
+        self._set_mask = self.num_sets - 1
 
     def lookup_and_update(self, pc: int, target: int) -> bool:
         """Probe the BTB for *pc*; insert/refresh the mapping. True on hit."""
-        bits = self.num_sets.bit_length() - 1
-        index = (((pc >> 2) * 0x9E3779B1) >> (32 - bits)) & (self.num_sets - 1)
         tag = pc >> 2
+        index = ((tag * 0x9E3779B1) >> self._hash_shift) & self._set_mask
         btb_set = self._sets[index]
+        if btb_set is None:
+            btb_set = self._sets[index] = {}
         hit = btb_set.get(tag) == target
         if tag in btb_set:
             btb_set.pop(tag)

@@ -28,6 +28,15 @@ from repro.isa.opcodes import OpClass
 #: than the trace" (i.e. no in-trace store wrote the byte).
 MEMORY_SOURCE = -1
 
+#: ``(is_load, is_store, is_branch, port)`` per operation class, indexed by
+#: ``op``: one tuple read per constructed instruction instead of three enum
+#: member reads and an ``int()`` call (DESIGN.md §4, "enum members are
+#: bound once").
+_OP_TRAITS = tuple(
+    (op is OpClass.LOAD, op is OpClass.STORE, op is OpClass.BRANCH, int(op))
+    for op in OpClass
+)
+
 
 @dataclass(slots=True)
 class DynInst:
@@ -86,11 +95,9 @@ class DynInst:
     port: int = field(init=False, default=0)
 
     def __post_init__(self) -> None:
-        op = self.op
-        self.is_load = op is OpClass.LOAD
-        self.is_store = op is OpClass.STORE
-        self.is_branch = op is OpClass.BRANCH
-        self.port = int(op)
+        self.is_load, self.is_store, self.is_branch, self.port = (
+            _OP_TRAITS[self.op]
+        )
 
     @property
     def communicates(self) -> bool:
@@ -130,32 +137,55 @@ def annotate_trace(trace: Sequence[DynInst]) -> list[DynInst]:
     from repro.frontend.path_history import fill_path_history
 
     fill_path_history(trace)
-    last_writer: dict[int, tuple[int, int]] = {}  # byte addr -> (store_seq, inst_seq)
+    # byte addr -> (store_seq, inst_seq).  Every byte a store writes shares
+    # one tuple, so a load whose bytes have one writer (or none) is found
+    # by a single list.count over its bytes' writers.
+    last_writer: dict[int, tuple[int, int]] = {}
+    writer_of = last_writer.get
+    update = last_writer.update
+    fromkeys = dict.fromkeys
     store_count = 0
     for inst in trace:
         if inst.is_store:
             inst.store_seq = store_count
-            for byte in range(inst.addr, inst.addr + inst.size):
-                last_writer[byte] = (store_count, inst.seq)
+            addr = inst.addr
+            update(fromkeys(range(addr, addr + inst.size),
+                            (store_count, inst.seq)))
             store_count += 1
         elif inst.is_load:
-            sources = []
+            addr = inst.addr
+            size = inst.size
+            writers = list(map(writer_of, range(addr, addr + size)))
+            first = writers[0] if writers else None
+            if writers.count(first) == size:
+                # Every byte has the same writer (or none): the common case.
+                if first is None:
+                    inst.src_stores = (MEMORY_SOURCE,) * size
+                    inst.containing_store = MEMORY_SOURCE
+                    inst.unique_stores = ()
+                    inst.dist_insns = -1
+                else:
+                    store = first[0]
+                    inst.src_stores = (store,) * size
+                    inst.containing_store = store
+                    inst.unique_stores = (store,)
+                    inst.dist_insns = inst.seq - first[1]
+                continue
             youngest_inst_seq = -1
-            for byte in range(inst.addr, inst.addr + inst.size):
-                writer = last_writer.get(byte)
+            sources = []
+            for writer in writers:
                 if writer is None:
                     sources.append(MEMORY_SOURCE)
                 else:
                     sources.append(writer[0])
-                    youngest_inst_seq = max(youngest_inst_seq, writer[1])
+                    if writer[1] > youngest_inst_seq:
+                        youngest_inst_seq = writer[1]
             inst.src_stores = tuple(sources)
-            unique = set(sources)
-            if len(unique) == 1 and MEMORY_SOURCE not in unique:
-                inst.containing_store = sources[0]
-            else:
-                inst.containing_store = MEMORY_SOURCE
+            # Bytes have at least two distinct writers here, so no single
+            # store contains the load.
+            inst.containing_store = MEMORY_SOURCE
             inst.unique_stores = tuple(
-                s for s in unique if s != MEMORY_SOURCE
+                s for s in set(sources) if s != MEMORY_SOURCE
             )
             inst.dist_insns = (
                 inst.seq - youngest_inst_seq if youngest_inst_seq >= 0 else -1
@@ -206,25 +236,35 @@ def communication_stats(
             inst.store_seq: inst.size for inst in trace if inst.is_store
         }
     stats = TraceStats(window=window)
+    stores = branches = loads = 0
+    communicating = multi_source = partial_word = 0
     for inst in trace:
         if inst.is_store:
-            stats.stores += 1
+            stores += 1
         elif inst.is_branch:
-            stats.branches += 1
+            branches += 1
         elif inst.is_load:
-            stats.loads += 1
-            if not inst.communicates:
+            loads += 1
+            # unique_stores is non-empty exactly when the load communicates.
+            sources = inst.unique_stores
+            if not sources:
                 continue
-            if inst.dist_insns < 0 or inst.dist_insns > window:
+            dist = inst.dist_insns
+            if dist < 0 or dist > window:
                 continue
-            stats.communicating_loads += 1
-            if inst.is_multi_source:
-                stats.multi_source_loads += 1
-            partial = inst.size < 8 or any(
-                store_sizes.get(s, 8) < 8
-                for s in inst.src_stores
-                if s != MEMORY_SOURCE
-            )
-            if partial:
-                stats.partial_word_loads += 1
+            communicating += 1
+            # A communicating load is single-source exactly when one store
+            # contains it.
+            if inst.containing_store == MEMORY_SOURCE:
+                multi_source += 1
+            if inst.size < 8 or any(
+                store_sizes.get(s, 8) < 8 for s in sources
+            ):
+                partial_word += 1
+    stats.loads = loads
+    stats.stores = stores
+    stats.branches = branches
+    stats.communicating_loads = communicating
+    stats.multi_source_loads = multi_source
+    stats.partial_word_loads = partial_word
     return stats

@@ -42,7 +42,10 @@ class Cache:
     """A write-back, write-allocate, set-associative cache.
 
     Each set is an ordered dict from tag to dirty bit; ordering encodes LRU
-    (last item = most recently used).
+    (last item = most recently used).  A set's dict is built on first
+    touch (``None`` until then): a short run touches few of an L2's
+    thousands of sets, and building and freeing the rest dominated
+    processor set-up.
     """
 
     def __init__(
@@ -62,7 +65,7 @@ class Cache:
             raise ValueError("number of sets must be a power of two")
         self.name = name
         self.stats = CacheStats()
-        self._sets: list[dict[int, bool]] = [dict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, bool] | None] = [None] * self.num_sets
         self._set_mask = self.num_sets - 1
         self._line_shift = line_bytes.bit_length() - 1
         self._tag_shift = self.num_sets.bit_length() - 1
@@ -74,7 +77,8 @@ class Cache:
     def lookup(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
         index, tag = self._index_tag(addr)
-        return tag in self._sets[index]
+        cache_set = self._sets[index]
+        return cache_set is not None and tag in cache_set
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Access the line containing *addr*; allocate on miss.
@@ -84,7 +88,10 @@ class Cache:
         """
         # _index_tag inlined: this runs for every cache access in the model.
         line = addr >> self._line_shift
-        cache_set = self._sets[line & self._set_mask]
+        index = line & self._set_mask
+        cache_set = self._sets[index]
+        if cache_set is None:
+            cache_set = self._sets[index] = {}
         tag = line >> self._tag_shift
         hit = tag in cache_set
         if hit:
@@ -108,9 +115,8 @@ class Cache:
 
     def invalidate_all(self) -> None:
         """Flush the cache (used by SSN-wraparound pipeline drains)."""
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets = [None] * self.num_sets
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)

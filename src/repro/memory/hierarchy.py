@@ -37,9 +37,12 @@ class MemoryHierarchy:
         cfg = self.config
         l1 = self.l1
         line = addr >> l1._line_shift
-        cache_set = l1._sets[line & l1._set_mask]
+        index = line & l1._set_mask
+        cache_set = l1._sets[index]
         tag = line >> l1._tag_shift
-        if tag in cache_set:
+        if cache_set is None:
+            cache_set = l1._sets[index] = {}
+        elif tag in cache_set:
             cache_set[tag] = cache_set.pop(tag)
             l1.stats.read_hits += 1
             return cfg.l1_latency
@@ -61,9 +64,12 @@ class MemoryHierarchy:
         cfg = self.config
         l1 = self.l1
         line = addr >> l1._line_shift
-        cache_set = l1._sets[line & l1._set_mask]
+        index = line & l1._set_mask
+        cache_set = l1._sets[index]
         tag = line >> l1._tag_shift
-        if tag in cache_set:
+        if cache_set is None:
+            cache_set = l1._sets[index] = {}
+        elif tag in cache_set:
             cache_set.pop(tag)
             cache_set[tag] = True
             l1.stats.write_hits += 1

@@ -47,13 +47,14 @@ class TLB:
         self.stats = TLBStats()
         self._sets: list[dict[int, None]] = [dict() for _ in range(self.num_sets)]
         self._page_shift = page_bytes.bit_length() - 1
+        self._set_mask = self.num_sets - 1
+        self._tag_shift = self.num_sets.bit_length() - 1
 
     def access(self, addr: int) -> int:
         """Translate *addr*; returns the added latency (0 on hit)."""
         vpn = addr >> self._page_shift
-        index = vpn & (self.num_sets - 1)
-        tag = vpn >> (self.num_sets.bit_length() - 1)
-        tlb_set = self._sets[index]
+        tag = vpn >> self._tag_shift
+        tlb_set = self._sets[vpn & self._set_mask]
         if tag in tlb_set:
             tlb_set.pop(tag)
             tlb_set[tag] = None

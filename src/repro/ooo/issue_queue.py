@@ -25,7 +25,6 @@ class IssueQueueTracker:
         self.capacity = capacity
         self._scheduled: list[int] = []  # heap of issue cycles
         self._unscheduled = 0            # entries with unknown issue cycle
-        self.peak_occupancy = 0
 
     def occupancy(self, cycle: int) -> int:
         """Entries still waiting at the start of *cycle*."""
@@ -43,19 +42,11 @@ class IssueQueueTracker:
 
     def add_scheduled(self, issue_cycle: int) -> None:
         """Dispatch an entry whose issue cycle is already decided."""
-        scheduled = self._scheduled
-        heapq.heappush(scheduled, issue_cycle)
-        current = len(scheduled) + self._unscheduled
-        if current > self.peak_occupancy:
-            self.peak_occupancy = current
+        heapq.heappush(self._scheduled, issue_cycle)
 
     def add_unscheduled(self) -> None:
         """Dispatch an entry waiting on an external event (delayed load)."""
         self._unscheduled += 1
-        # Peak tracking inlined (this runs once per issue-queue dispatch).
-        current = len(self._scheduled) + self._unscheduled
-        if current > self.peak_occupancy:
-            self.peak_occupancy = current
 
     def schedule_unscheduled(self, issue_cycle: int) -> None:
         """Give a previously unscheduled entry its issue cycle."""

@@ -62,7 +62,6 @@ class StoreQueue:
             raise ValueError("store queue capacity must be positive")
         self.capacity = capacity
         self._entries: list[StoreQueueEntry] = []
-        self.peak_occupancy = 0
         self.searches = 0
 
     def __len__(self) -> int:
@@ -78,7 +77,6 @@ class StoreQueue:
         if self._entries and entry.seq <= self._entries[-1].seq:
             raise ValueError("store queue entries must be age-ordered")
         self._entries.append(entry)
-        self.peak_occupancy = max(self.peak_occupancy, len(self._entries))
 
     def commit_head(self) -> StoreQueueEntry:
         if not self._entries:
@@ -129,7 +127,6 @@ class LoadQueueTracker:
     def __init__(self, capacity: int | None) -> None:
         self.capacity = capacity
         self.occupancy = 0
-        self.peak_occupancy = 0
 
     @property
     def unlimited(self) -> bool:
@@ -142,7 +139,6 @@ class LoadQueueTracker:
         if not self.has_space():
             raise RuntimeError("dispatch into a full load queue")
         self.occupancy += 1
-        self.peak_occupancy = max(self.peak_occupancy, self.occupancy)
 
     def remove(self, count: int = 1) -> None:
         if count > self.occupancy:

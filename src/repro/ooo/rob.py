@@ -79,13 +79,11 @@ class InFlightInst:
         self.port_class = 0
         self.min_ready = 0
         self.in_iq = False
-        if inst.is_load:
-            self.init_load_fields()
-
-    def init_load_fields(self) -> None:
-        """Bypassing/verification state only loads carry (and only loads
-        read); split out of __init__ so the ~75% of instructions that are
-        not loads skip twelve slot initializations."""
+        if not inst.is_load:
+            return
+        # Bypassing/verification state only loads carry (and only loads
+        # read): the ~75% of instructions that are not loads skip twelve
+        # slot initializations.
         self.dcache_read_cycle = -1
         self.bypassed = False
         self.delayed = False

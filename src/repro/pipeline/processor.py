@@ -73,10 +73,16 @@ class SimulationError(RuntimeError):
 #: committed writer is timing-neutral (its completion cycle is below every
 #: later consumer's readiness floor), so the per-register walk only needs to
 #: run often enough to bound mapper memory.
-_RETIRE_BATCH = 64
+_RETIRE_BATCH = 256
 
-#: Load issue-port index (avoids an enum lookup per scheduled load).
+# Enum members the per-instruction paths compare against, bound once: a
+# member read costs about ten module-global reads (DESIGN.md §4).
+_NOP = OpClass.NOP
+_ALU_PORT = int(OpClass.ALU)
 _LOAD_PORT = int(OpClass.LOAD)
+_SKIP = BypassVerdict.SKIP
+_REEXEC = BypassVerdict.REEXEC
+_TRANSFORM_MISMATCH = BypassVerdict.TRANSFORM_MISMATCH
 
 
 class Processor:
@@ -172,6 +178,10 @@ class Processor:
         #: Opportunistic SMB applies at dispatch in conventional mode only
         #: (a NoSQ config with smb_opportunistic keeps just its training).
         self._smb = config.smb_opportunistic and self._is_conventional
+        self._perfect_scheduling = config.scheduler is SchedulerKind.PERFECT
+        self._perfect_bypass = config.bypass is BypassKind.PERFECT
+        self._delay_enabled = config.delay_enabled
+        self._svw_enabled = config.svw_enabled
         self._exec_delay = config.exec_delay
         self._frontend_depth = config.frontend_depth
         self._l1_latency = config.hierarchy.l1_latency
@@ -398,7 +408,7 @@ class Processor:
         is_conventional = self._is_conventional
         smb = self._smb
         stats = self.stats
-        nop = OpClass.NOP
+        nop = _NOP
         pos = self._pos
         dispatched = 0
         group_branches = 0
@@ -457,10 +467,7 @@ class Processor:
                 entry.ssn_rename_at_dispatch = ssn.rename
                 if not lq_unlimited:
                     # lq.insert inlined (space pre-checked above).
-                    occ = lq.occupancy + 1
-                    lq.occupancy = occ
-                    if occ > lq.peak_occupancy:
-                        lq.peak_occupancy = occ
+                    lq.occupancy += 1
                 if is_conventional:
                     floor = self._dispatch_load_conventional(entry)
                 else:
@@ -547,8 +554,8 @@ class Processor:
                             latency = l1_latency
                         # tlb.access's hit path inlined.
                         vpn = addr >> tlb._page_shift
-                        tlb_set = tlb._sets[vpn & (tlb.num_sets - 1)]
-                        tag = vpn >> (tlb.num_sets.bit_length() - 1)
+                        tlb_set = tlb._sets[vpn & tlb._set_mask]
+                        tag = vpn >> tlb._tag_shift
                         if tag in tlb_set:
                             tlb_set.pop(tag)
                             tlb_set[tag] = None
@@ -560,13 +567,9 @@ class Processor:
                         stats.ooo_dcache_reads += 1
                     else:
                         entry.complete_cycle = issue + inst.lat
-                    # add_unscheduled + schedule_unscheduled fused (and
-                    # iq.add_scheduled inlined): occupancy and peak
-                    # tracking see identical totals.
+                    # add_unscheduled + schedule_unscheduled fused
+                    # (iq.add_scheduled inlined).
                     heappush(iq_heap, issue)
-                    current = len(iq_heap) + iq._unscheduled
-                    if current > iq.peak_occupancy:
-                        iq.peak_occupancy = current
                 if is_store:
                     self._enter_store_queue(entry)
                 elif smb and is_load:
@@ -728,7 +731,7 @@ class Processor:
             entry.sq_forwarded = True
             entry.predicted_store_seq = source_seq
 
-        if self.config.scheduler is SchedulerKind.PERFECT:
+        if self._perfect_scheduling:
             # Oracle scheduling: wait for every in-flight source store, and
             # for committed ones to become visible.
             inflight = self._inflight_stores
@@ -828,7 +831,7 @@ class Processor:
 
     def _dispatch_load_nosq(self, entry: InFlightInst) -> int:
         inst = entry.inst
-        if self.config.bypass is BypassKind.PERFECT:
+        if self._perfect_bypass:
             return self._dispatch_load_nosq_perfect(entry)
 
         pred = self.bypass_predictor.predict(inst.pc, inst.path_hist)
@@ -855,7 +858,7 @@ class Processor:
         if srq_entry is None or srq_entry.ssn != ssn_byp:
             raise SimulationError(f"in-flight SSN {ssn_byp} missing from SRQ")
 
-        if self.config.delay_enabled and not pred.confident:
+        if self._delay_enabled and not pred.confident:
             # Delay: wait for the predicted store to commit, then read the
             # cache safely.
             entry.delayed = True
@@ -941,7 +944,7 @@ class Processor:
         else:
             # Injected shift & mask operation in place of the load.
             entry.sched_kind = "exec"
-            entry.port_class = int(OpClass.ALU)
+            entry.port_class = _ALU_PORT
             entry.injected_op = True
             self._enter_issue_queue(entry)
             self.pregs.allocate(entry.seq)
@@ -1253,16 +1256,16 @@ class Processor:
             verdict = self.svw.test_bypassing(
                 inst.addr, inst.size, entry.predicted_ssn, entry.predicted_shift
             )
-            if not self.config.svw_enabled and verdict is BypassVerdict.SKIP:
+            if not self._svw_enabled and verdict is _SKIP:
                 # Unfiltered re-execution: verify every bypassed load with
                 # a cache access (Section 2.2's strawman).
-                verdict = BypassVerdict.REEXEC
-            if verdict is BypassVerdict.SKIP:
+                verdict = _REEXEC
+            if verdict is _SKIP:
                 if not value_ok:
                     raise SimulationError(
                         f"SVW passed a wrong bypassed value at seq {inst.seq}"
                     )
-            elif verdict is BypassVerdict.TRANSFORM_MISMATCH:
+            elif verdict is _TRANSFORM_MISMATCH:
                 if value_ok:
                     raise SimulationError(
                         "transform mismatch reported for a correct bypass"
@@ -1311,7 +1314,7 @@ class Processor:
                 )
                 if needs_reexec:
                     svw_stats.nonbypassing_reexecs += 1
-            if not self.config.svw_enabled:
+            if not self._svw_enabled:
                 # Unfiltered: any load that executed with older stores in
                 # flight is speculative and must re-execute.
                 needs_reexec = needs_reexec or ssn_nvul < entry.ssn_rename_at_dispatch

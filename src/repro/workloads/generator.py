@@ -37,10 +37,19 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
+from itertools import accumulate
 
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInst, annotate_trace
 from repro.workloads.profiles import BenchmarkProfile
+
+# Operation classes bound once: an enum member read costs about ten module
+# global reads, and every emitted instruction needs one (DESIGN.md §4).
+_ALU = OpClass.ALU
+_COMPLEX = OpClass.COMPLEX
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
 
 # Architectural register conventions (see repro.isa.instructions).
 _BASE_REG = 5        # never written: always-ready base address register
@@ -253,12 +262,15 @@ class SyntheticWorkload:
         expected_loads = int(num_instructions * self.profile.load_frac)
         self._sites = self._build_sites(expected_loads)
         self._first_pass = {kind: 0 for kind in self._sites}
-        self._zipf_weights: dict[str, list[float]] = {}
+        self._zipf_cum_weights: dict[str, list[float]] = {}
         kinds = [kind for kind, _ in self._event_weights]
-        weights = [weight for _, weight in self._event_weights]
+        # choices(weights=w) accumulates w on every call and then draws
+        # exactly as choices(cum_weights=accumulate(w)): same RNG stream.
+        cum_weights = list(accumulate(w for _, w in self._event_weights))
+        choices = self._rng.choices
         while len(self._trace) < num_instructions:
             self._emit_due_far_loads()
-            kind = self._rng.choices(kinds, weights=weights, k=1)[0]
+            kind = choices(kinds, cum_weights=cum_weights, k=1)[0]
             site = self._pick_site(kind)
             site.instances += 1
             self._emit_event(kind, site)
@@ -279,11 +291,13 @@ class SyntheticWorkload:
         if cursor < 2 * len(sites):
             self._first_pass[kind] = cursor + 1
             return sites[cursor % len(sites)]
-        weights = self._zipf_weights.get(kind)
-        if weights is None:
-            weights = [1.0 / (rank + 1) ** 0.8 for rank in range(len(sites))]
-            self._zipf_weights[kind] = weights
-        return self._rng.choices(sites, weights=weights, k=1)[0]
+        cum_weights = self._zipf_cum_weights.get(kind)
+        if cum_weights is None:
+            cum_weights = list(accumulate(
+                1.0 / (rank + 1) ** 0.8 for rank in range(len(sites))
+            ))
+            self._zipf_cum_weights[kind] = cum_weights
+        return self._rng.choices(sites, cum_weights=cum_weights, k=1)[0]
 
     # -- low-level emitters ------------------------------------------------
 
@@ -308,12 +322,12 @@ class SyntheticWorkload:
 
     def _alu(self, pc: int, dst: int, srcs: tuple[int, ...] = ()) -> DynInst:
         return self._emit(
-            DynInst(seq=0, pc=pc, op=OpClass.ALU, srcs=srcs, dst=dst, lat=1)
+            DynInst(seq=0, pc=pc, op=_ALU, srcs=srcs, dst=dst, lat=1)
         )
 
     def _fp(self, pc: int, dst: int, srcs: tuple[int, ...] = ()) -> DynInst:
         return self._emit(
-            DynInst(seq=0, pc=pc, op=OpClass.COMPLEX, srcs=srcs, dst=dst, lat=4)
+            DynInst(seq=0, pc=pc, op=_COMPLEX, srcs=srcs, dst=dst, lat=4)
         )
 
     def _load(
@@ -323,7 +337,7 @@ class SyntheticWorkload:
         dst = self._next_load_reg()
         return self._emit(
             DynInst(
-                seq=0, pc=pc, op=OpClass.LOAD, srcs=(base,), dst=dst, lat=1,
+                seq=0, pc=pc, op=_LOAD, srcs=(base,), dst=dst, lat=1,
                 addr=addr, size=size, signed=signed, fp_convert=fp_convert,
             )
         )
@@ -334,7 +348,7 @@ class SyntheticWorkload:
     ) -> DynInst:
         return self._emit(
             DynInst(
-                seq=0, pc=pc, op=OpClass.STORE, srcs=(base, data_reg), lat=1,
+                seq=0, pc=pc, op=_STORE, srcs=(base, data_reg), lat=1,
                 addr=addr, size=size, fp_convert=fp_convert,
             )
         )
@@ -346,7 +360,7 @@ class SyntheticWorkload:
     ) -> DynInst:
         return self._emit(
             DynInst(
-                seq=0, pc=pc, op=OpClass.BRANCH, srcs=srcs, lat=1,
+                seq=0, pc=pc, op=_BRANCH, srcs=srcs, lat=1,
                 dst=None, taken=taken, target=target,
                 is_call=is_call, is_return=is_return,
             )

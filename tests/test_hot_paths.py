@@ -1,0 +1,198 @@
+"""Guards for the per-instruction fast paths (DESIGN.md §4).
+
+* ``DynInst`` derives its kind flags and issue port from its op, also
+  after ``dataclasses.replace``.
+* Per-set tables are built on first touch: a fresh processor holds none,
+  and scripted cache, hierarchy and BTB access sequences reproduce the
+  hits, misses, LRU victims, writebacks, occupancy and ``invalidate_all``
+  behaviour pinned below (recorded from the eager-table implementation).
+* The per-instruction methods read no enum member attribute.
+"""
+
+import ast
+import dataclasses
+import hashlib
+import inspect
+import random
+import textwrap
+
+import pytest
+
+from repro.api import resolve_config, standard_configs
+from repro.frontend.branch_predictor import BTB
+from repro.isa.opcodes import OpClass
+from repro.isa.trace import DynInst
+from repro.memory.cache import Cache
+from repro.memory.hierarchy import MemoryHierarchy
+from repro.pipeline.config import HierarchyConfig
+from repro.pipeline.processor import Processor
+
+
+def _kind_of(op: OpClass) -> tuple:
+    return (op is OpClass.LOAD, op is OpClass.STORE, op is OpClass.BRANCH,
+            int(op))
+
+
+def _flags(inst: DynInst) -> tuple:
+    return inst.is_load, inst.is_store, inst.is_branch, inst.port
+
+
+class TestDynInstKinds:
+    @pytest.mark.parametrize("op", list(OpClass))
+    def test_flags_follow_op(self, op):
+        inst = DynInst(seq=0, pc=0x1000, op=op)
+        assert _flags(inst) == _kind_of(op)
+        assert type(inst.port) is int
+
+    @pytest.mark.parametrize("op", list(OpClass))
+    def test_flags_follow_replaced_op(self, op):
+        for start in OpClass:
+            inst = dataclasses.replace(
+                DynInst(seq=3, pc=0x1000, op=start), op=op
+            )
+            assert _flags(inst) == _kind_of(op)
+
+
+# -- per-set tables ----------------------------------------------------- #
+
+def _set_dump(sets) -> list:
+    """Touched, non-empty sets with their entries in LRU order."""
+    return [
+        (index, list(entries.items()))
+        for index, entries in enumerate(sets)
+        if entries
+    ]
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
+def _cache_script():
+    rng = random.Random(5)
+    cache = Cache(size_bytes=4096, assoc=2, line_bytes=64)  # 32 sets
+    hits = []
+    for _ in range(3000):
+        # A 96-line hot set over 64 lines of capacity, plus cold lines.
+        if rng.random() < 0.7:
+            addr = 64 * rng.randrange(96) + rng.randrange(64)
+        else:
+            addr = rng.randrange(32 * 1024)
+        hits.append(cache.access(addr, is_write=rng.random() < 0.3))
+    lookups = [cache.lookup(rng.randrange(32 * 1024)) for _ in range(200)]
+    stats = cache.stats
+    before = (
+        stats.read_hits, stats.read_misses, stats.write_hits,
+        stats.write_misses, stats.writebacks, cache.occupancy,
+    )
+    state = _set_dump(cache._sets)
+    cache.invalidate_all()
+    after = (cache.occupancy, cache.access(0x40), cache.access(0x40),
+             cache.occupancy)
+    return before, _digest((hits, lookups, state)), after
+
+
+def _hierarchy_script():
+    rng = random.Random(11)
+    hierarchy = MemoryHierarchy(HierarchyConfig(
+        l1_size=2048, l1_assoc=2, l2_size=8192, l2_assoc=4,
+    ))
+    latencies = []
+    for _ in range(3000):
+        if rng.random() < 0.7:
+            addr = 64 * rng.randrange(160)
+        else:
+            addr = rng.randrange(64 * 1024)
+        if rng.random() < 0.3:
+            latencies.append(hierarchy.write(addr))
+        else:
+            latencies.append(hierarchy.read(addr))
+    l1, l2 = hierarchy.l1, hierarchy.l2
+    counts = tuple(
+        (c.stats.read_hits, c.stats.read_misses, c.stats.write_hits,
+         c.stats.write_misses, c.stats.writebacks, c.occupancy)
+        for c in (l1, l2)
+    )
+    state = (_set_dump(l1._sets), _set_dump(l2._sets))
+    hierarchy.drain()
+    return counts, _digest((latencies, state)), (l1.occupancy, l2.occupancy)
+
+
+def _btb_script():
+    rng = random.Random(7)
+    btb = BTB(entries=64, assoc=4)  # 16 sets
+    hits = []
+    for _ in range(3000):
+        pc = 0x1000 + 4 * rng.randrange(100)
+        target = 0x8000 + 4 * (pc % 3 if rng.random() < 0.9 else 3)
+        hits.append(btb.lookup_and_update(pc, target))
+    occupancy = sum(len(s) for s in btb._sets if s)
+    return sum(hits), occupancy, _digest((hits, _set_dump(btb._sets)))
+
+
+class TestSetTables:
+    def test_fresh_processor_builds_no_set(self):
+        for config in [*standard_configs(), resolve_config("conventional-smb")]:
+            processor = Processor(config)
+            tables = [
+                processor.hierarchy.l1._sets,
+                processor.hierarchy.l2._sets,
+                processor.btb._sets,
+            ]
+            predictor = processor.bypass_predictor
+            if predictor is not None:
+                tables += [predictor._plain._sets, predictor._path._sets]
+            for sets in tables:
+                assert all(entries is None for entries in sets)
+
+    def test_cache_script_matches_eager_tables(self):
+        assert _cache_script() == (
+            (776, 1333, 299, 592, 745, 64),
+            "a620ee6e276ff45e",
+            (0, False, True, 1),
+        )
+
+    def test_hierarchy_script_matches_eager_tables(self):
+        assert _hierarchy_script() == (
+            ((247, 1884, 101, 768, 824, 32), (663, 1221, 252, 516, 604, 128)),
+            "d212cc3e1ffca038",
+            (0, 0),
+        )
+
+    def test_btb_script_matches_eager_tables(self):
+        assert _btb_script() == (1560, 64, "fbb5ddf845630cf7")
+
+
+# -- no enum reads on the per-instruction paths ---------------------------- #
+
+_ENUMS = {"OpClass", "Mode", "SchedulerKind", "BypassKind", "BypassVerdict"}
+_HOT_METHODS = (
+    (Processor, "_dispatch_stage"),
+    (Processor, "_commit_stage"),
+    (Processor, "_commit_load"),
+    (Processor, "_dispatch_load_conventional"),
+    (Processor, "_dispatch_load_nosq"),
+    (Processor, "_dispatch_load_nosq_perfect"),
+    (DynInst, "__post_init__"),
+)
+
+
+def test_dispatch_load_methods_all_listed():
+    listed = {name for _, name in _HOT_METHODS}
+    found = {name for name in vars(Processor) if name.startswith("_dispatch_load_")}
+    assert found <= listed
+
+
+@pytest.mark.parametrize(
+    "owner,name", _HOT_METHODS, ids=[name for _, name in _HOT_METHODS]
+)
+def test_hot_method_reads_no_enum_member(owner, name):
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    reads = [
+        f"{node.value.id}.{node.attr}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in _ENUMS
+    ]
+    assert reads == []

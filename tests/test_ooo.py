@@ -215,12 +215,6 @@ class TestIssueQueueTracker:
         iq.remove_scheduled(50)
         assert iq.has_space(0)
 
-    def test_peak_tracking(self):
-        iq = IssueQueueTracker(4)
-        iq.add_scheduled(10)
-        iq.add_scheduled(10)
-        assert iq.peak_occupancy == 2
-
 
 class TestStoreQueue:
     def _sq_entry(self, seq, addr, size, exec_complete=10):

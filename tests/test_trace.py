@@ -1,9 +1,12 @@
 """Tests for the trace format and ground-truth annotation."""
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.isa.opcodes import OpClass
 from repro.isa.trace import (
     MEMORY_SOURCE,
+    DynInst,
+    annotate_trace,
     communication_stats,
 )
 from tests.conftest import build_trace
@@ -122,6 +125,116 @@ class TestAnnotation:
                     for b in range(inst.addr, inst.addr + inst.size)
                 )
                 assert inst.src_stores == expected
+
+
+#: One stream element: (kind, byte address, size).  Addresses span five
+#: words from 0x100, so accesses are unaligned, straddle words, overlap
+#: earlier writers partially and hit never-written bytes.
+_ACCESS = st.tuples(
+    st.sampled_from(["ld", "st", "alu"]),
+    st.integers(min_value=0x100, max_value=0x128),
+    st.sampled_from([1, 2, 4, 8]),
+)
+
+
+def _stream(ops) -> list[DynInst]:
+    trace = []
+    for seq, (kind, addr, size) in enumerate(ops):
+        if kind == "alu":
+            trace.append(DynInst(seq=seq, pc=4 * seq, op=OpClass.ALU, dst=8))
+        elif kind == "st":
+            trace.append(DynInst(seq=seq, pc=4 * seq, op=OpClass.STORE,
+                                 srcs=(5, 8), addr=addr, size=size))
+        else:
+            trace.append(DynInst(seq=seq, pc=4 * seq, op=OpClass.LOAD,
+                                 srcs=(5,), dst=16, addr=addr, size=size))
+    return annotate_trace(trace)
+
+
+def _reference_annotations(trace) -> list[tuple]:
+    """Per-byte replay of the annotation definitions, one load at a time."""
+    writer: dict[int, tuple[int, int]] = {}  # byte -> (store_seq, inst seq)
+    store_count = 0
+    out = []
+    for inst in trace:
+        if inst.is_store:
+            for byte in range(inst.addr, inst.addr + inst.size):
+                writer[byte] = (store_count, inst.seq)
+            out.append(("st", store_count))
+            store_count += 1
+        elif inst.is_load:
+            found = [writer.get(b) for b in range(inst.addr, inst.addr + inst.size)]
+            sources = tuple(MEMORY_SOURCE if w is None else w[0] for w in found)
+            distinct = set(sources)
+            containing = (
+                sources[0]
+                if len(distinct) == 1 and MEMORY_SOURCE not in distinct
+                else MEMORY_SOURCE
+            )
+            # The historical set(src_stores) iteration order.
+            unique = tuple(s for s in distinct if s != MEMORY_SOURCE)
+            seqs = [w[1] for w in found if w is not None]
+            dist = inst.seq - max(seqs) if seqs else -1
+            out.append(("ld", sources, containing, unique, dist))
+        else:
+            out.append(("other", inst.store_seq))
+    return out
+
+
+def _annotations(trace) -> list[tuple]:
+    return [
+        ("st", inst.store_seq) if inst.is_store
+        else ("ld", inst.src_stores, inst.containing_store,
+              inst.unique_stores, inst.dist_insns) if inst.is_load
+        else ("other", inst.store_seq)
+        for inst in trace
+    ]
+
+
+def _reference_stats(trace, window: int) -> tuple:
+    sizes = {i.store_seq: i.size for i in trace if i.is_store}
+    loads = [i for i in trace if i.is_load]
+    comm = [i for i in loads if i.communicates and 0 <= i.dist_insns <= window]
+    partial = [
+        i for i in comm
+        if i.size < 8 or any(
+            sizes[s] < 8 for s in i.src_stores if s != MEMORY_SOURCE
+        )
+    ]
+    return (
+        len(loads), sum(i.is_store for i in trace),
+        sum(i.is_branch for i in trace), len(comm), len(partial),
+        sum(i.is_multi_source for i in comm),
+    )
+
+
+#: Stores 5 and 8 feed one load: set({5, 8}) iterates 8 before 5, so a
+#: unique_stores built in any other order fails this example.
+_SET_ORDER_CASE = (
+    [("st", 0x110, 1)] * 5 + [("st", 0x100, 4)] + [("st", 0x110, 1)] * 2
+    + [("st", 0x104, 4), ("ld", 0x100, 8)]
+)
+
+
+class TestAnnotationProperties:
+    @given(st.lists(_ACCESS, min_size=1, max_size=80))
+    @example(_SET_ORDER_CASE)
+    @settings(max_examples=300)
+    def test_annotations_match_byte_reference(self, ops):
+        trace = _stream(ops)
+        assert _annotations(trace) == _reference_annotations(trace)
+
+    @given(st.lists(_ACCESS, min_size=1, max_size=80),
+           st.sampled_from([1, 4, 16, 128]))
+    @settings(max_examples=200)
+    def test_communication_stats_match_definition(self, ops, window):
+        trace = _stream(ops)
+        stats = communication_stats(trace, window=window)
+        assert (
+            stats.loads, stats.stores, stats.branches,
+            stats.communicating_loads, stats.partial_word_loads,
+            stats.multi_source_loads,
+        ) == _reference_stats(trace, window)
 
 
 class TestCommunicationStats:
