@@ -73,7 +73,7 @@ class SimulationError(RuntimeError):
 #: committed writer is timing-neutral (its completion cycle is below every
 #: later consumer's readiness floor), so the per-register walk only needs to
 #: run often enough to bound mapper memory.
-_RETIRE_BATCH = 256
+_RETIRE_BATCH = 64
 
 # Enum members the per-instruction paths compare against, bound once: a
 # member read costs about ten module-global reads (DESIGN.md §4).
