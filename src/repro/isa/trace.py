@@ -178,8 +178,7 @@ def annotate_trace(trace: Sequence[DynInst]) -> list[DynInst]:
                     sources.append(MEMORY_SOURCE)
                 else:
                     sources.append(writer[0])
-                    if writer[1] > youngest_inst_seq:
-                        youngest_inst_seq = writer[1]
+                    youngest_inst_seq = max(youngest_inst_seq, writer[1])
             inst.src_stores = tuple(sources)
             # Bytes have at least two distinct writers here, so no single
             # store contains the load.
@@ -236,35 +235,26 @@ def communication_stats(
             inst.store_seq: inst.size for inst in trace if inst.is_store
         }
     stats = TraceStats(window=window)
-    stores = branches = loads = 0
-    communicating = multi_source = partial_word = 0
     for inst in trace:
         if inst.is_store:
-            stores += 1
+            stats.stores += 1
         elif inst.is_branch:
-            branches += 1
+            stats.branches += 1
         elif inst.is_load:
-            loads += 1
+            stats.loads += 1
             # unique_stores is non-empty exactly when the load communicates.
             sources = inst.unique_stores
             if not sources:
                 continue
-            dist = inst.dist_insns
-            if dist < 0 or dist > window:
+            if inst.dist_insns < 0 or inst.dist_insns > window:
                 continue
-            communicating += 1
+            stats.communicating_loads += 1
             # A communicating load is single-source exactly when one store
             # contains it.
             if inst.containing_store == MEMORY_SOURCE:
-                multi_source += 1
+                stats.multi_source_loads += 1
             if inst.size < 8 or any(
                 store_sizes.get(s, 8) < 8 for s in sources
             ):
-                partial_word += 1
-    stats.loads = loads
-    stats.stores = stores
-    stats.branches = branches
-    stats.communicating_loads = communicating
-    stats.multi_source_loads = multi_source
-    stats.partial_word_loads = partial_word
+                stats.partial_word_loads += 1
     return stats
