@@ -56,6 +56,14 @@ from repro.isa.trace import DynInst, annotate_trace
 from repro.isa.tracefile import TraceFormatError
 
 #: Base register conventions (match the synthetic generator's).
+# Operation classes bound once: an enum member read costs about ten module
+# global reads, and every emitted instruction needs one (DESIGN.md §4).
+_ALU = OpClass.ALU
+_COMPLEX = OpClass.COMPLEX
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
 _BASE_REG = 5
 _CONST_REG = 6
 _DEF_REGS = tuple(range(8, 14))
@@ -100,14 +108,14 @@ class _Builder:
             dst = _DEF_REGS[self._def_index]
             self._def_index = (self._def_index + 1) % len(_DEF_REGS)
             self._emit(DynInst(
-                seq=0, pc=self._pc(tid, "comp", eid + i), op=OpClass.ALU,
+                seq=0, pc=self._pc(tid, "comp", eid + i), op=_ALU,
                 srcs=(dst,), dst=dst, lat=1,
             ))
         for i in range(flops):
             reg = _FP_REGS[self._fp_index]
             self._fp_index = (self._fp_index + 1) % len(_FP_REGS)
             self._emit(DynInst(
-                seq=0, pc=self._pc(tid, "fp", eid + i), op=OpClass.COMPLEX,
+                seq=0, pc=self._pc(tid, "fp", eid + i), op=_COMPLEX,
                 srcs=(reg,), dst=reg, lat=4,
             ))
 
@@ -124,11 +132,11 @@ class _Builder:
             self._load_index = (self._load_index + 1) % len(_LOAD_REGS)
             pc = self._pc(tid, kind, piece_addr >> 3)
             self._emit(DynInst(
-                seq=0, pc=pc, op=OpClass.LOAD, srcs=(_BASE_REG,), dst=dst,
+                seq=0, pc=pc, op=_LOAD, srcs=(_BASE_REG,), dst=dst,
                 lat=1, addr=piece_addr, size=size,
             ))
             self._emit(DynInst(
-                seq=0, pc=pc + 4, op=OpClass.ALU, srcs=(dst,), dst=_USE_REG,
+                seq=0, pc=pc + 4, op=_ALU, srcs=(dst,), dst=_USE_REG,
                 lat=1,
             ))
 
@@ -136,28 +144,28 @@ class _Builder:
         for piece_addr, size in self._access_pieces(addr, nbytes):
             self._emit(DynInst(
                 seq=0, pc=self._pc(tid, "write", piece_addr >> 3),
-                op=OpClass.STORE, srcs=(_BASE_REG, _CONST_REG), lat=1,
+                op=_STORE, srcs=(_BASE_REG, _CONST_REG), lat=1,
                 addr=piece_addr, size=size,
             ))
 
     def branch(self, tid: int, eid: int, taken: bool) -> None:
         pc = self._pc(tid, "branch", eid)
         self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.BRANCH, srcs=(_USE_REG,), lat=1,
+            seq=0, pc=pc, op=_BRANCH, srcs=(_USE_REG,), lat=1,
             taken=taken, target=pc + 0x20,
         ))
 
     def call(self, tid: int, eid: int) -> None:
         pc = self._pc(tid, "call", eid)
         self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.BRANCH, lat=1, taken=True,
+            seq=0, pc=pc, op=_BRANCH, lat=1, taken=True,
             target=pc + 0x100, is_call=True,
         ))
 
     def ret(self, tid: int, eid: int) -> None:
         pc = self._pc(tid, "ret", eid)
         self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.BRANCH, lat=1, taken=True,
+            seq=0, pc=pc, op=_BRANCH, lat=1, taken=True,
             target=pc + 4, is_return=True,
         ))
 

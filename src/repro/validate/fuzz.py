@@ -54,6 +54,13 @@ NUM_SITES = 4
 #: Base of the fuzzed data region.
 DATA_BASE = 0x8000
 
+# Operation classes bound once: an enum member read costs about ten module
+# global reads, and every emitted instruction needs one (DESIGN.md §4).
+_ALU = OpClass.ALU
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
 _SIZES = (1, 2, 4, 8)
 
 
@@ -73,7 +80,7 @@ def ops_to_trace(ops: Sequence[Op]) -> list[DynInst]:
             _, slot, off, size, site, fp = op
             trace.append(DynInst(
                 seq=index, pc=0x2000 + 16 * (site % NUM_SITES),
-                op=OpClass.STORE, srcs=(5, 8 + site % 4),
+                op=_STORE, srcs=(5, 8 + site % 4),
                 addr=DATA_BASE + 8 * (slot % NUM_SLOTS) + off % 8,
                 size=size, fp_convert=fp and size == 4, lat=1,
             ))
@@ -82,7 +89,7 @@ def ops_to_trace(ops: Sequence[Op]) -> list[DynInst]:
             fp = fp and size == 4
             trace.append(DynInst(
                 seq=index, pc=0x2004 + 16 * (site % NUM_SITES),
-                op=OpClass.LOAD, srcs=(5,), dst=load_reg,
+                op=_LOAD, srcs=(5,), dst=load_reg,
                 addr=DATA_BASE + 8 * (slot % NUM_SLOTS) + off % 8,
                 size=size, signed=signed and not fp, fp_convert=fp, lat=1,
             ))
@@ -90,23 +97,23 @@ def ops_to_trace(ops: Sequence[Op]) -> list[DynInst]:
         elif kind == "alu":
             r = op[1] % 4
             trace.append(DynInst(
-                seq=index, pc=0x3000 + 4 * r, op=OpClass.ALU,
+                seq=index, pc=0x3000 + 4 * r, op=_ALU,
                 dst=8 + r, srcs=(8 + (r + 1) % 4,), lat=1,
             ))
         elif kind == "br":
             _, taken, site = op
             trace.append(DynInst(
-                seq=index, pc=0x3100 + 16 * (site % 2), op=OpClass.BRANCH,
+                seq=index, pc=0x3100 + 16 * (site % 2), op=_BRANCH,
                 taken=taken, target=pc + 0x40, lat=1,
             ))
         elif kind == "call":
             trace.append(DynInst(
-                seq=index, pc=0x3200 + 16 * (op[1] % 2), op=OpClass.BRANCH,
+                seq=index, pc=0x3200 + 16 * (op[1] % 2), op=_BRANCH,
                 taken=True, target=pc + 0x100, is_call=True, lat=1,
             ))
         elif kind == "ret":
             trace.append(DynInst(
-                seq=index, pc=0x3300, op=OpClass.BRANCH,
+                seq=index, pc=0x3300, op=_BRANCH,
                 taken=True, target=pc + 4, is_return=True, lat=1,
             ))
         else:

@@ -40,6 +40,14 @@ from repro.isa.trace import DynInst, annotate_trace
 #: Behavioural version of the zoo families (part of campaign cache keys).
 ZOO_VERSION = 1
 
+# Operation classes bound once: an enum member read costs about ten module
+# global reads, and every emitted instruction needs one (DESIGN.md §4).
+_ALU = OpClass.ALU
+_COMPLEX = OpClass.COMPLEX
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
 _BASE_REG = 5
 _CONST_REG = 6
 _DEF_REGS = tuple(range(8, 14))
@@ -78,19 +86,19 @@ class _Builder:
         if dst is None:
             dst = self.def_reg()
         return self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.ALU, srcs=srcs, dst=dst, lat=1,
+            seq=0, pc=pc, op=_ALU, srcs=srcs, dst=dst, lat=1,
         ))
 
     def fp(self, pc: int, dst: int, srcs: tuple[int, ...] = ()) -> DynInst:
         return self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.COMPLEX, srcs=srcs, dst=dst, lat=4,
+            seq=0, pc=pc, op=_COMPLEX, srcs=srcs, dst=dst, lat=4,
         ))
 
     def load(self, pc: int, addr: int, size: int = 8, *,
              signed: bool = False, base: int = _BASE_REG) -> DynInst:
         self._load_index = (self._load_index + 1) % len(_LOAD_REGS)
         return self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.LOAD, srcs=(base,),
+            seq=0, pc=pc, op=_LOAD, srcs=(base,),
             dst=_LOAD_REGS[self._load_index], lat=1, addr=addr, size=size,
             signed=signed,
         ))
@@ -98,7 +106,7 @@ class _Builder:
     def store(self, pc: int, addr: int, size: int = 8,
               data_reg: int = _CONST_REG) -> DynInst:
         return self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.STORE, srcs=(_BASE_REG, data_reg),
+            seq=0, pc=pc, op=_STORE, srcs=(_BASE_REG, data_reg),
             lat=1, addr=addr, size=size,
         ))
 
@@ -106,7 +114,7 @@ class _Builder:
                srcs: tuple[int, ...] = (), is_call: bool = False,
                is_return: bool = False) -> DynInst:
         return self._emit(DynInst(
-            seq=0, pc=pc, op=OpClass.BRANCH, srcs=srcs, lat=1, taken=taken,
+            seq=0, pc=pc, op=_BRANCH, srcs=srcs, lat=1, taken=taken,
             target=target if target is not None else pc + 0x20,
             is_call=is_call, is_return=is_return,
         ))
