@@ -8,7 +8,7 @@
   distance-based store-load bypassing predictor with confidence/delay
   (Section 3.3).
 * :mod:`repro.core.ssbf` -- the tagged store sequence Bloom filter (T-SSBF)
-  and its untagged variant (Sections 2.2 and 3.4).
+  (Sections 2.2 and 3.4).
 * :mod:`repro.core.svw` -- SVW re-execution filtering with SMB-aware
   equality/inequality tests (Section 3.4).
 * :mod:`repro.core.partial_word` -- partial-word bypassing transformations
@@ -29,7 +29,6 @@ _EXPORTS = {
     "BypassPrediction": "bypass_predictor",
     "BypassPredictorConfig": "bypass_predictor",
     "TaggedSSBF": "ssbf",
-    "UntaggedSSBF": "ssbf",
     "SSBFEntry": "ssbf",
     "SVWFilter": "svw",
     "BypassVerdict": "svw",

@@ -1,23 +1,21 @@
-"""Store sequence Bloom filters (Sections 2.2, 3.4, 3.5).
+"""The tagged store sequence Bloom filter, T-SSBF (Sections 2.2, 3.4, 3.5).
 
 The SVW filter tracks, per (hashed) address, the SSN of the youngest
-committed store to write there.
+committed store to write there.  The original untagged, direct-mapped
+SSBF is safe only for *inequality* tests (aliasing can only cause
+spurious re-executions, never missed ones); :class:`TaggedSSBF` adds tags
+with FIFO sets, enabling the *equality* test NoSQ's bypassed loads need
+("equality tests ... are unsafe in the presence of aliasing,
+necessitating tags").  Each entry also holds the store's low-order address
+bits and access size so that partial-word shift predictions can be
+verified without replay (Section 3.5).  Per the paper's configuration
+each entry is 8 bytes: a 20-bit SSN, 3-bit offset, 3-bit size, and a
+38-bit tag; 128 entries, 4-way.  A store that straddles two words needs
+one more bit in its later word's entry: whether the store began in the
+previous word, so the shift is measured from the store's real start
+rather than from the word base.
 
-* :class:`UntaggedSSBF` is the original direct-mapped, untagged design: safe
-  only for *inequality* tests (aliasing can only cause spurious
-  re-executions, never missed ones).
-* :class:`TaggedSSBF` (T-SSBF) adds tags with FIFO sets, enabling the
-  *equality* test NoSQ's bypassed loads need ("equality tests ... are unsafe
-  in the presence of aliasing, necessitating tags").  Each entry also holds
-  the store's low-order address bits and access size so that partial-word
-  shift predictions can be verified without replay (Section 3.5).  Per the
-  paper's configuration each entry is 8 bytes: a 20-bit SSN, 3-bit offset,
-  3-bit size, and a 38-bit tag; 128 entries, 4-way.  A store that straddles
-  two words needs one more bit in its later word's entry: whether the store
-  began in the previous word, so the shift is measured from the store's
-  real start rather than from the word base.
-
-Both filters track addresses at 8-byte-word granularity.  On a tag miss the
+The filter tracks addresses at 8-byte-word granularity.  On a tag miss the
 T-SSBF cannot prove the load safe against stores whose entries were evicted,
 so each set maintains the maximum SSN it ever evicted; the inequality test
 compares against this watermark, keeping the filter conservative.
@@ -44,12 +42,6 @@ class SSBFEntry:
     def store_range(self) -> tuple[int, int]:
         """(start, end) byte offsets of the store within its word."""
         return self.offset, self.offset + self.size
-
-
-def _words_touched(addr: int, size: int) -> range:
-    first = addr >> _WORD_SHIFT
-    last = (addr + size - 1) >> _WORD_SHIFT
-    return range(first, last + 1)
 
 
 class TaggedSSBF:
@@ -137,11 +129,6 @@ class TaggedSSBF:
         index, tag = self._locate(addr >> _WORD_SHIFT)
         return self._sets[index].get(tag)
 
-    def evicted_watermark(self, addr: int) -> int:
-        """Max SSN evicted from the set covering *addr* (0 if none)."""
-        index, _ = self._locate(addr >> _WORD_SHIFT)
-        return self._evicted[index]
-
     def youngest_store_ssn(self, addr: int, size: int) -> int:
         """Conservative upper bound on the SSN of the youngest committed
         store overlapping [addr, addr+size): the max over touched words of
@@ -172,38 +159,3 @@ class TaggedSSBF:
         self._evicted = [0] * self.num_sets
         self.max_recorded_ssn = 0
 
-
-class UntaggedSSBF:
-    """The original direct-mapped untagged SSBF (inequality tests only)."""
-
-    def __init__(self, entries: int = 1024) -> None:
-        if entries & (entries - 1):
-            raise ValueError("entry count must be a power of two")
-        self.entries = entries
-        self._ssns = [0] * entries
-        #: Same global watermark as :attr:`TaggedSSBF.max_recorded_ssn`.
-        self.max_recorded_ssn = 0
-        self.updates = 0
-        self.lookups = 0
-
-    def _index(self, word: int) -> int:
-        return word & (self.entries - 1)
-
-    def update(self, addr: int, size: int, ssn: int) -> None:
-        self.updates += 1
-        if ssn > self.max_recorded_ssn:
-            self.max_recorded_ssn = ssn
-        for word in _words_touched(addr, size):
-            index = self._index(word)
-            if ssn > self._ssns[index]:
-                self._ssns[index] = ssn
-
-    def youngest_store_ssn(self, addr: int, size: int) -> int:
-        self.lookups += 1
-        return max(
-            self._ssns[self._index(word)] for word in _words_touched(addr, size)
-        )
-
-    def clear(self) -> None:
-        self._ssns = [0] * self.entries
-        self.max_recorded_ssn = 0

@@ -113,10 +113,6 @@ class Cache:
             cache_set[tag] = is_write
         return hit
 
-    def invalidate_all(self) -> None:
-        """Flush the cache (used by SSN-wraparound pipeline drains)."""
-        self._sets = [None] * self.num_sets
-
     @property
     def occupancy(self) -> int:
         return sum(len(s) for s in self._sets if s is not None)

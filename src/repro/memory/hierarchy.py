@@ -85,11 +85,3 @@ class MemoryHierarchy:
             return latency
         return latency + cfg.memory_latency + self._line_fill_cycles
 
-    def probe(self, addr: int) -> bool:
-        """Non-destructive L1 presence check."""
-        return self.l1.lookup(addr)
-
-    def drain(self) -> None:
-        """Flush both cache levels (SSN wraparound drains)."""
-        self.l1.invalidate_all()
-        self.l2.invalidate_all()

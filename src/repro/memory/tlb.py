@@ -66,6 +66,3 @@ class TLB:
         tlb_set[tag] = None
         return self.miss_penalty
 
-    def invalidate_all(self) -> None:
-        for tlb_set in self._sets:
-            tlb_set.clear()

@@ -2,10 +2,10 @@
 
 * :class:`StoreSets` -- the Chrysos/Emer predictor used for load scheduling
   by the paper's realistic conventional baseline.
-* :class:`PerfectScheduler` -- oracle load scheduling (the normalization
-  baseline of Figures 2 and 3: "associative SQ and perfect load scheduling").
-* :class:`PerfectBypassPredictor` -- oracle bypassing prediction with
-  idealized partial-word support (the "Perfect SMB" bars).
+
+The idealized configurations need no predictor object: perfect load
+scheduling and perfect SMB read the trace's ground-truth annotations
+directly in :class:`~repro.pipeline.processor.Processor`.
 """
 
 from repro._lazy import lazy_exports
@@ -14,8 +14,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "StoreSets": "store_sets",
     "StoreSetsStats": "store_sets",
-    "PerfectScheduler": "oracle",
-    "PerfectBypassPredictor": "oracle",
 }
 
 __all__ = list(_EXPORTS)

@@ -4,9 +4,10 @@
   after ``dataclasses.replace``.
 * Per-set tables are built on first touch: a fresh processor holds none,
   and scripted cache, hierarchy and BTB access sequences reproduce the
-  hits, misses, LRU victims, writebacks, occupancy and ``invalidate_all``
-  behaviour pinned below (recorded from the eager-table implementation).
-* The per-instruction methods read no enum member attribute.
+  hits, misses, LRU victims, writebacks and occupancy pinned below
+  (recorded from the eager-table implementation).
+* The per-instruction methods, and the trace emitters of the zoo, the
+  external-trace importer and the fuzzer, read no enum member attribute.
 """
 
 import ast
@@ -26,6 +27,9 @@ from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import HierarchyConfig
 from repro.pipeline.processor import Processor
+from repro.traces import importers
+from repro.validate import fuzz
+from repro.workloads import zoo
 
 
 def _kind_of(op: OpClass) -> tuple:
@@ -86,10 +90,7 @@ def _cache_script():
         stats.write_misses, stats.writebacks, cache.occupancy,
     )
     state = _set_dump(cache._sets)
-    cache.invalidate_all()
-    after = (cache.occupancy, cache.access(0x40), cache.access(0x40),
-             cache.occupancy)
-    return before, _digest((hits, lookups, state)), after
+    return before, _digest((hits, lookups, state))
 
 
 def _hierarchy_script():
@@ -114,8 +115,7 @@ def _hierarchy_script():
         for c in (l1, l2)
     )
     state = (_set_dump(l1._sets), _set_dump(l2._sets))
-    hierarchy.drain()
-    return counts, _digest((latencies, state)), (l1.occupancy, l2.occupancy)
+    return counts, _digest((latencies, state))
 
 
 def _btb_script():
@@ -149,14 +149,12 @@ class TestSetTables:
         assert _cache_script() == (
             (776, 1333, 299, 592, 745, 64),
             "a620ee6e276ff45e",
-            (0, False, True, 1),
         )
 
     def test_hierarchy_script_matches_eager_tables(self):
         assert _hierarchy_script() == (
             ((247, 1884, 101, 768, 824, 32), (663, 1221, 252, 516, 604, 128)),
             "d212cc3e1ffca038",
-            (0, 0),
         )
 
     def test_btb_script_matches_eager_tables(self):
@@ -183,16 +181,32 @@ def test_dispatch_load_methods_all_listed():
     assert found <= listed
 
 
-@pytest.mark.parametrize(
-    "owner,name", _HOT_METHODS, ids=[name for _, name in _HOT_METHODS]
-)
-def test_hot_method_reads_no_enum_member(owner, name):
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
-    reads = [
+def _enum_reads(code) -> list[str]:
+    source = textwrap.dedent(inspect.getsource(code))
+    return [
         f"{node.value.id}.{node.attr}"
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
         and node.value.id in _ENUMS
     ]
-    assert reads == []
+
+
+@pytest.mark.parametrize(
+    "owner,name", _HOT_METHODS, ids=[name for _, name in _HOT_METHODS]
+)
+def test_hot_method_reads_no_enum_member(owner, name):
+    assert _enum_reads(getattr(owner, name)) == []
+
+
+#: Code that builds one DynInst per emitted instruction.
+_EMITTERS = {
+    "zoo._Builder": zoo._Builder,
+    "importers._Builder": importers._Builder,
+    "fuzz.ops_to_trace": fuzz.ops_to_trace,
+}
+
+
+@pytest.mark.parametrize("name", list(_EMITTERS))
+def test_trace_emitter_reads_no_enum_member(name):
+    assert _enum_reads(_EMITTERS[name]) == []

@@ -100,13 +100,6 @@ class TestCache:
         assert cache.stats.read_misses == 1
         assert cache.stats.write_hits == 1
 
-    def test_invalidate_all(self):
-        cache = Cache(size_bytes=1024, assoc=2)
-        cache.access(0x0)
-        cache.invalidate_all()
-        assert cache.occupancy == 0
-        assert cache.access(0x0) is False
-
     def test_lookup_is_non_destructive(self):
         cache = Cache(size_bytes=1024, assoc=2)
         assert cache.lookup(0x0) is False
@@ -136,12 +129,6 @@ class TestHierarchy:
         hierarchy.write(0x9000)
         assert hierarchy.read(0x9000) == hierarchy.config.l1_latency
 
-    def test_drain_flushes_both_levels(self):
-        hierarchy = MemoryHierarchy()
-        hierarchy.read(0x100)
-        hierarchy.drain()
-        assert hierarchy.read(0x100) > hierarchy.config.memory_latency
-
 
 class TestTLB:
     def test_miss_then_hit(self):
@@ -159,12 +146,6 @@ class TestTLB:
         tlb.access(c)           # evicts b
         assert tlb.access(a) == 0
         assert tlb.access(b) == 30
-
-    def test_invalidate_all(self):
-        tlb = TLB()
-        tlb.access(0x5000)
-        tlb.invalidate_all()
-        assert tlb.access(0x5000) == tlb.miss_penalty
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
