@@ -2,8 +2,7 @@
 
 The :class:`RegisterMapper` is the register alias table (RAT) at
 architectural granularity: it maps each architectural register to the
-in-flight instruction that produces its current value (or to "committed" if
-the youngest writer has left the window).
+instruction that produced its current value.
 
 NoSQ's speculative memory bypassing is implemented exactly as the paper's
 rename-stage short-circuit: a bypassed load's destination register is mapped
@@ -11,12 +10,17 @@ to the *producer of the predicted store's data input* (the DEF in the
 DEF-store-load-USE chain), so consumers wake up on the DEF's completion
 rather than on a load execution that never happens.
 
-The mapper keeps per-register writer stacks so a verification flush can
-restore the mapping precisely (writers younger than the flushed load are
-popped).
+Each entry holds one producer.  A writer stores the producer it
+overwrites in its own ``undo_producer`` slot, so a verification flush
+restores the map by walking the squashed writers youngest-first.  A
+committed producer simply stays mapped until the next writer: its
+completion cycle is below every later consumer's readiness floor, so
+reading it is the same as reading "ready" (DESIGN.md §4).
 """
 
 from __future__ import annotations
+
+from typing import Iterable
 
 from repro.isa.instructions import NUM_ARCH_REGS, REG_ZERO
 from repro.ooo.rob import InFlightInst
@@ -25,29 +29,24 @@ from repro.ooo.rob import InFlightInst
 class RegisterMapper:
     """Architectural-register RAT with flush rollback.
 
-    Each architectural register maps to a stack of ``(seq, producer)`` pairs
-    where ``producer`` is the :class:`InFlightInst` whose result the register
-    holds (bypassed loads push the DEF instruction instead of themselves).
-    An empty stack means the architectural value is committed and ready.
+    ``producers[reg]`` is the :class:`InFlightInst` whose result *reg*
+    holds, or None if no instruction has written *reg* yet.
     """
 
     def __init__(self, num_regs: int = NUM_ARCH_REGS) -> None:
         self.num_regs = num_regs
-        self._stacks: list[list[tuple[int, InFlightInst]]] = [
-            [] for _ in range(num_regs)
-        ]
+        self.producers: list[InFlightInst | None] = [None] * num_regs
 
     def producer(self, reg: int) -> InFlightInst | None:
-        """Youngest in-flight producer of *reg*, or None if committed."""
-        stack = self._stacks[reg]
-        return stack[-1][1] if stack else None
+        """Youngest producer of *reg* (possibly committed), or None."""
+        return self.producers[reg]
 
     def ready_cycle(self, reg: int) -> int:
         """Cycle at which the current value of *reg* is available (0 if
-        already committed).  Unscheduled producers report a huge sentinel;
-        callers must only query registers whose producers are scheduled."""
-        producer = self.producer(reg)
-        if producer is None or reg == REG_ZERO:
+        never written).  Callers must only query registers whose producers
+        are scheduled."""
+        producer = self.producers[reg]
+        if producer is None:
             return 0
         if producer.complete_cycle < 0:
             raise RuntimeError(
@@ -55,40 +54,18 @@ class RegisterMapper:
             )
         return producer.complete_cycle
 
-    def define(self, reg: int | None, seq: int, producer: InFlightInst) -> None:
-        """Record that the instruction at *seq* redefines *reg* and that
-        its value is produced by *producer* (normally the instruction
-        itself; for SMB loads, the DEF)."""
+    def define(self, reg: int | None, entry: InFlightInst) -> None:
+        """Map *reg* to *entry*, remembering the producer it overwrites."""
         if reg is None or reg == REG_ZERO:
             return
-        self._stacks[reg].append((seq, producer))
+        producers = self.producers
+        entry.undo_producer = producers[reg]
+        producers[reg] = entry
 
-    def retire_older_than(self, seq: int) -> None:
-        """Drop mappings for writers at or before *seq* that are shadowed.
-
-        The bottom of each stack only needs the youngest committed writer
-        (flush rollback may expose it); we prune stale entries to bound
-        memory on long traces.  One scan + one bulk delete per stack: the
-        cycle loop batches calls (one per ~64 commits), so stacks carry a
-        long committed prefix and repeated ``del stack[0]`` would be
-        quadratic.
-        """
-        for stack in self._stacks:
-            if not stack or stack[0][0] > seq:
-                continue
-            length = len(stack)
-            keep = 1
-            while keep < length and stack[keep][0] <= seq:
-                keep += 1
-            if keep == length:
-                # Every writer committed; the value is architectural.
-                stack.clear()
-            elif keep > 1:
-                # Shadowed committed prefix; keep the youngest committed.
-                del stack[:keep - 1]
-
-    def squash_younger(self, seq: int) -> None:
-        """Remove mappings created by instructions younger than *seq*."""
-        for stack in self._stacks:
-            while stack and stack[-1][0] > seq:
-                stack.pop()
+    def restore(self, squashed: Iterable[InFlightInst]) -> None:
+        """Undo the mappings of *squashed* writers, given youngest-first."""
+        producers = self.producers
+        for entry in squashed:
+            dst = entry.inst.dst
+            if dst is not None and producers[dst] is entry:
+                producers[dst] = entry.undo_producer

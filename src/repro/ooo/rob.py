@@ -49,7 +49,10 @@ class InFlightInst:
       completes at dispatch), an extra readiness floor, and issue-queue
       occupancy;
     * ``seq`` -- dynamic sequence number mirrored from ``inst.seq`` (a
-      plain field, read on every wakeup, squash, and release).
+      plain field, read on every wakeup, squash, and release);
+    * ``undo_producer`` -- the rename-map producer this instruction's
+      destination overwrote, restored if it is squashed (set by
+      :meth:`~repro.ooo.rename.RegisterMapper.define`, cleared at commit).
     """
 
     __slots__ = (
@@ -60,7 +63,7 @@ class InFlightInst:
         "sq_forwarded", "allocated_preg", "shared_with_seq",
         "predicted_store_seq", "ssn_rename_at_dispatch", "injected_op",
         "smb_applied", "squashed", "producers", "sched_kind",
-        "port_class", "min_ready", "in_iq", "seq",
+        "port_class", "min_ready", "in_iq", "seq", "undo_producer",
     )
 
     def __init__(self, inst: DynInst, dispatch_cycle: int) -> None:

@@ -69,12 +69,6 @@ class SimulationError(RuntimeError):
     """Raised when the cycle loop detects an inconsistency or livelock."""
 
 
-#: Commits between batched register-alias-table pruning passes.  Pruning a
-#: committed writer is timing-neutral (its completion cycle is below every
-#: later consumer's readiness floor), so the per-register walk only needs to
-#: run often enough to bound mapper memory.
-_RETIRE_BATCH = 64
-
 # Enum members the per-instruction paths compare against, bound once: a
 # member read costs about ten module-global reads (DESIGN.md §4).
 _NOP = OpClass.NOP
@@ -156,9 +150,6 @@ class Processor:
         self._warmup = 0
         self._committed_total = 0
         self._measure_start_cycle = 0
-        #: Commits since the last batched RAT pruning pass (see the
-        #: inlined release block in :meth:`_commit_stage`).
-        self._retire_backlog = 0
         #: Stall bookkeeping for _fast_forward: whether the current cycle's
         #: dispatch counted a stall, and which condition it broke on.
         self._stall_counted = False
@@ -226,7 +217,6 @@ class Processor:
         self._store_entry_cycles = []
         self._sched_waiters = {}
         self._commit_waiters = {}
-        self._retire_backlog = 0
         n = len(trace)
         if n == 0:
             return self.stats
@@ -240,7 +230,7 @@ class Processor:
             trace, self.rob._entries, self.rob.capacity, self.pregs,
             self.iq, self.lq, self.lq.unlimited, self.sq, self.ssn,
             config.width, config.max_branches_per_group,
-            config.max_taken_per_group, self.mapper._stacks,
+            config.max_taken_per_group, self.mapper.producers,
             self._sched_waiters, self._exec_delay,
             self.ports._used_by_cycle, self.ports._limits,
             self.ports.total_width, self.lq.capacity, self.iq._scheduled,
@@ -393,7 +383,7 @@ class Processor:
         self._stall_counted = False
         (
             trace, rob_entries, rob_capacity, pregs, iq, lq, lq_unlimited,
-            sq, ssn, width, max_branches, max_taken, stacks, waiters,
+            sq, ssn, width, max_branches, max_taken, rat, waiters,
             exec_delay, port_used_map, port_limits, port_width,
             lq_capacity, iq_heap, n, hierarchy, tlb, l1_latency,
         ) = self._dispatch_ctx
@@ -503,9 +493,8 @@ class Processor:
                     ready = floor
                 blocked_on = None
                 for reg in inst.srcs:
-                    stack = stacks[reg]
-                    if stack:
-                        producer = stack[-1][1]
+                    producer = rat[reg]
+                    if producer is not None:
                         complete = producer.complete_cycle
                         if complete < 0:
                             blocked_on = producer
@@ -520,9 +509,9 @@ class Processor:
                     entry.port_class = port
                     entry.min_ready = floor
                     entry.producers = tuple(
-                        stack[-1][1]
+                        mapped
                         for reg in inst.srcs
-                        if (stack := stacks[reg])
+                        if (mapped := rat[reg]) is not None
                     )
                     waiters.setdefault(blocked_on.seq, []).append(entry)
                     iq.add_unscheduled()
@@ -586,7 +575,8 @@ class Processor:
                 # mapper.define inlined (REG_ZERO writes are discarded
                 # exactly as RegisterMapper.define does).
                 if dst != REG_ZERO:
-                    stacks[dst].append((seq, entry))
+                    entry.undo_producer = rat[dst]
+                    rat[dst] = entry
             rob_entries.append(entry)
             rob_len += 1
             pos += 1
@@ -614,9 +604,9 @@ class Processor:
         self.stats.iq_dispatches += 1
 
     def _producers_for(self, srcs: tuple[int, ...]) -> tuple:
-        stacks = self.mapper._stacks
+        rat = self.mapper.producers
         return tuple(
-            stack[-1][1] for reg in srcs if (stack := stacks[reg])
+            producer for reg in srcs if (producer := rat[reg]) is not None
         )
 
     # -- stores --------------------------------------------------------- #
@@ -762,9 +752,10 @@ class Processor:
 
     def _apply_opportunistic_smb(self, entry: InFlightInst) -> None:
         """The Table 1 background design: a high-confidence prediction
-        short-circuits the load's consumers to the store's data producer
-        while the load itself still executes out-of-order and verifies the
-        bypass by comparing values.
+        would short-circuit the load's consumers to the store's data
+        producer while the load itself still executes out-of-order and
+        verifies the bypass by comparing values.  The model does not
+        short-circuit yet: the load's consumers read its own mapping.
 
         A wrong bypass is detected when the load completes; the model stalls
         dispatch until then (like a branch misprediction), which is when the
@@ -803,17 +794,7 @@ class Processor:
             and inst.addr - self._store_insts[srq_entry.store_seq].addr
             == pred.shift
         )
-        if correct and inst.dst is not None:
-            # Short-circuit consumers to the DEF (or the store's committed
-            # value): they wake on the DEF's completion, not the load's.
-            def_producer = srq_entry.def_producer
-            if (
-                isinstance(def_producer, InFlightInst)
-                and not def_producer.squashed
-                and def_producer.complete_cycle >= 0
-            ):
-                self.mapper.define(inst.dst, inst.seq, def_producer)
-        elif not correct:
+        if not correct:
             # Verification at load execution detects the mismatch; younger
             # fetch restarts after the load completes.
             self.stats.flush_wrong_store += 1
@@ -949,8 +930,7 @@ class Processor:
             self._enter_issue_queue(entry)
             self.pregs.allocate(entry.seq)
             entry.allocated_preg = True
-        if inst.dst is not None:
-            self.mapper.define(inst.dst, entry.seq, entry)
+        self.mapper.define(inst.dst, entry)
         self._try_schedule(entry)
 
     # -- branches -------------------------------------------------------- #
@@ -1083,7 +1063,6 @@ class Processor:
         stores_committed = 0
         stats = self.stats
         refcounts = pregs._refcounts
-        retire_backlog = self._retire_backlog
         committed_total = self._committed_total
         warmup_target = self._warmup
         while committed < commit_width:
@@ -1125,10 +1104,9 @@ class Processor:
                 pregs.release(entry.shared_with_seq)
             if inst.is_load and not lq_unlimited:
                 lq.remove()
-            retire_backlog += 1
-            if retire_backlog >= _RETIRE_BATCH:
-                retire_backlog = 0
-                self.mapper.retire_older_than(seq)
+            # A committed producer stays mapped; dropping its undo link
+            # keeps committed entries from chaining.
+            entry.undo_producer = None
             if seq in waiters:
                 del waiters[seq]
             rob_entries.popleft()
@@ -1143,7 +1121,6 @@ class Processor:
                 stats = self.stats
             if flushed:
                 break
-        self._retire_backlog = retire_backlog
         self._committed_total = committed_total
         return committed > 0
 
@@ -1451,7 +1428,9 @@ class Processor:
             self._sched_waiters.pop(entry.seq, None)
         if lq_frees:
             self.lq.remove(lq_frees)
-        self.mapper.squash_younger(victim.seq)
+        # Youngest first, so each undo slot restores the mapping its
+        # writer overwrote.
+        self.mapper.restore(reversed(squashed))
         self.ssn.squash_to(victim.ssn_rename_at_dispatch)
         self.srq.squash_above(victim.ssn_rename_at_dispatch)
         if self.sq is not None:

@@ -1,5 +1,7 @@
 """Tests for the out-of-order core structures."""
 
+import gc
+
 import pytest
 
 from repro.isa.opcodes import OpClass
@@ -14,6 +16,9 @@ from repro.ooo import (
     StoreQueue,
 )
 from repro.ooo.lsq import ForwardKind, StoreQueueEntry
+from repro.pipeline import MachineConfig
+from repro.pipeline.processor import Processor
+from repro.workloads import generate_trace
 from tests.conftest import build_trace
 
 
@@ -69,54 +74,72 @@ class TestRegisterMapper:
         trace = build_trace([("alu", 8)])
         entry = _entry(trace[0])
         entry.complete_cycle = 5
-        mapper.define(8, 0, entry)
+        mapper.define(8, entry)
         assert mapper.producer(8) is entry
         assert mapper.ready_cycle(8) == 5
 
     def test_register_zero_never_mapped(self):
         mapper = RegisterMapper()
         trace = build_trace([("alu", 8)])
-        mapper.define(0, 0, _entry(trace[0]))
+        mapper.define(0, _entry(trace[0]))
         assert mapper.producer(0) is None
 
     def test_youngest_writer_wins(self):
         mapper = RegisterMapper()
         trace = build_trace([("alu", 8), ("alu", 8)])
         old, new = _entry(trace[0]), _entry(trace[1])
-        mapper.define(8, 0, old)
-        mapper.define(8, 1, new)
+        mapper.define(8, old)
+        mapper.define(8, new)
         assert mapper.producer(8) is new
 
     def test_squash_restores_older_writer(self):
         mapper = RegisterMapper()
         trace = build_trace([("alu", 8), ("alu", 8)])
         old, new = _entry(trace[0]), _entry(trace[1])
-        mapper.define(8, 0, old)
-        mapper.define(8, 1, new)
-        mapper.squash_younger(0)
+        mapper.define(8, old)
+        mapper.define(8, new)
+        mapper.restore([new])
         assert mapper.producer(8) is old
 
-    def test_retire_prunes_shadowed(self):
+    def test_squash_restores_inflight_then_committed(self):
         mapper = RegisterMapper()
-        trace = build_trace([("alu", 8), ("alu", 8)])
-        mapper.define(8, 0, _entry(trace[0]))
-        mapper.define(8, 1, _entry(trace[1]))
-        mapper.retire_older_than(0)
-        assert mapper.producer(8).seq == 1
-
-    def test_retire_sole_committed_writer(self):
-        mapper = RegisterMapper()
-        trace = build_trace([("alu", 8)])
-        mapper.define(8, 0, _entry(trace[0]))
-        mapper.retire_older_than(0)
-        assert mapper.producer(8) is None
+        trace = build_trace([("alu", 8), ("alu", 9), ("alu", 8), ("alu", 8)])
+        committed, other, older, younger = (_entry(i) for i in trace)
+        mapper.define(8, committed)
+        committed.undo_producer = None  # what commit does
+        mapper.define(9, other)
+        mapper.define(8, older)
+        mapper.define(8, younger)
+        mapper.restore([younger])
+        assert mapper.producer(8) is older
+        mapper.restore([older, other])
+        assert mapper.producer(8) is committed
+        assert mapper.producer(9) is None
 
     def test_unscheduled_producer_raises(self):
         mapper = RegisterMapper()
         trace = build_trace([("alu", 8)])
-        mapper.define(8, 0, _entry(trace[0]))  # complete_cycle == -1
+        mapper.define(8, _entry(trace[0]))  # complete_cycle == -1
         with pytest.raises(RuntimeError):
             mapper.ready_cycle(8)
+
+    @staticmethod
+    def _live_entries_after_run(num_instructions):
+        trace = generate_trace("gzip", num_instructions, seed=17)
+        processor = Processor(MachineConfig.nosq())
+        processor.run(trace)
+        gc.collect()
+        live = sum(1 for obj in gc.get_objects() if type(obj) is InFlightInst)
+        del processor
+        return live
+
+    def test_committed_entries_are_not_retained(self):
+        """Committed producers stay mapped, but nothing chains behind them:
+        the live entries do not grow with the trace length.  (A mapped
+        entry's scheduling links may keep one or two older entries alive;
+        undo slots that chained would keep every committed writer.)"""
+        short = self._live_entries_after_run(5_000)
+        assert self._live_entries_after_run(20_000) <= short + 16
 
 
 class TestPhysicalRegisterFile:
