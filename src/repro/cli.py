@@ -37,7 +37,6 @@ feeds Table 5 and Figures 2 and 4; ``figure3``, ``figure5`` and
 Traces (sources, formats, importers; see :mod:`repro.traces`)::
 
     python -m repro trace record gzip -o gzip.bt            # v2 binary
-    python -m repro trace convert old.trace.gz new.bt       # v1 -> v2
     python -m repro trace convert events.txt ext.bt         # import external
     python -m repro trace info gzip.bt
     python -m repro trace validate gzip.bt
@@ -457,51 +456,23 @@ def cmd_validate_shrink(args) -> int:
 
 
 def _load_any_trace(path: str, source_format: str = "auto"):
-    """Load a native v1/v2 trace or import an external event trace."""
-    import gzip
+    """Load a v2 trace or import an external event trace.
 
-    from repro.isa.tracefile import (
-        TraceFormatError,
-        detect_version,
-        load_trace,
-    )
-    from repro.traces import import_synchrotrace
+    ``auto`` reads a file with the v2 magic as a trace and imports any
+    other file as an external event trace.
+    """
+    from repro.isa.tracefile import load_trace
+    from repro.traces import import_synchrotrace, is_binary_trace
 
-    if source_format == "synchrotrace":
+    if source_format == "synchrotrace" or (
+        source_format == "auto" and not is_binary_trace(path)
+    ):
         return import_synchrotrace(path)
-    try:
-        version = detect_version(path)
-    except TraceFormatError:
-        if source_format == "native":
-            raise
-        # Not a native container: treat as an external event trace.
-        return import_synchrotrace(path)
-    if version == 1 and source_format != "native":
-        # The gzip magic alone cannot distinguish a v1 trace from a
-        # gzip-compressed external event trace; v1 files always open
-        # with a JSON header line.
-        try:
-            with gzip.open(path, "rt", encoding="utf-8",
-                           errors="replace") as stream:
-                first = stream.readline()
-        except OSError as exc:
-            raise TraceFormatError(f"{path}: cannot read: {exc}") from exc
-        if not first.lstrip().startswith("{"):
-            return import_synchrotrace(path)
     return load_trace(path)
 
 
-def _save_by_format(trace, path: str, version: int | None) -> int:
-    """Write *trace*; default version from the extension (.gz -> v1)."""
-    from repro.isa.tracefile import save_trace
-
-    if version is None:
-        version = 1 if str(path).endswith(".gz") else 2
-    save_trace(trace, path, version=version)
-    return version
-
-
 def cmd_trace_record(args) -> int:
+    from repro.isa.tracefile import save_trace
     from repro.traces import resolve_source
 
     try:
@@ -509,7 +480,7 @@ def cmd_trace_record(args) -> int:
         source = resolve_source(args.benchmark)
         trace = source.trace(scale, args.seed)
         output = args.output or f"{args.benchmark.replace(':', '_')}.bt"
-        version = _save_by_format(trace, output, args.format)
+        save_trace(trace, output)
     except (KeyError, FileNotFoundError, ValueError) as exc:
         # ValueError covers TraceFormatError and a bad -n.
         print(exc, file=sys.stderr)
@@ -517,17 +488,17 @@ def cmd_trace_record(args) -> int:
     size = Path(output).stat().st_size
     print(
         f"{args.benchmark}: {len(trace)} instructions -> {output} "
-        f"(v{version}, {size} bytes, {size / max(1, len(trace)):.2f} B/inst)"
+        f"({size} bytes, {size / max(1, len(trace)):.2f} B/inst)"
     )
     return 0
 
 
 def cmd_trace_convert(args) -> int:
-    from repro.isa.tracefile import TraceFormatError
+    from repro.isa.tracefile import TraceFormatError, save_trace
 
     try:
         trace = _load_any_trace(args.input, args.source_format)
-        version = _save_by_format(trace, args.output, args.format)
+        save_trace(trace, args.output)
     except (TraceFormatError, FileNotFoundError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -535,23 +506,19 @@ def cmd_trace_convert(args) -> int:
     out_size = Path(args.output).stat().st_size
     print(
         f"{args.input} ({in_size} bytes) -> {args.output} "
-        f"(v{version}, {out_size} bytes): {len(trace)} instructions"
+        f"({out_size} bytes): {len(trace)} instructions"
     )
     return 0
 
 
 def cmd_trace_info(args) -> int:
     from repro.isa.trace import communication_stats
-    from repro.isa.tracefile import TraceFormatError, detect_version
-    from repro.traces import trace_info
+    from repro.isa.tracefile import TraceFormatError
+    from repro.traces import is_binary_trace, trace_info
 
     rows = []
     try:
-        try:
-            version = detect_version(args.path)
-        except TraceFormatError:
-            version = None  # external event trace
-        if version == 2:
+        if is_binary_trace(args.path):
             info = trace_info(args.path)
             rows.extend([
                 ["format", f"v2 binary ({info['blocks']} blocks of "
@@ -559,8 +526,6 @@ def cmd_trace_info(args) -> int:
                 ["file bytes", str(info["file_bytes"])],
                 ["bytes/instruction", f"{info['bytes_per_instruction']:.2f}"],
             ])
-        elif version == 1:
-            rows.append(["format", "v1 gzip-JSONL"])
         else:
             rows.append(["format", "external event trace (imported)"])
         trace = _load_any_trace(args.path, args.source_format)
@@ -585,10 +550,15 @@ def cmd_trace_info(args) -> int:
 def cmd_trace_validate(args) -> int:
     from repro.isa.trace import DynInst, annotate_trace
     from repro.isa.tracefile import TraceFormatError
+    from repro.traces import is_binary_trace
 
     try:
         trace = _load_any_trace(args.path, args.source_format)
     except (TraceFormatError, FileNotFoundError, OSError) as exc:
+        if args.source_format == "native" and not is_binary_trace(args.path):
+            # Not a trace file at all: bad input, not a failed validation.
+            print(exc, file=sys.stderr)
+            return 2
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
     # Re-derive every annotation from the raw instruction stream and
@@ -927,27 +897,19 @@ def build_parser() -> argparse.ArgumentParser:
         "-o", "--output", default=None,
         help="output path (default <benchmark>.bt)",
     )
-    trace_record.add_argument(
-        "--format", type=int, choices=(1, 2), default=None,
-        help="trace format version (default: 1 for *.gz, else 2)",
-    )
     trace_record.set_defaults(func=cmd_trace_record)
 
     trace_convert = trace_sub.add_parser(
         "convert",
-        help="convert between v1/v2 or import an external event trace",
+        help="import an external event trace (or copy a trace) to v2",
     )
     trace_convert.add_argument("input")
     trace_convert.add_argument("output")
     trace_convert.add_argument(
         "--from", dest="source_format",
         choices=("auto", "native", "synchrotrace"), default="auto",
-        help="input format (default auto: sniff native v1/v2, otherwise "
-             "import as a SynchroTrace-style event trace)",
-    )
-    trace_convert.add_argument(
-        "--format", type=int, choices=(1, 2), default=None,
-        help="output format version (default: 1 for *.gz, else 2)",
+        help="input format (default auto: a file with the v2 magic is a "
+             "trace, any other file a SynchroTrace-style event trace)",
     )
     trace_convert.set_defaults(func=cmd_trace_convert)
 

@@ -10,9 +10,9 @@ simulators (gem5's SynchroTrace tester is the pattern's reference):
   ``zoo.pchase``, ``prog.memcpy``, ``trace:<path>``, ``extern:<path>``)
   all resolve through :func:`resolve_source`, and
   :func:`source_identity` is what the campaign cache folds into job keys;
-* :mod:`repro.traces.binformat` — the v2 binary packed trace format
-  (struct-packed records, zlib-framed blocks, index footer) with a
-  streaming reader/writer, ~10x smaller than the v1 gzip-JSONL format;
+* :mod:`repro.traces.binformat` — the v2 binary packed trace format, the
+  one trace file format (struct-packed records, zlib-framed blocks,
+  index footer), with a streaming reader/writer;
 * :mod:`repro.traces.importers` — converters from external event-trace
   formats (SynchroTrace-style compute/read/write/dependency events) into
   annotated :class:`~repro.isa.trace.DynInst` streams;

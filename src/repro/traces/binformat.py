@@ -1,9 +1,7 @@
-"""Versioned binary packed trace format (v2).
+"""Versioned binary packed trace format (v2), the one trace file format.
 
-The v1 format (:mod:`repro.isa.tracefile`) is gzip-compressed JSON lines:
-simple and diffable, but ~10x larger than necessary and slow to parse for
-the long traces the "full" experiment scale needs.  v2 is a struct-packed
-binary container:
+:mod:`repro.isa.tracefile` saves and loads traces through this module.
+v2 is a struct-packed binary container:
 
 ::
 
@@ -56,8 +54,8 @@ no bytes at all (bit 8 plus a running counter reconstructs it), and the
 store-distance encoding keeps in-window communication — the common case —
 in one-byte varints.  ``seq`` is implicit (dense from 0, in file order)
 and the derived annotations ``containing_store``/``unique_stores``/
-``path_hist`` are recomputed on load, exactly as the v1 reader does, so a
-reloaded trace is bit-identical to the annotated original.
+``path_hist`` are recomputed on load, so a reloaded trace is
+bit-identical to the annotated original.
 
 The reader decodes a block column by column rather than record by
 record: the length table splits the block once, one-byte columns are
@@ -622,11 +620,14 @@ def is_binary_trace(path: str | Path) -> bool:
 
 def _read_header(stream, path: Path) -> tuple[int, int]:
     raw = stream.read(_HEADER.size)
+    if not raw.startswith(MAGIC):
+        raise TraceFormatError(
+            f"{path}: not a repro trace file in the v2 format (v1 gzip-JSONL "
+            "traces are no longer read)"
+        )
     if len(raw) != _HEADER.size:
         raise TraceFormatError(f"{path}: truncated header")
-    magic, version, _flags, count, block_records = _HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise TraceFormatError(f"{path}: not a binary repro trace file")
+    _magic, version, _flags, count, block_records = _HEADER.unpack(raw)
     if version != BINARY_VERSION:
         raise TraceFormatError(f"{path}: unsupported version {version}")
     return count, block_records

@@ -15,7 +15,7 @@ benchmark id     resolves to
                  (workload zoo)
 ``prog.memcpy``  a :class:`GeneratorSource` in :data:`SOURCES` running a
                  mini-ISA program (intrinsic length, like a trace file)
-``trace:PATH``   :class:`FileTraceSource` — a saved v1/v2 trace file
+``trace:PATH``   :class:`FileTraceSource` — a saved v2 trace file
 ``extern:PATH``  :class:`ExternalTraceSource` — an external event trace
                  run through the SynchroTrace-style importer
 ===============  ======================================================
@@ -138,7 +138,7 @@ def _hash_file(path: Path) -> str:
 
 
 class FileTraceSource(TraceSource):
-    """A saved native trace file (v1 gzip-JSONL or v2 binary).
+    """A saved v2 trace file.
 
     The trace's length is intrinsic to the file; the scale's
     ``num_instructions`` is ignored (``warmup`` still applies at

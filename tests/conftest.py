@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gzip
+import json
 import os
 
 import pytest
@@ -118,3 +120,18 @@ def comm_loop_specs(iterations=64, base_pc=0x2000, store_size=8,
 def tiny_comm_trace():
     """The canonical bypassing loop (fixed-PC loop body)."""
     return build_trace(comm_loop_specs())
+
+
+def write_v1_file(path):
+    """A one-instruction trace in the retired v1 gzip-JSONL layout."""
+    record = {
+        "op": "ALU", "seq": 0, "pc": 4096, "srcs": [], "dst": 8, "lat": 1,
+        "addr": None, "size": 0, "signed": False, "fp_convert": False,
+        "taken": False, "target": None, "is_call": False,
+        "is_return": False, "store_seq": -1, "src_stores": [],
+        "containing_store": -1, "dist_insns": -1,
+    }
+    with gzip.open(path, "wt", encoding="utf-8") as stream:
+        stream.write(json.dumps({"format": "repro-trace", "version": 1,
+                                 "instructions": 1}) + "\n")
+        stream.write(json.dumps(record) + "\n")

@@ -1,4 +1,4 @@
-"""Tests for trace serialization."""
+"""Tests for trace serialization (the v2 format, via repro.isa.tracefile)."""
 
 import gzip
 import json
@@ -12,7 +12,7 @@ from repro.isa.tracefile import (
 )
 from repro.pipeline import MachineConfig, simulate
 from repro.workloads import generate_trace
-from tests.conftest import build_trace
+from tests.conftest import build_trace, write_v1_file
 
 
 class TestRoundTrip:
@@ -25,7 +25,7 @@ class TestRoundTrip:
             ("call",),
             ("ret", 0x1010),
         ])
-        path = tmp_path / "t.trace.gz"
+        path = tmp_path / "t.bt"
         save_trace(trace, path)
         loaded = load_trace(path)
         assert len(loaded) == len(trace)
@@ -38,7 +38,7 @@ class TestRoundTrip:
 
     def test_generated_workload_roundtrip(self, tmp_path):
         trace = generate_trace("applu", num_instructions=2_000)
-        path = tmp_path / "applu.trace.gz"
+        path = tmp_path / "applu.bt"
         save_trace(trace, path)
         loaded = load_trace(path)
         assert len(loaded) == len(trace)
@@ -46,7 +46,7 @@ class TestRoundTrip:
     def test_simulation_identical_on_reload(self, tmp_path):
         """A reloaded trace must simulate to the exact same cycle count."""
         trace = generate_trace("g721.e", num_instructions=3_000)
-        path = tmp_path / "g.trace.gz"
+        path = tmp_path / "g.bt"
         save_trace(trace, path)
         loaded = load_trace(path)
         original = simulate(MachineConfig.nosq(), trace)
@@ -55,7 +55,7 @@ class TestRoundTrip:
         assert original.flushes == reloaded.flushes
 
     def test_empty_trace(self, tmp_path):
-        path = tmp_path / "empty.trace.gz"
+        path = tmp_path / "empty.bt"
         save_trace([], path)
         assert load_trace(path) == []
 
@@ -68,42 +68,14 @@ class TestErrors:
         with pytest.raises(TraceFormatError, match="not a repro trace"):
             load_trace(path)
 
-    def test_unknown_version(self, tmp_path):
-        path = tmp_path / "v99.trace.gz"
-        with gzip.open(path, "wt") as stream:
-            stream.write(
-                json.dumps({"format": "repro-trace", "version": 99}) + "\n"
-            )
-        with pytest.raises(TraceFormatError, match="unsupported version"):
+    def test_v1_file_is_rejected(self, tmp_path):
+        """A file in the retired v1 gzip-JSONL format names itself as
+        not being a v2 trace instead of loading."""
+        path = tmp_path / "old.trace.gz"
+        write_v1_file(path)
+        with pytest.raises(TraceFormatError) as excinfo:
             load_trace(path)
-
-    def test_truncated_file(self, tmp_path):
-        trace = build_trace([("alu", 8)] * 4)
-        path = tmp_path / "t.trace.gz"
-        save_trace(trace, path)
-        # Rewrite with a lying header.
-        content = gzip.open(path, "rt").read().splitlines()
-        header = json.loads(content[0])
-        header["instructions"] = 99
-        with gzip.open(path, "wt") as stream:
-            stream.write(json.dumps(header) + "\n")
-            stream.write("\n".join(content[1:]) + "\n")
-        with pytest.raises(TraceFormatError, match="header says 99"):
-            load_trace(path)
-
-    def test_malformed_record(self, tmp_path):
-        path = tmp_path / "m.trace.gz"
-        with gzip.open(path, "wt") as stream:
-            stream.write(
-                json.dumps({"format": "repro-trace", "version": 1}) + "\n"
-            )
-            stream.write('{"seq": 0}\n')
-        with pytest.raises(TraceFormatError, match="malformed record"):
-            load_trace(path)
-
-    def test_garbage_header(self, tmp_path):
-        path = tmp_path / "g.trace.gz"
-        with gzip.open(path, "wt") as stream:
-            stream.write("not json\n")
-        with pytest.raises(TraceFormatError, match="bad header"):
-            load_trace(path)
+        message = str(excinfo.value)
+        assert str(path) in message
+        assert "not a repro trace file in the v2 format" in message
+        assert "\n" not in message

@@ -3,8 +3,8 @@
 The contracts under test:
 
 * the v2 binary format round-trips annotated traces bit-identically
-  (every field, derived annotations included) and v1<->v2 conversion is
-  lossless in both directions;
+  (every field, derived annotations included), and a file in any other
+  format (the retired v1 gzip-JSONL one included) fails with one line;
 * a simulation of a reloaded binary trace produces RunStats identical to
   the generated original (the cache-equals-recompute guarantee extended
   to trace files);
@@ -44,7 +44,7 @@ from repro.traces import (
 )
 from repro.workloads import generate_trace
 from repro.workloads.zoo import FAMILIES, ZOO_BENCHMARKS, generate_zoo_trace
-from tests.conftest import build_trace
+from tests.conftest import build_trace, write_v1_file
 
 DATA = Path(__file__).parent / "data"
 SAMPLE = DATA / "sample_synchrotrace.txt"
@@ -115,45 +115,23 @@ class TestBinaryRoundTrip:
         assert load_trace(path) == []
         assert trace_info(path)["instructions"] == 0
 
-    def test_v2_at_least_3x_smaller_than_v1(self, tmp_path):
-        """The acceptance bar: v2 is >= 3x smaller on smoke traces."""
-        trace = generate_trace("gzip", num_instructions=8_000)
-        v1 = tmp_path / "t.trace.gz"
-        v2 = tmp_path / "t.bt"
-        save_trace(trace, v1)
-        save_trace(trace, v2, version=2)
-        ratio = v1.stat().st_size / v2.stat().st_size
-        assert ratio >= 3.0, f"v1/v2 size ratio only {ratio:.2f}"
+    def test_v2_bytes_per_instruction_bound(self, tmp_path):
+        """The size bar: a smoke-scale gzip trace stays at or under 3.2
+        bytes per instruction (CI checks the same bound)."""
+        trace = generate_trace("gzip", num_instructions=8_000, seed=17)
+        path = tmp_path / "t.bt"
+        save_trace(trace, path)
+        per_inst = trace_info(path)["bytes_per_instruction"]
+        assert per_inst <= 3.2, f"{per_inst:.2f} B/inst"
 
 
 class TestV1V2Conversion:
-    def test_conversion_bit_identity_both_ways(self, tmp_path):
-        trace = generate_trace("vortex", num_instructions=2_500)
-        v1_a = tmp_path / "a.trace.gz"
-        v2_a = tmp_path / "a.bt"
-        v1_b = tmp_path / "b.trace.gz"
-        v2_b = tmp_path / "b.bt"
-        save_trace(trace, v1_a)
-        save_trace(load_trace(v1_a), v2_a, version=2)
-        save_trace(load_trace(v2_a), v1_b)
-        save_trace(load_trace(v1_b), v2_b, version=2)
-        # v2 files are byte-identical across a v1 round trip; v1 files
-        # compare by content (gzip embeds a timestamp).
-        assert v2_a.read_bytes() == v2_b.read_bytes()
-        with gzip.open(v1_a, "rt") as a, gzip.open(v1_b, "rt") as b:
-            assert a.read() == b.read()
-
-    def test_loader_autodetects(self, tmp_path):
-        trace = build_trace([("alu", 8), ("st", 0x40, 8, 8), ("ld", 0x40, 8)])
-        v1 = tmp_path / "t.trace.gz"
-        v2 = tmp_path / "t.bt"
-        save_trace(trace, v1)
-        save_trace(trace, v2, version=2)
-        assert_traces_identical(load_trace(v1), load_trace(v2))
+    """Conversion to v1 is gone: only v2 is written."""
 
     def test_unknown_save_version(self, tmp_path):
-        with pytest.raises(ValueError, match="version"):
-            save_trace([], tmp_path / "t", version=7)
+        for version in (1, 7):
+            with pytest.raises(ValueError, match="version"):
+                save_trace([], tmp_path / "t", version=version)
 
 
 class TestRunStatsIdentity:
@@ -317,26 +295,22 @@ class TestBinaryErrors:
 
 
 class TestV1Errors:
-    def test_corrupt_line_reports_line_number(self, tmp_path):
-        path = tmp_path / "t.trace.gz"
-        trace = build_trace([("alu", 8)] * 3)
-        save_trace(trace, path)
-        lines = gzip.open(path, "rt").read().splitlines()
-        lines[2] = '{"op": not json'
-        with gzip.open(path, "wt") as stream:
-            stream.write("\n".join(lines) + "\n")
-        with pytest.raises(TraceFormatError, match="line 3.*corrupt"):
-            load_trace(path)
+    """Only v2 is read and written; a v1 file fails with one line."""
 
-    def test_malformed_record_reports_line_number(self, tmp_path):
-        path = tmp_path / "m.trace.gz"
-        with gzip.open(path, "wt") as stream:
-            stream.write(
-                json.dumps({"format": "repro-trace", "version": 1}) + "\n"
-            )
-            stream.write('{"seq": 0}\n')
-        with pytest.raises(TraceFormatError, match="line 2.*malformed"):
-            load_trace(path)
+    @pytest.mark.parametrize("argv", [
+        ["trace", "info", "--from", "native", "{v1}"],
+        ["trace", "validate", "--from", "native", "{v1}"],
+        ["trace", "convert", "--from", "native", "{v1}", "{out}"],
+        ["run", "nosq", "trace:{v1}"],
+    ], ids=["info", "validate", "convert", "trace-source"])
+    def test_v1_file_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        path = tmp_path / "old.trace.gz"
+        write_v1_file(path)
+        out = tmp_path / "new.bt"
+        assert main([arg.format(v1=path, out=out) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert str(path) in err and "not a repro trace file in the v2" in err
 
     def test_not_a_trace_at_all(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -580,9 +554,9 @@ class TestTraceCLI:
         assert "v2 binary" in capsys.readouterr().out
         assert main(["trace", "validate", str(out)]) == 0
         assert "OK" in capsys.readouterr().out
-        v1 = tmp_path / "z.trace.gz"
-        assert main(["trace", "convert", str(out), str(v1)]) == 0
-        assert_traces_identical(load_trace(out), load_trace(v1))
+        copy = tmp_path / "copy.bt"
+        assert main(["trace", "convert", str(out), str(copy)]) == 0
+        assert_traces_identical(load_trace(out), load_trace(copy))
 
     def test_record_rejects_unknown_benchmark(self, tmp_path, capsys):
         assert main([
@@ -611,7 +585,7 @@ class TestTraceCLI:
     def test_validate_flags_stale_annotations(self, tmp_path, capsys):
         trace = build_trace([("st", 0x80, 8, 8), ("ld", 0x80, 8)])
         trace[1].dist_insns = 55  # stale on purpose
-        path = tmp_path / "stale.trace.gz"
+        path = tmp_path / "stale.bt"
         save_trace(trace, path)
         assert main(["trace", "validate", str(path)]) == 1
         assert "stale annotation" in capsys.readouterr().err
