@@ -459,16 +459,26 @@ def _load_any_trace(path: str, source_format: str = "auto"):
     """Load a v2 trace or import an external event trace.
 
     ``auto`` reads a file with the v2 magic as a trace and imports any
-    other file as an external event trace.
+    other file as an external event trace; a file that is neither fails
+    with a message saying so, followed by the importer's detail.
     """
-    from repro.isa.tracefile import load_trace
+    from repro.isa.tracefile import TraceFormatError, load_trace
     from repro.traces import import_synchrotrace, is_binary_trace
 
-    if source_format == "synchrotrace" or (
-        source_format == "auto" and not is_binary_trace(path)
+    if source_format == "native" or (
+        source_format == "auto" and is_binary_trace(path)
     ):
+        return load_trace(path)
+    try:
         return import_synchrotrace(path)
-    return load_trace(path)
+    except TraceFormatError as exc:
+        if source_format != "auto" or isinstance(exc.__cause__, OSError):
+            raise
+        detail = str(exc).removeprefix(f"{Path(path)}: ")
+        raise TraceFormatError(
+            f"{path}: neither a v2 trace file nor an external event trace "
+            f"(read as an event trace: {detail})"
+        ) from None
 
 
 def cmd_trace_record(args) -> int:
@@ -692,10 +702,20 @@ def cmd_campaign_run(args) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = ResultStore(args.store)
     progress = None if args.quiet else (lambda ev: print(ev.describe()))
-    result = run_campaign(
-        spec, jobs=args.jobs, cache=cache, store=store,
-        progress=progress, force=args.force,
-    )
+    try:
+        result = run_campaign(
+            spec, jobs=args.jobs, cache=cache, store=store,
+            progress=progress, force=args.force,
+        )
+    except ValueError as exc:
+        # A trace:<path> file that does not load.  The codec is imported
+        # only here, so planning a campaign still loads none.
+        from repro.isa.tracefile import TraceFormatError
+
+        if not isinstance(exc, TraceFormatError):
+            raise
+        print(exc, file=sys.stderr)
+        return 2
     print(
         f"{spec.num_jobs} jobs: {result.hits} cached, "
         f"{result.executed} executed in {result.elapsed_s:.1f}s "

@@ -35,7 +35,6 @@ _EXPORTS = {
     "BypassTransform": "partial_word",
     "transform_for": "partial_word",
     "apply_transform": "partial_word",
-    "needs_injected_op": "partial_word",
     "CommitPipeline": "commit_pipeline",
     "BackendConfig": "commit_pipeline",
 }

@@ -153,10 +153,6 @@ class _Table:
         entries[tag] = entry
         return entry
 
-    @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets if s is not None)
-
 
 class BypassingPredictor:
     """The hybrid path-insensitive / path-sensitive bypassing predictor."""
@@ -168,14 +164,6 @@ class BypassingPredictor:
         self._hist_mask = (1 << self.config.history_bits) - 1
         self.stats = BypassPredictorStats()
 
-    # -- key construction ---------------------------------------------------
-
-    def _plain_key(self, pc: int) -> int:
-        return pc >> 2
-
-    def _path_key(self, pc: int, history: int) -> int:
-        return (pc >> 2) ^ (history & self._hist_mask)
-
     # -- decode-stage prediction --------------------------------------------
 
     def predict(self, pc: int, history: int) -> BypassPrediction:
@@ -184,7 +172,8 @@ class BypassingPredictor:
         Both tables are probed in parallel; a path-sensitive hit wins.
         """
         self.stats.lookups += 1
-        # _path_key/_plain_key inlined (two probes per predicted load).
+        # The plain key is the load's word address; the path key XORs in
+        # the masked path history.
         key = pc >> 2
         path_entry = self._path.lookup(key ^ (history & self._hist_mask))
         plain_entry = self._plain.lookup(key)
@@ -238,7 +227,6 @@ class BypassingPredictor:
         actual_shift &= (1 << cfg.shift_bits) - 1
         size_code = _SIZE_CODES.get(actual_store_size, 3)
 
-        # _plain_key/_path_key inlined (called per committed load).
         plain_key = pc >> 2
         path_key = plain_key ^ (history & self._hist_mask)
 
@@ -256,10 +244,3 @@ class BypassingPredictor:
         for entry in (self._path.lookup(path_key), self._plain.lookup(plain_key)):
             if entry is not None:
                 entry.conf = min(cfg.conf_max, entry.conf + cfg.conf_inc)
-
-    # -- introspection --------------------------------------------------------
-
-    @property
-    def occupancy(self) -> tuple[int, int]:
-        """(path-insensitive, path-sensitive) live entry counts."""
-        return self._plain.occupancy, self._path.occupancy

@@ -77,13 +77,7 @@ class CommitPipeline:
             tlb_penalty = self.tlb.access(addr)
             stats.tlb_stall_cycles += tlb_penalty
             earliest += tlb_penalty
-        # _book_port inlined (runs once per committed store).
-        slot = self._port_free
-        if slot > earliest:
-            stats.port_conflict_cycles += slot - earliest
-        else:
-            slot = earliest
-        self._port_free = slot + 1
+        slot = self._book_port(earliest)
         self.hierarchy.write(addr)
         return slot + 1
 
@@ -109,7 +103,3 @@ class CommitPipeline:
         """Cycle at which a verification mismatch is detected for a load
         that entered the back end at *entry_cycle*."""
         return entry_cycle + self.config.depth
-
-    @property
-    def backend_dcache_reads(self) -> int:
-        return self.stats.reexec_reads

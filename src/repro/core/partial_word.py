@@ -54,21 +54,6 @@ class BypassTransform:
         )
 
 
-def needs_injected_op(store_size: int, load_size: int,
-                      store_fp: bool = False, load_fp: bool = False) -> bool:
-    """Does this store/load pairing require an injected shift & mask op?
-
-    Only the 8-byte store / 8-byte load / no-conversion case collapses to a
-    pure register rename; everything else transforms the value.
-    """
-    return not (
-        store_size == bits.WORD_BYTES
-        and load_size == bits.WORD_BYTES
-        and not store_fp
-        and not load_fp
-    )
-
-
 def transform_for(
     store_size: int,
     store_fp_convert: bool,

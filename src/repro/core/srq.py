@@ -47,9 +47,6 @@ class StoreRegisterQueue:
         self.capacity = capacity
         self._entries: dict[int, SRQEntry] = {}
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def _slot(self, ssn: int) -> int:
         return ssn % self.capacity
 

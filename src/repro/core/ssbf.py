@@ -38,11 +38,6 @@ class SSBFEntry:
     #: plus one began-in-previous-word bit).
     start: int
 
-    @property
-    def store_range(self) -> tuple[int, int]:
-        """(start, end) byte offsets of the store within its word."""
-        return self.offset, self.offset + self.size
-
 
 class TaggedSSBF:
     """Tagged, set-associative SSBF with FIFO replacement per set."""
@@ -100,10 +95,8 @@ class TaggedSSBF:
             entries[tag] = SSBFEntry(ssn, offset, size, offset)
             return
         for word in range(first, last + 1):
-            # _locate inlined (runs per committed store).
-            index = word & self._index_mask
+            index, tag = self._locate(word)
             entries = self._sets[index]
-            tag = word >> self._tag_shift
             word_base = word << _WORD_SHIFT
             start = addr - word_base
             offset = max(0, start)
@@ -158,4 +151,3 @@ class TaggedSSBF:
             entries.clear()
         self._evicted = [0] * self.num_sets
         self.max_recorded_ssn = 0
-

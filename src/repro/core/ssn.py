@@ -8,9 +8,11 @@ dependence representation.
 
 SSNs are finite (20 bits in the paper).  "In the rare situations in which
 SSNs wrap around, the processor drains its pipeline and clears all hardware
-structures that hold SSNs."  :class:`SSNCounters` signals the caller when a
-drain is required; the timing model charges the drain and clears the T-SSBF
-and SRQ.
+structures that hold SSNs."  The processor detects the wrap itself: its
+dispatch loop stops before a store whose SSN would reach ``limit``, waits
+until the window and the back end are empty, and then charges the drain,
+clears the T-SSBF and the SRQ and resets these counters
+(``Processor._perform_drain``, counted in ``RunStats.ssn_wraps``).
 """
 
 from __future__ import annotations
@@ -30,30 +32,6 @@ class SSNCounters:
         self.limit = 1 << bits
         self.rename = 0
         self.commit = 0
-        self.wraps = 0
-
-    @property
-    def in_flight(self) -> int:
-        """Occupancy a store queue would have (SSNrename - SSNcommit)."""
-        return self.rename - self.commit
-
-    def next_rename(self) -> tuple[int, bool]:
-        """Assign the next SSN at rename.
-
-        Returns ``(ssn, wrapped)``.  ``wrapped`` is True when the counter
-        wrapped around, in which case the caller must drain the pipeline and
-        clear SSN-holding structures before using the new SSN.
-        """
-        wrapped = False
-        if self.rename + 1 >= self.limit:
-            # Renumber from 1: conceptually a full drain leaves zero
-            # in-flight stores, and all recorded SSNs are invalidated.
-            self.rename = 0
-            self.commit = 0
-            self.wraps += 1
-            wrapped = True
-        self.rename += 1
-        return self.rename, wrapped
 
     def advance_commit(self) -> int:
         """Commit the oldest in-flight store; returns its SSN."""
@@ -72,5 +50,6 @@ class SSNCounters:
         self.rename = ssn
 
     def reset(self) -> None:
+        """Renumber from zero after a wraparound drain."""
         self.rename = 0
         self.commit = 0

@@ -44,25 +44,18 @@ class SVWStats:
     bypassing_reexecs: int = 0
     bypassing_mismatches: int = 0
 
-    @property
-    def reexecs(self) -> int:
-        return self.nonbypassing_reexecs + self.bypassing_reexecs
-
-    @property
-    def tests(self) -> int:
-        return self.nonbypassing_tests + self.bypassing_tests
-
 
 class SVWFilter:
-    """The SVW stage of the back-end pipeline."""
+    """The SVW stage of the back-end pipeline.
+
+    Committing stores update the T-SSBF directly
+    (:meth:`~repro.core.ssbf.TaggedSSBF.update`); this class holds the two
+    load tests.
+    """
 
     def __init__(self, ssbf: TaggedSSBF) -> None:
         self.ssbf = ssbf
         self.stats = SVWStats()
-
-    def store_commit(self, addr: int, size: int, ssn: int) -> None:
-        """T-SSBF update as the store passes the SVW stage."""
-        self.ssbf.update(addr, size, ssn)
 
     def test_nonbypassing(self, addr: int, size: int, ssn_nvul: int) -> bool:
         """Inequality test; returns True if the load must re-execute."""

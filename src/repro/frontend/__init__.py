@@ -18,7 +18,6 @@ _EXPORTS = {
     "HybridBranchPredictor": "branch_predictor",
     "ReturnAddressStack": "branch_predictor",
     "PathHistory": "path_history",
-    "compute_path_history": "path_history",
 }
 
 __all__ = list(_EXPORTS)

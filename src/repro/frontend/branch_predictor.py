@@ -23,12 +23,6 @@ class BranchPredictorStats:
     mispredictions: int = 0
     btb_misses: int = 0
 
-    @property
-    def accuracy(self) -> float:
-        if not self.predictions:
-            return 1.0
-        return 1.0 - self.mispredictions / self.predictions
-
 
 class HybridBranchPredictor:
     """McFarling-style hybrid: gshare + bimodal with a chooser table.
@@ -149,6 +143,3 @@ class ReturnAddressStack:
         """Pop the RAS and report whether it predicted *actual_target*."""
         predicted = self.pop()
         return predicted == actual_target
-
-    def __len__(self) -> int:
-        return len(self._stack)

@@ -7,8 +7,9 @@ to index the path-sensitive predictor table.
 
 Because the timing model is trace-driven on the correct path, the history
 value seen by each load is a pure function of the trace prefix before it;
-:func:`compute_path_history` precomputes it once per trace so that flush
-recovery never has to rewind history state.
+:func:`fill_path_history` stores it on each instruction once per trace, so
+flush recovery never has to rewind history state and nothing snapshots or
+restores the register.
 """
 
 from __future__ import annotations
@@ -48,29 +49,6 @@ class PathHistory:
             self.update_call(inst.pc)
         elif not inst.is_return:
             self.update_branch(inst.taken)
-
-    def snapshot(self) -> int:
-        return self.value
-
-    def restore(self, value: int) -> None:
-        self.value = value & self._mask
-
-
-def compute_path_history(
-    trace: Sequence[DynInst], bits: int = MAX_HISTORY_BITS
-) -> list[int]:
-    """Return, for each trace position, the path history *before* that
-    instruction is decoded.
-
-    ``result[i]`` is the history a load at position ``i`` would use to index
-    the path-sensitive predictor table.
-    """
-    history = PathHistory(bits)
-    values = [0] * len(trace)
-    for i, inst in enumerate(trace):
-        values[i] = history.value
-        history.update(inst)
-    return values
 
 
 def fill_path_history(

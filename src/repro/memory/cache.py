@@ -20,23 +20,6 @@ class CacheStats:
     write_misses: int = 0
     writebacks: int = 0
 
-    @property
-    def reads(self) -> int:
-        return self.read_hits + self.read_misses
-
-    @property
-    def writes(self) -> int:
-        return self.write_hits + self.write_misses
-
-    @property
-    def accesses(self) -> int:
-        return self.reads + self.writes
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return (self.read_misses + self.write_misses) / total if total else 0.0
-
 
 class Cache:
     """A write-back, write-allocate, set-associative cache.
@@ -70,23 +53,12 @@ class Cache:
         self._line_shift = line_bytes.bit_length() - 1
         self._tag_shift = self.num_sets.bit_length() - 1
 
-    def _index_tag(self, addr: int) -> tuple[int, int]:
-        line = addr >> self._line_shift
-        return line & self._set_mask, line >> self._tag_shift
-
-    def lookup(self, addr: int) -> bool:
-        """Non-destructive presence check (no LRU update, no stats)."""
-        index, tag = self._index_tag(addr)
-        cache_set = self._sets[index]
-        return cache_set is not None and tag in cache_set
-
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Access the line containing *addr*; allocate on miss.
 
         Returns True on hit.  The caller translates hit/miss into latency via
         the hierarchy model.
         """
-        # _index_tag inlined: this runs for every cache access in the model.
         line = addr >> self._line_shift
         index = line & self._set_mask
         cache_set = self._sets[index]
@@ -112,7 +84,3 @@ class Cache:
                     self.stats.writebacks += 1
             cache_set[tag] = is_write
         return hit
-
-    @property
-    def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets if s is not None)

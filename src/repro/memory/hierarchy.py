@@ -59,27 +59,9 @@ class MemoryHierarchy:
 
     def write(self, addr: int) -> int:
         """A committed store writing the data cache; returns its latency."""
-        # Cache.access's L1 write paths are inlined here (one call per
-        # committed store); behaviour matches Cache.access exactly.
         cfg = self.config
-        l1 = self.l1
-        line = addr >> l1._line_shift
-        index = line & l1._set_mask
-        cache_set = l1._sets[index]
-        tag = line >> l1._tag_shift
-        if cache_set is None:
-            cache_set = l1._sets[index] = {}
-        elif tag in cache_set:
-            cache_set.pop(tag)
-            cache_set[tag] = True
-            l1.stats.write_hits += 1
+        if self.l1.access(addr, True):
             return cfg.l1_latency
-        l1.stats.write_misses += 1
-        if len(cache_set) >= l1.assoc:
-            victim_tag = next(iter(cache_set))
-            if cache_set.pop(victim_tag):
-                l1.stats.writebacks += 1
-        cache_set[tag] = True
         latency = cfg.l1_latency + cfg.l2_latency
         if self.l2.access(addr, True):
             return latency

@@ -19,12 +19,6 @@ class SparseMemory:
     def __init__(self) -> None:
         self._bytes: dict[int, int] = {}
 
-    def read_byte(self, addr: int) -> int:
-        return self._bytes.get(addr, 0)
-
-    def write_byte(self, addr: int, value: int) -> None:
-        self._bytes[addr] = value & 0xFF
-
     def read(self, addr: int, size: int) -> int:
         """Read *size* bytes at *addr* as an unsigned little-endian integer."""
         value = 0
@@ -42,14 +36,3 @@ class SparseMemory:
         """Bulk-initialize memory with *data* starting at *addr*."""
         for i, byte in enumerate(data):
             self._bytes[addr + i] = byte
-
-    def dump(self, addr: int, size: int) -> bytes:
-        """Return *size* bytes starting at *addr*."""
-        return bytes(self._bytes.get(addr + i, 0) for i in range(size))
-
-    def written_addresses(self) -> set[int]:
-        """Addresses of all bytes ever written (for test introspection)."""
-        return set(self._bytes)
-
-    def __len__(self) -> int:
-        return len(self._bytes)

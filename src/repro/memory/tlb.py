@@ -17,14 +17,6 @@ class TLBStats:
     hits: int = 0
     misses: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
 
 class TLB:
     """A set-associative translation lookaside buffer with LRU replacement."""
@@ -65,4 +57,3 @@ class TLB:
             tlb_set.pop(next(iter(tlb_set)))
         tlb_set[tag] = None
         return self.miss_penalty
-

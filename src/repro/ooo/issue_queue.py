@@ -5,10 +5,13 @@ not-yet-issued instructions.  NoSQ frees issue-queue entries and issue slots
 by never dispatching stores or bypassed loads into the out-of-order engine --
 one of the three secondary benefits enumerated in Section 4.3.
 
-The tracker keeps a min-heap of scheduled issue cycles so occupancy at the
-current cycle is cheap to maintain; entries whose issue cycle is not yet
-known (NoSQ *delayed* loads waiting for a store commit) are counted as
-occupying until they are given an issue cycle.
+The tracker keeps a min-heap of scheduled issue cycles (``_scheduled``)
+and a count of entries whose issue cycle is not yet known
+(``_unscheduled``: NoSQ *delayed* loads waiting for a store commit), which
+occupy the queue until they are given an issue cycle.  The processor's
+dispatch loop reads both directly, once per fetch group: it pops the issue
+cycles that have passed and pushes each newly scheduled entry's cycle
+(DESIGN.md §4).
 """
 
 from __future__ import annotations
@@ -25,24 +28,6 @@ class IssueQueueTracker:
         self.capacity = capacity
         self._scheduled: list[int] = []  # heap of issue cycles
         self._unscheduled = 0            # entries with unknown issue cycle
-
-    def occupancy(self, cycle: int) -> int:
-        """Entries still waiting at the start of *cycle*."""
-        scheduled = self._scheduled
-        while scheduled and scheduled[0] <= cycle:
-            heapq.heappop(scheduled)
-        return len(scheduled) + self._unscheduled
-
-    def has_space(self, cycle: int) -> bool:
-        # occupancy() inlined: this runs once per dispatched instruction.
-        scheduled = self._scheduled
-        while scheduled and scheduled[0] <= cycle:
-            heapq.heappop(scheduled)
-        return len(scheduled) + self._unscheduled < self.capacity
-
-    def add_scheduled(self, issue_cycle: int) -> None:
-        """Dispatch an entry whose issue cycle is already decided."""
-        heapq.heappush(self._scheduled, issue_cycle)
 
     def add_unscheduled(self) -> None:
         """Dispatch an entry waiting on an external event (delayed load)."""

@@ -64,9 +64,6 @@ class StoreQueue:
         self._entries: list[StoreQueueEntry] = []
         self.searches = 0
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def full(self) -> bool:
         return len(self._entries) >= self.capacity
@@ -121,7 +118,8 @@ class LoadQueueTracker:
 
     ``capacity=None`` models NoSQ's load-queue-free design point (bottom of
     Figure 1), where bypassed and non-bypassed load addresses are
-    (re)generated in the back-end pipeline instead.
+    (re)generated in the back-end pipeline instead.  The dispatch loop
+    checks ``occupancy`` against ``capacity`` and increments it itself.
     """
 
     def __init__(self, capacity: int | None) -> None:
@@ -131,14 +129,6 @@ class LoadQueueTracker:
     @property
     def unlimited(self) -> bool:
         return self.capacity is None
-
-    def has_space(self) -> bool:
-        return self.unlimited or self.occupancy < self.capacity
-
-    def insert(self) -> None:
-        if not self.has_space():
-            raise RuntimeError("dispatch into a full load queue")
-        self.occupancy += 1
 
     def remove(self, count: int = 1) -> None:
         if count > self.occupancy:

@@ -29,14 +29,6 @@ class PhysicalRegisterFile:
         #: allocating instruction's dynamic seq.
         self._refcounts: dict[int, int] = {}
 
-    @property
-    def free(self) -> int:
-        return self._free
-
-    @property
-    def can_allocate(self) -> bool:
-        return self._free > 0
-
     def allocate(self, seq: int) -> None:
         """Allocate one register for the instruction at *seq*."""
         if self._free <= 0:

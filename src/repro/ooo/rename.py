@@ -37,23 +37,6 @@ class RegisterMapper:
         self.num_regs = num_regs
         self.producers: list[InFlightInst | None] = [None] * num_regs
 
-    def producer(self, reg: int) -> InFlightInst | None:
-        """Youngest producer of *reg* (possibly committed), or None."""
-        return self.producers[reg]
-
-    def ready_cycle(self, reg: int) -> int:
-        """Cycle at which the current value of *reg* is available (0 if
-        never written).  Callers must only query registers whose producers
-        are scheduled."""
-        producer = self.producers[reg]
-        if producer is None:
-            return 0
-        if producer.complete_cycle < 0:
-            raise RuntimeError(
-                f"querying unscheduled producer of r{reg} (seq {producer.seq})"
-            )
-        return producer.complete_cycle
-
     def define(self, reg: int | None, entry: InFlightInst) -> None:
         """Map *reg* to *entry*, remembering the producer it overwrites."""
         if reg is None or reg == REG_ZERO:

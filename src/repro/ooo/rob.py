@@ -9,8 +9,6 @@ buffer").  In this model those fields live on :class:`InFlightInst`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Iterator
-
 from repro.isa.trace import DynInst
 
 
@@ -105,7 +103,9 @@ class ReorderBuffer:
     """A bounded in-order window of :class:`InFlightInst`.
 
     Entries enter at dispatch and leave either at commit (from the head) or
-    through a squash (from the tail, on a verification flush).
+    through a squash (from the tail, on a verification flush).  The
+    processor appends and pops ``_entries`` itself, once per dispatched
+    and committed instruction; only the rare squash is a method.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -113,32 +113,6 @@ class ReorderBuffer:
             raise ValueError("ROB capacity must be positive")
         self.capacity = capacity
         self._entries: deque[InFlightInst] = deque()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[InFlightInst]:
-        return iter(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
-    @property
-    def head(self) -> InFlightInst | None:
-        return self._entries[0] if self._entries else None
-
-    def push(self, entry: InFlightInst) -> None:
-        if self.full:
-            raise RuntimeError("dispatch into a full ROB")
-        self._entries.append(entry)
-
-    def pop_head(self) -> InFlightInst:
-        return self._entries.popleft()
 
     def squash_younger(self, seq: int) -> list[InFlightInst]:
         """Remove and return all entries younger than dynamic *seq*.

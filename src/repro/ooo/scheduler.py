@@ -76,10 +76,3 @@ class PortSchedule:
         stale = [c for c in used_map if c < cycle]
         for c in stale:
             del used_map[c]
-
-    def used(self, cycle: int, op_class: OpClass | None = None) -> int:
-        """Introspection for tests: slots booked at *cycle*."""
-        used = self._used_by_cycle.get(cycle)
-        if used is None:
-            return 0
-        return used[-1] if op_class is None else used[op_class]

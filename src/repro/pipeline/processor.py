@@ -286,7 +286,7 @@ class Processor:
                 if cycle > max_cycles:
                     raise SimulationError(
                         f"livelock: {cycle} cycles for {n} instructions "
-                        f"(pos={self._pos}, rob={len(self.rob)})"
+                        f"(pos={self._pos}, rob={len(rob_entries)})"
                     )
         finally:
             if gc_was_enabled:
@@ -354,23 +354,16 @@ class Processor:
         commit stage, after the data-cache write stage).
         """
         pending = self._pending_commits
-        counters = self.ssn
-        srq = self.srq
-        srq_entries = srq._entries
+        advance_commit = self.ssn.advance_commit
+        retire = self.srq.retire
         while pending and pending[0][0] <= cycle:
             _, ssn, _store_seq = pending.popleft()
-            # ssn.advance_commit and srq.retire inlined.
-            if counters.commit >= counters.rename:
-                raise SimulationError("SSNcommit would pass SSNrename")
-            counters.commit += 1
-            if counters.commit != ssn:
+            committed = advance_commit()
+            if committed != ssn:
                 raise SimulationError(
-                    f"store commit SSN mismatch: {counters.commit} != {ssn}"
+                    f"store commit SSN mismatch: {committed} != {ssn}"
                 )
-            slot = ssn % srq.capacity
-            entry = srq_entries.get(slot)
-            if entry is not None and entry.ssn == ssn:
-                del srq_entries[slot]
+            retire(ssn)
 
     # ------------------------------------------------------------------ #
     # Dispatch (fetch / decode / rename)
@@ -421,7 +414,6 @@ class Processor:
             is_load = inst.is_load
             is_store = inst.is_store
             if is_load:
-                # lq.has_space inlined.
                 if not lq_unlimited and lq.occupancy >= lq_capacity:
                     break
             elif is_store:
@@ -442,7 +434,8 @@ class Processor:
             # reserves an entry even if it bypasses by pure rename.
             if op is not nop and (is_conventional or not is_store):
                 if iq_occ < 0:
-                    # iq.occupancy inlined (lazy, once per fetch group).
+                    # Issue-queue occupancy, once per fetch group: drop
+                    # the booked issue cycles that have passed.
                     while iq_heap and iq_heap[0] <= cycle:
                         heappop(iq_heap)
                     iq_occ = len(iq_heap) + iq._unscheduled
@@ -456,7 +449,7 @@ class Processor:
             if is_load:
                 entry.ssn_rename_at_dispatch = ssn.rename
                 if not lq_unlimited:
-                    # lq.insert inlined (space pre-checked above).
+                    # Space was checked above.
                     lq.occupancy += 1
                 if is_conventional:
                     floor = self._dispatch_load_conventional(entry)
@@ -556,8 +549,7 @@ class Processor:
                         stats.ooo_dcache_reads += 1
                     else:
                         entry.complete_cycle = issue + inst.lat
-                    # add_unscheduled + schedule_unscheduled fused
-                    # (iq.add_scheduled inlined).
+                    # The entry enters the issue queue already scheduled.
                     heappush(iq_heap, issue)
                 if is_store:
                     self._enter_store_queue(entry)
@@ -619,7 +611,6 @@ class Processor:
         inst = entry.inst
         counters = self.ssn
         entry.ssn_rename_at_dispatch = counters.rename
-        # ssn.next_rename inlined (non-wrapping path).
         ssn = counters.rename + 1
         counters.rename = ssn
         entry.ssn = ssn
@@ -629,7 +620,7 @@ class Processor:
             SRQEntry(
                 ssn=ssn,
                 def_producer=(
-                    self.mapper.producer(srcs[1]) if len(srcs) > 1 else None
+                    self.mapper.producers[srcs[1]] if len(srcs) > 1 else None
                 ),
                 store_seq=inst.store_seq,
                 size=inst.size,
@@ -1129,7 +1120,7 @@ class Processor:
     def _commit_store(self, entry: InFlightInst, cycle: int) -> None:
         inst = entry.inst
         visible = self.commit_pipeline.store_commit(cycle, inst.addr, inst.size)
-        # svw.store_commit is a pure delegation to the T-SSBF update.
+        # The store passes the SVW stage: record it in the T-SSBF.
         self.ssbf.update(inst.addr, inst.size, entry.ssn)
         if len(self._visible_cycles) != inst.store_seq:
             raise SimulationError("store visibility timeline out of order")
@@ -1278,19 +1269,9 @@ class Processor:
                 if ssn_nvul < 0:
                     ssn_nvul = 0
             entry.ssn_nvul = ssn_nvul
-            # SVWFilter.test_nonbypassing inlined (once per committed
-            # non-bypassed load); keep in sync with repro.core.svw.
-            svw_stats = self.svw.stats
-            svw_stats.nonbypassing_tests += 1
-            ssbf = self.ssbf
-            if ssbf.max_recorded_ssn <= ssn_nvul:
-                needs_reexec = False
-            else:
-                needs_reexec = (
-                    ssbf.youngest_store_ssn(inst.addr, inst.size) > ssn_nvul
-                )
-                if needs_reexec:
-                    svw_stats.nonbypassing_reexecs += 1
+            needs_reexec = self.svw.test_nonbypassing(
+                inst.addr, inst.size, ssn_nvul
+            )
             if not self._svw_enabled:
                 # Unfiltered: any load that executed with older stores in
                 # flight is speculative and must re-execute.

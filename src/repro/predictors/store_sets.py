@@ -86,7 +86,9 @@ class StoreSets:
         self.stats.violations += 1
         self._trainings += 1
         if self._trainings % self.CLEAR_INTERVAL == 0:
-            self.clear()
+            # Cyclic clearing of both tables.
+            self._ssit = [None] * self.ssit_entries
+            self._lfst.clear()
             return
         load_index = self._index(load_pc)
         store_index = self._index(store_pc)
@@ -106,8 +108,3 @@ class StoreSets:
             self._ssit[load_index] = winner
             self._ssit[store_index] = winner
             self.stats.merges += 1
-
-    def clear(self) -> None:
-        """Cyclic clearing of both tables."""
-        self._ssit = [None] * self.ssit_entries
-        self._lfst.clear()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from tests.conftest import write_v1_file
 
 
 class TestParser:
@@ -125,6 +126,20 @@ class TestCommands:
         bad.write_text("not a trace")
         assert main(["run", f"trace:{bad}", "-n", "2000"]) == 2
         assert "not a repro trace file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_campaign_run_v1_trace_file(self, capsys, tmp_path, monkeypatch,
+                                        jobs):
+        """A trace file that does not load fails the campaign with one
+        line naming the file, as `repro run` does."""
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "old.trace.gz"
+        write_v1_file(path)
+        assert main(["campaign", "run", f"trace:{path}", "-n", "500",
+                     "--no-cache", "--quiet", "--jobs", jobs]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert str(path) in err and "not a repro trace file in the v2" in err
 
     def test_run_source_id_gets_registry_suggestions(self, capsys):
         # prefix:-shaped ids can never be config specs; the trace

@@ -54,7 +54,7 @@ class TestStoreVisibility:
         )
         visible = pipeline.store_commit(100, 0x100, 8)
         assert visible == 100 + 2 + 1
-        assert pipeline.tlb.stats.accesses == 0
+        assert pipeline.tlb.stats.hits + pipeline.tlb.stats.misses == 0
 
 
 class TestReexecution:
@@ -68,21 +68,23 @@ class TestReexecution:
     def test_bypassed_load_translates(self):
         pipeline = make_pipeline()
         pipeline.load_reexec(100, 0x5000, translate=True)
-        assert pipeline.tlb.stats.accesses == 1
+        assert pipeline.tlb.stats.hits + pipeline.tlb.stats.misses == 1
 
     def test_nonbypassed_load_does_not_translate(self):
         pipeline = make_pipeline()
         pipeline.load_reexec(100, 0x5000, translate=False)
-        assert pipeline.tlb.stats.accesses == 0
+        assert pipeline.tlb.stats.hits + pipeline.tlb.stats.misses == 0
 
     def test_backend_read_counter(self):
         pipeline = make_pipeline()
         pipeline.load_reexec(100, 0x100)
         pipeline.load_reexec(110, 0x200)
-        assert pipeline.backend_dcache_reads == 2
+        assert pipeline.stats.reexec_reads == 2
 
     def test_reexec_touches_the_cache(self):
         pipeline = make_pipeline()
-        before = pipeline.hierarchy.l1.stats.reads
+        l1 = pipeline.hierarchy.l1.stats
         pipeline.load_reexec(100, 0x100)
-        assert pipeline.hierarchy.l1.stats.reads == before + 1
+        assert (l1.read_hits, l1.read_misses) == (0, 1)
+        pipeline.load_reexec(110, 0x100)
+        assert (l1.read_hits, l1.read_misses) == (1, 1)

@@ -5,8 +5,8 @@ from repro.frontend import (
     HybridBranchPredictor,
     PathHistory,
     ReturnAddressStack,
-    compute_path_history,
 )
+from repro.frontend.path_history import fill_path_history
 from tests.conftest import build_trace
 
 
@@ -40,10 +40,11 @@ class TestHybridPredictor:
         assert not predictor.predict_and_train(0x4000, False)
 
     def test_accuracy_property(self):
+        """Accuracy is counted as predictions and mispredictions."""
         predictor = HybridBranchPredictor()
-        assert predictor.stats.accuracy == 1.0
-        predictor.predict_and_train(0x0, True)
-        assert 0.0 <= predictor.stats.accuracy <= 1.0
+        assert predictor.predict_and_train(0x0, True) is False  # cold: wrong
+        stats = predictor.stats
+        assert (stats.predictions, stats.mispredictions) == (1, 1)
 
 
 class TestBTB:
@@ -118,19 +119,19 @@ class TestPathHistory:
         history.update(trace[0])
         assert history.value == 0
 
-    def test_snapshot_restore(self):
-        history = PathHistory()
-        history.update_branch(True)
-        saved = history.snapshot()
-        history.update_branch(False)
-        history.restore(saved)
-        assert history.value == saved
+
+def _path_history(trace):
+    fill_path_history(trace)
+    return [inst.path_hist for inst in trace]
 
 
 class TestComputePathHistory:
+    """The pre-decode path history ``fill_path_history`` stores on each
+    instruction."""
+
     def test_values_are_pre_instruction(self):
         trace = build_trace([("br", True), ("ld", 0x100, 8), ("br", False)])
-        values = compute_path_history(trace)
+        values = _path_history(trace)
         assert values[0] == 0          # before the first branch
         assert values[1] == 0b1        # after the taken branch
         assert values[2] == 0b1
@@ -138,9 +139,9 @@ class TestComputePathHistory:
 
     def test_deterministic(self):
         trace = build_trace([("br", i % 2 == 0) for i in range(20)])
-        assert compute_path_history(trace) == compute_path_history(trace)
+        assert _path_history(trace) == _path_history(trace)
 
     def test_calls_included(self):
         trace = build_trace([("call",), ("ld", 0x100, 8)])
-        values = compute_path_history(trace)
+        values = _path_history(trace)
         assert values[1] == (trace[0].pc >> 2) & 0x3

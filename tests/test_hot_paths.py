@@ -8,6 +8,9 @@
   (recorded from the eager-table implementation).
 * The per-instruction methods, and the trace emitters of the zoo, the
   external-trace importer and the fuzzer, read no enum member attribute.
+* Every function and method of the timing-model components is named
+  somewhere in src/ outside its own definition: a component keeps no
+  method that only tests call.
 """
 
 import ast
@@ -16,6 +19,7 @@ import hashlib
 import inspect
 import random
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +31,7 @@ from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import HierarchyConfig
 from repro.pipeline.processor import Processor
+import repro
 from repro.traces import importers
 from repro.validate import fuzz
 from repro.workloads import zoo
@@ -72,6 +77,18 @@ def _digest(value) -> str:
     return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
 
 
+def _present(cache, addr) -> bool:
+    """Whether *addr*'s line is cached, read from the set tables without
+    touching LRU order or statistics."""
+    line = addr >> cache._line_shift
+    cache_set = cache._sets[line & cache._set_mask]
+    return cache_set is not None and line >> cache._tag_shift in cache_set
+
+
+def _occupancy(cache) -> int:
+    return sum(len(s) for s in cache._sets if s is not None)
+
+
 def _cache_script():
     rng = random.Random(5)
     cache = Cache(size_bytes=4096, assoc=2, line_bytes=64)  # 32 sets
@@ -83,11 +100,11 @@ def _cache_script():
         else:
             addr = rng.randrange(32 * 1024)
         hits.append(cache.access(addr, is_write=rng.random() < 0.3))
-    lookups = [cache.lookup(rng.randrange(32 * 1024)) for _ in range(200)]
+    lookups = [_present(cache, rng.randrange(32 * 1024)) for _ in range(200)]
     stats = cache.stats
     before = (
         stats.read_hits, stats.read_misses, stats.write_hits,
-        stats.write_misses, stats.writebacks, cache.occupancy,
+        stats.write_misses, stats.writebacks, _occupancy(cache),
     )
     state = _set_dump(cache._sets)
     return before, _digest((hits, lookups, state))
@@ -111,7 +128,7 @@ def _hierarchy_script():
     l1, l2 = hierarchy.l1, hierarchy.l2
     counts = tuple(
         (c.stats.read_hits, c.stats.read_misses, c.stats.write_hits,
-         c.stats.write_misses, c.stats.writebacks, c.occupancy)
+         c.stats.write_misses, c.stats.writebacks, _occupancy(c))
         for c in (l1, l2)
     )
     state = (_set_dump(l1._sets), _set_dump(l2._sets))
@@ -210,3 +227,71 @@ _EMITTERS = {
 @pytest.mark.parametrize("name", list(_EMITTERS))
 def test_trace_emitter_reads_no_enum_member(name):
     assert _enum_reads(_EMITTERS[name]) == []
+
+
+# -- no component method that only tests call -------------------------------- #
+
+#: The timing-model component packages under src/repro.
+_COMPONENT_PACKAGES = ("ooo", "core", "memory", "frontend", "predictors")
+
+#: Definitions kept without a caller in src/, with the reason.
+_UNCALLED_ALLOWED = {
+    # test_equivalence.py's reference for the processor's store-queue
+    # classification.
+    ("ooo/lsq.py", "StoreQueue.search"),
+}
+
+
+def _definitions(tree):
+    """(qualified name, bare name) of every function and method in *tree*."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                qualified = f"{owner}.{child.name}" if owner else child.name
+                found.append((qualified, child.name))
+                visit(child, owner)
+            else:
+                visit(child, owner)
+
+    visit(tree, None)
+    return found
+
+
+def _names_used(tree):
+    """Every name, attribute and string constant *tree* mentions (a
+    definition's own name is not among them)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_every_component_definition_is_named_in_src():
+    """A component method that nothing in src/ names runs only in tests:
+    the simulator has its own copy, or nothing needs it.  Dunder methods
+    are called by the interpreter and are exempt."""
+    root = Path(repro.__file__).parent
+    used = set()
+    definitions = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        used.update(_names_used(tree))
+        relative = path.relative_to(root)
+        if relative.parts[0] in _COMPONENT_PACKAGES:
+            definitions += [
+                (relative.as_posix(), qualified, name)
+                for qualified, name in _definitions(tree)
+            ]
+    uncalled = {
+        (module, qualified)
+        for module, qualified, name in definitions
+        if name not in used and not name.startswith("__")
+    }
+    assert uncalled == _UNCALLED_ALLOWED

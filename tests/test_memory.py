@@ -15,8 +15,8 @@ class TestSparseMemory:
         memory = SparseMemory()
         memory.write(0x100, 0x1122334455667788, 8)
         assert memory.read(0x100, 8) == 0x1122334455667788
-        assert memory.read_byte(0x100) == 0x88  # low byte first
-        assert memory.read_byte(0x107) == 0x11
+        assert memory.read(0x100, 1) == 0x88  # low byte first
+        assert memory.read(0x107, 1) == 0x11
 
     def test_partial_overwrite(self):
         memory = SparseMemory()
@@ -32,7 +32,7 @@ class TestSparseMemory:
     def test_load_bytes_and_dump(self):
         memory = SparseMemory()
         memory.load_bytes(0x40, b"hello")
-        assert memory.dump(0x40, 5) == b"hello"
+        assert memory.read(0x40, 5).to_bytes(5, "little") == b"hello"
 
     @given(
         st.lists(
@@ -53,7 +53,7 @@ class TestSparseMemory:
             reference[addr:addr + size] = value.to_bytes(
                 8, "little"
             )[:size]
-        assert memory.dump(0, 512) == bytes(reference)
+        assert memory.read(0, 512).to_bytes(512, "little") == bytes(reference)
 
 
 class TestCache:
@@ -99,11 +99,6 @@ class TestCache:
         cache.access(0x0, is_write=True)
         assert cache.stats.read_misses == 1
         assert cache.stats.write_hits == 1
-
-    def test_lookup_is_non_destructive(self):
-        cache = Cache(size_bytes=1024, assoc=2)
-        assert cache.lookup(0x0) is False
-        assert cache.stats.accesses == 0
 
 
 class TestHierarchy:

@@ -1,6 +1,9 @@
 """Tests for the out-of-order core structures."""
 
 import gc
+from collections import deque
+from dataclasses import replace
+from heapq import heappop
 
 import pytest
 
@@ -26,63 +29,88 @@ def _entry(inst, dispatch=0):
     return InFlightInst(inst=inst, dispatch_cycle=dispatch)
 
 
+class _BoundedDeque(deque):
+    """A ROB entry deque that fails if anything appends past *capacity*."""
+
+    def __init__(self, capacity):
+        super().__init__()
+        self.capacity = capacity
+        self.peak = 0
+
+    def append(self, entry):
+        assert len(self) < self.capacity, "dispatch into a full ROB"
+        super().append(entry)
+        self.peak = max(self.peak, len(self))
+
+
+class _BoundedLoadQueue(LoadQueueTracker):
+    """Records the peak of the occupancy the dispatch loop writes."""
+
+    peak = 0
+
+    @property
+    def occupancy(self):
+        return self._occupancy
+
+    @occupancy.setter
+    def occupancy(self, value):
+        self._occupancy = value
+        self.peak = max(self.peak, value)
+
+
 class TestReorderBuffer:
     def test_fifo_order(self):
         rob = ReorderBuffer(4)
         trace = build_trace([("alu", 8), ("alu", 9)])
         first, second = _entry(trace[0]), _entry(trace[1])
-        rob.push(first)
-        rob.push(second)
-        assert rob.head is first
-        assert rob.pop_head() is first
-        assert rob.head is second
+        rob._entries.append(first)
+        rob._entries.append(second)
+        assert rob._entries[0] is first
+        assert rob._entries.popleft() is first
+        assert rob._entries[0] is second
 
     def test_capacity(self):
-        rob = ReorderBuffer(1)
-        trace = build_trace([("alu", 8), ("alu", 9)])
-        rob.push(_entry(trace[0]))
-        assert rob.full
-        with pytest.raises(RuntimeError):
-            rob.push(_entry(trace[1]))
+        """The dispatch loop stops at the ROB's capacity."""
+        processor = Processor(replace(MachineConfig.nosq(), rob_size=16))
+        bounded = processor.rob._entries = _BoundedDeque(processor.rob.capacity)
+        processor.run(generate_trace("mcf", 2000, seed=3))
+        assert bounded.peak == processor.rob.capacity == 16
+        with pytest.raises(ValueError):
+            ReorderBuffer(0)
 
     def test_squash_younger(self):
         rob = ReorderBuffer(8)
         trace = build_trace([("alu", 8)] * 5)
-        entries = [_entry(i) for i in trace]
-        for e in entries:
-            rob.push(e)
+        rob._entries.extend(_entry(i) for i in trace)
         squashed = rob.squash_younger(seq=2)
         assert [e.seq for e in squashed] == [3, 4]
-        assert len(rob) == 3
+        assert len(rob._entries) == 3
 
     def test_squash_none_when_seq_is_tail(self):
         rob = ReorderBuffer(8)
         trace = build_trace([("alu", 8)] * 2)
-        for i in trace:
-            rob.push(_entry(i))
+        rob._entries.extend(_entry(i) for i in trace)
         assert rob.squash_younger(seq=1) == []
 
 
 class TestRegisterMapper:
     def test_undefined_is_committed(self):
         mapper = RegisterMapper()
-        assert mapper.producer(7) is None
-        assert mapper.ready_cycle(7) == 0
+        assert mapper.producers[7] is None
 
     def test_define_and_lookup(self):
         mapper = RegisterMapper()
         trace = build_trace([("alu", 8)])
         entry = _entry(trace[0])
-        entry.complete_cycle = 5
         mapper.define(8, entry)
-        assert mapper.producer(8) is entry
-        assert mapper.ready_cycle(8) == 5
+        assert mapper.producers[8] is entry
+        assert entry.undo_producer is None
 
     def test_register_zero_never_mapped(self):
         mapper = RegisterMapper()
         trace = build_trace([("alu", 8)])
         mapper.define(0, _entry(trace[0]))
-        assert mapper.producer(0) is None
+        assert mapper.producers[0] is None
 
     def test_youngest_writer_wins(self):
         mapper = RegisterMapper()
@@ -90,7 +118,8 @@ class TestRegisterMapper:
         old, new = _entry(trace[0]), _entry(trace[1])
         mapper.define(8, old)
         mapper.define(8, new)
-        assert mapper.producer(8) is new
+        assert mapper.producers[8] is new
+        assert new.undo_producer is old
 
     def test_squash_restores_older_writer(self):
         mapper = RegisterMapper()
@@ -99,7 +128,7 @@ class TestRegisterMapper:
         mapper.define(8, old)
         mapper.define(8, new)
         mapper.restore([new])
-        assert mapper.producer(8) is old
+        assert mapper.producers[8] is old
 
     def test_squash_restores_inflight_then_committed(self):
         mapper = RegisterMapper()
@@ -111,17 +140,10 @@ class TestRegisterMapper:
         mapper.define(8, older)
         mapper.define(8, younger)
         mapper.restore([younger])
-        assert mapper.producer(8) is older
+        assert mapper.producers[8] is older
         mapper.restore([older, other])
-        assert mapper.producer(8) is committed
-        assert mapper.producer(9) is None
-
-    def test_unscheduled_producer_raises(self):
-        mapper = RegisterMapper()
-        trace = build_trace([("alu", 8)])
-        mapper.define(8, _entry(trace[0]))  # complete_cycle == -1
-        with pytest.raises(RuntimeError):
-            mapper.ready_cycle(8)
+        assert mapper.producers[8] is committed
+        assert mapper.producers[9] is None
 
     @staticmethod
     def _live_entries_after_run(num_instructions):
@@ -147,7 +169,7 @@ class TestPhysicalRegisterFile:
         pregs = PhysicalRegisterFile(total=66)  # 2 free beyond arch
         pregs.allocate(0)
         pregs.allocate(1)
-        assert not pregs.can_allocate
+        assert pregs._free == 0
         with pytest.raises(RuntimeError):
             pregs.allocate(2)
 
@@ -155,7 +177,7 @@ class TestPhysicalRegisterFile:
         pregs = PhysicalRegisterFile(total=65)
         pregs.allocate(0)
         pregs.release(0)
-        assert pregs.can_allocate
+        assert pregs._free == 1
 
     def test_smb_sharing_reference_counts(self):
         """The DEF and a bypassed load share one register: it frees only
@@ -164,14 +186,14 @@ class TestPhysicalRegisterFile:
         pregs.allocate(0)       # DEF
         pregs.share(0)          # bypassed load takes a reference
         pregs.release(0)        # DEF commits
-        assert not pregs.can_allocate
+        assert pregs._free == 0
         pregs.release(0)        # load commits
-        assert pregs.can_allocate
+        assert pregs._free == 1
 
     def test_release_unknown_is_noop(self):
         pregs = PhysicalRegisterFile(total=65)
         pregs.release(99)
-        assert pregs.free == 1
+        assert pregs._free == 1
 
     def test_needs_headroom(self):
         with pytest.raises(ValueError):
@@ -204,39 +226,55 @@ class TestPortSchedule:
     def test_used_introspection(self):
         ports = PortSchedule()
         ports.reserve(OpClass.COMPLEX, 2)
-        assert ports.used(2, OpClass.COMPLEX) == 1
-        assert ports.used(2) == 1
+        used = ports._used_by_cycle[2]
+        assert used[OpClass.COMPLEX] == 1
+        assert used[-1] == 1     # the cycle's total booked width
+        assert 3 not in ports._used_by_cycle
+
+
+def _iq_occupancy(iq, cycle):
+    """Entries waiting at the start of *cycle*, computed as the dispatch
+    loop does: pop the issue cycles that have passed."""
+    while iq._scheduled and iq._scheduled[0] <= cycle:
+        heappop(iq._scheduled)
+    return len(iq._scheduled) + iq._unscheduled
 
 
 class TestIssueQueueTracker:
     def test_occupancy_drains_at_issue(self):
         iq = IssueQueueTracker(2)
-        iq.add_scheduled(5)
-        iq.add_scheduled(7)
-        assert not iq.has_space(4)
-        assert iq.has_space(5)   # first entry issued
-        assert iq.occupancy(7) == 0
+        iq.add_unscheduled()
+        iq.schedule_unscheduled(7)
+        iq.add_unscheduled()
+        iq.schedule_unscheduled(5)
+        assert _iq_occupancy(iq, 4) == 2
+        assert _iq_occupancy(iq, 5) == 1   # first entry issued
+        assert _iq_occupancy(iq, 7) == 0
 
     def test_unscheduled_holds_space(self):
         iq = IssueQueueTracker(1)
         iq.add_unscheduled()
-        assert not iq.has_space(100)
+        assert _iq_occupancy(iq, 100) == 1
         iq.schedule_unscheduled(101)
-        assert iq.has_space(101)
+        assert _iq_occupancy(iq, 101) == 0
+        with pytest.raises(RuntimeError):
+            iq.schedule_unscheduled(102)
 
     def test_remove_unscheduled(self):
         iq = IssueQueueTracker(1)
         iq.add_unscheduled()
         iq.remove_unscheduled(1)
-        assert iq.has_space(0)
+        assert _iq_occupancy(iq, 0) == 0
         with pytest.raises(RuntimeError):
             iq.remove_unscheduled(1)
 
     def test_remove_scheduled(self):
         iq = IssueQueueTracker(1)
-        iq.add_scheduled(50)
+        iq.add_unscheduled()
+        iq.schedule_unscheduled(50)
         iq.remove_scheduled(50)
-        assert iq.has_space(0)
+        assert _iq_occupancy(iq, 0) == 0
+        iq.remove_scheduled(60)  # not booked: nothing to remove
 
 
 class TestStoreQueue:
@@ -312,29 +350,29 @@ class TestStoreQueue:
         sq.insert(self._sq_entry(0, 0x100, 8))
         sq.insert(self._sq_entry(3, 0x200, 8))
         assert sq.squash_younger(1) == 1
-        assert len(sq) == 1
+        assert [e.seq for e in sq._entries] == [0]
 
 
 class TestLoadQueueTracker:
     def test_capacity(self):
-        lq = LoadQueueTracker(2)
-        lq.insert()
-        lq.insert()
-        assert not lq.has_space()
-        with pytest.raises(RuntimeError):
-            lq.insert()
+        """The dispatch loop stops at the load queue's capacity."""
+        config = replace(MachineConfig.conventional(), lq_size=8)
+        processor = Processor(config)
+        bounded = _BoundedLoadQueue(config.lq_size)
+        processor.lq = bounded
+        processor.run(generate_trace("mcf", 2000, seed=3))
+        assert bounded.peak == config.lq_size
+        assert bounded.occupancy == 0
 
     def test_unlimited_mode(self):
         lq = LoadQueueTracker(None)
         assert lq.unlimited
-        for _ in range(1000):
-            lq.insert()
-        assert lq.has_space()
+        assert not LoadQueueTracker(32).unlimited
 
     def test_remove(self):
         lq = LoadQueueTracker(1)
-        lq.insert()
+        lq.occupancy = 1
         lq.remove()
-        assert lq.has_space()
+        assert lq.occupancy == 0
         with pytest.raises(RuntimeError):
             lq.remove()

@@ -56,10 +56,15 @@ class TestStoreSets:
         assert predictor.stats.merges == 1
 
     def test_clear(self):
+        """Every CLEAR_INTERVAL-th training clears both tables."""
         predictor = StoreSets()
+        predictor._trainings = StoreSets.CLEAR_INTERVAL - 2
         predictor.train_violation(0x1000, 0x2000)
         predictor.store_renamed(0x2000, object())
-        predictor.clear()
+        assert predictor.load_dependence(0x1000) is not None
+        predictor.train_violation(0x1000, 0x2000)
+        assert predictor.load_dependence(0x1000) is None
+        predictor.store_renamed(0x2000, object())
         assert predictor.load_dependence(0x1000) is None
 
     def test_load_waits_counted(self):

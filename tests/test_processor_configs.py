@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.api import standard_configs
+from repro.api import resolve_config, standard_configs
 from repro.harness.runner import ExperimentScale, make_trace
 from repro.pipeline import MachineConfig, Processor, simulate
+from repro.validate import run_validation
+from repro.workloads import generate_trace
 
 TINY = ExperimentScale("tiny", num_instructions=5_000, warmup=2_000)
 
@@ -68,31 +70,74 @@ class TestAllConfigurations:
         assert large.cycles <= small.cycles * 1.05
 
 
+def _assert_drained(processor):
+    """Every rename register is free, the store queue and the SRQ are
+    empty, and SSNcommit has caught up with SSNrename."""
+    pregs = processor.pregs
+    assert pregs._free == pregs.total - pregs.arch_regs
+    assert not pregs._refcounts
+    if processor.sq is not None:
+        assert processor.sq._entries == []
+    assert processor.srq._entries == {}
+    assert processor.ssn.rename == processor.ssn.commit
+
+
 class TestStructureAccounting:
     def test_physical_registers_never_leak(self, gzip_trace):
         processor = Processor(MachineConfig.nosq())
         processor.run(gzip_trace)
         # Everything committed: all rename registers must be free again.
-        assert processor.pregs.free == (
+        assert processor.pregs._free == (
             processor.pregs.total - processor.pregs.arch_regs
         )
 
     def test_issue_queue_drains(self, gzip_trace):
         processor = Processor(MachineConfig.nosq())
         stats = processor.run(gzip_trace)
-        assert processor.iq.occupancy(stats.cycles + 1000) == 0
+        iq = processor.iq
+        assert iq._unscheduled == 0
+        assert all(issue <= stats.cycles for issue in iq._scheduled)
 
     def test_store_queue_drains(self, gzip_trace):
         processor = Processor(MachineConfig.conventional())
         processor.run(gzip_trace)
-        assert len(processor.sq) == 0
+        assert processor.sq._entries == []
 
     def test_srq_drains(self, gzip_trace):
         processor = Processor(MachineConfig.nosq())
         processor.run(gzip_trace)
-        assert len(processor.srq) == 0
+        assert processor.srq._entries == {}
 
     def test_ssn_counters_converge(self, gzip_trace):
         processor = Processor(MachineConfig.nosq())
         processor.run(gzip_trace)
-        assert processor.ssn.in_flight == 0
+        assert processor.ssn.rename - processor.ssn.commit == 0
+
+
+class TestSSNWraparoundDrain:
+    """Five-bit SSNs wrap every 31 stores, so the processor drains its
+    pipeline and clears the T-SSBF, the SRQ and the SSN counters many
+    times over one short trace (Section 2: "the processor drains its
+    pipeline and clears all hardware structures that hold SSNs")."""
+
+    SPECS = ("nosq?ssn_bits=5", "conventional?ssn_bits=5")
+
+    @pytest.fixture(scope="class")
+    def trace(self):
+        return generate_trace("gzip", 4_000, seed=17)
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_drains_and_recovers(self, trace, spec):
+        processor = Processor(resolve_config(spec))
+        stats = processor.run(trace)
+        assert stats.ssn_wraps > 0
+        assert stats.instructions == len(trace)
+        _assert_drained(processor)
+
+    def test_oracle_agrees_across_wraps(self, trace):
+        result = run_validation(
+            [resolve_config(spec) for spec in self.SPECS], trace,
+            benchmark="gzip",
+        )
+        assert result.ok, "\n".join(r.describe() for r in result.reports)
+        assert all(r.stats.ssn_wraps > 0 for r in result.reports)

@@ -26,7 +26,8 @@ class TestFunctionalCorrectness:
     def test_memcpy_copies(self, built):
         _, result = built["memcpy"]
         expected = bytes((7 * i + 3) & 0xFF for i in range(256))
-        assert result.memory.dump(programs.DST_BASE, 256) == expected
+        copied = result.memory.read(programs.DST_BASE, 256)
+        assert copied.to_bytes(256, "little") == expected
 
     def test_stack_spill_accumulates(self, built):
         _, result = built["stack_spill"]

