@@ -59,8 +59,12 @@ class CommitPipeline:
         self._port_free = 0  # next cycle the D$ write port is free
 
     def _book_port(self, earliest: int) -> int:
-        slot = max(earliest, self._port_free)
-        self.stats.port_conflict_cycles += slot - earliest
+        # A comparison, not max(): this runs once per committed store.
+        slot = self._port_free
+        if slot > earliest:
+            self.stats.port_conflict_cycles += slot - earliest
+        else:
+            slot = earliest
         self._port_free = slot + 1
         return slot
 

@@ -47,11 +47,8 @@ class StoreRegisterQueue:
         self.capacity = capacity
         self._entries: dict[int, SRQEntry] = {}
 
-    def _slot(self, ssn: int) -> int:
-        return ssn % self.capacity
-
     def insert(self, entry: SRQEntry) -> None:
-        slot = self._slot(entry.ssn)
+        slot = entry.ssn % self.capacity
         existing = self._entries.get(slot)
         if existing is not None and existing.ssn != entry.ssn:
             raise RuntimeError(
@@ -61,14 +58,14 @@ class StoreRegisterQueue:
 
     def lookup(self, ssn: int) -> SRQEntry | None:
         """Rename-time lookup by SSN; None if not present (e.g. committed)."""
-        entry = self._entries.get(self._slot(ssn))
+        entry = self._entries.get(ssn % self.capacity)
         if entry is not None and entry.ssn == ssn:
             return entry
         return None
 
     def retire(self, ssn: int) -> None:
         """Remove the entry for a committing store, if still present."""
-        slot = self._slot(ssn)
+        slot = ssn % self.capacity
         entry = self._entries.get(slot)
         if entry is not None and entry.ssn == ssn:
             del self._entries[slot]

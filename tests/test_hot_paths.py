@@ -229,7 +229,7 @@ def test_trace_emitter_reads_no_enum_member(name):
     assert _enum_reads(_EMITTERS[name]) == []
 
 
-# -- no component method that only tests call -------------------------------- #
+# -- no component method that only tests call --------------------------- #
 
 #: The timing-model component packages under src/repro.
 _COMPONENT_PACKAGES = ("ooo", "core", "memory", "frontend", "predictors")

@@ -72,7 +72,8 @@ class TestReorderBuffer:
     def test_capacity(self):
         """The dispatch loop stops at the ROB's capacity."""
         processor = Processor(replace(MachineConfig.nosq(), rob_size=16))
-        bounded = processor.rob._entries = _BoundedDeque(processor.rob.capacity)
+        bounded = _BoundedDeque(processor.rob.capacity)
+        processor.rob._entries = bounded
         processor.run(generate_trace("mcf", 2000, seed=3))
         assert bounded.peak == processor.rob.capacity == 16
         with pytest.raises(ValueError):

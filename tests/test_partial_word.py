@@ -25,7 +25,9 @@ WORD = st.integers(min_value=0, max_value=bits.WORD_MASK)
 def _needs_injected_op(store_size, load_size, store_fp=False, load_fp=False):
     """Whether the pairing needs a shift & mask op: the processor injects
     one unless the transform is the identity."""
-    transform = transform_for(store_size, store_fp, load_size, False, load_fp, 0)
+    transform = transform_for(
+        store_size, store_fp, load_size, False, load_fp, 0
+    )
     return not transform.is_identity
 
 
