@@ -30,7 +30,7 @@ Package map:
 * :mod:`repro.memory` -- caches, memory, TLB
 * :mod:`repro.frontend` -- branch prediction, path history
 * :mod:`repro.ooo` -- ROB, rename, issue, load/store queues
-* :mod:`repro.predictors` -- StoreSets, oracles
+* :mod:`repro.predictors` -- StoreSets (the baseline's load scheduler)
 * :mod:`repro.core` -- the NoSQ mechanisms (the paper's contribution)
 * :mod:`repro.pipeline` -- machine configs and the cycle-level processor
 * :mod:`repro.workloads` -- benchmark profiles, generator, programs

@@ -58,6 +58,7 @@ from repro.pipeline.config import (
     BypassPredictorConfig,
     HierarchyConfig,
     MachineConfig,
+    Mode,
 )
 
 
@@ -260,6 +261,32 @@ def apply_overrides(
     )
 
 
+def _check_runnable(config: MachineConfig) -> None:
+    """Reject values the pipeline cannot run: a zero-wide dispatch,
+    commit or branch group or a zero-entry load queue never makes
+    progress, port reservations assume no negative stage count, and
+    only the conventional machine has a store queue."""
+    for key in ("width", "commit_width", "max_branches_per_group", "lq_size"):
+        value = getattr(config, key)
+        if value is not None and value < 1:
+            raise ConfigSpecError(f"{key}={value}: must be at least 1")
+    for key in ("exec_delay", "frontend_depth"):
+        value = getattr(config, key)
+        if value < 0:
+            raise ConfigSpecError(f"{key}={value}: must not be negative")
+    if config.mode is Mode.NOSQ:
+        if config.sq_size:
+            raise ConfigSpecError(
+                f"sq_size={config.sq_size}: NoSQ has no store queue; "
+                "must be 0"
+            )
+    elif config.sq_size < 1:
+        raise ConfigSpecError(
+            f"sq_size={config.sq_size}: the conventional machine needs "
+            "a store queue; must be at least 1"
+        )
+
+
 # --------------------------------------------------------------------- #
 # The paper's presets and config sets.
 # --------------------------------------------------------------------- #
@@ -414,6 +441,7 @@ def resolve_config(
         config = apply_overrides(
             config, parse_overrides(match.group("overrides"))
         )
+        _check_runnable(config)
     return config
 
 

@@ -455,24 +455,22 @@ def cmd_validate_shrink(args) -> int:
 # --------------------------------------------------------------------- #
 
 
-def _load_any_trace(path: str, source_format: str = "auto"):
+def _load_any_trace(path: str):
     """Load a v2 trace or import an external event trace.
 
-    ``auto`` reads a file with the v2 magic as a trace and imports any
-    other file as an external event trace; a file that is neither fails
+    A file with the v2 magic is read as a trace and any other file is
+    imported as an external event trace; a file that is neither fails
     with a message saying so, followed by the importer's detail.
     """
     from repro.isa.tracefile import TraceFormatError, load_trace
     from repro.traces import import_synchrotrace, is_binary_trace
 
-    if source_format == "native" or (
-        source_format == "auto" and is_binary_trace(path)
-    ):
+    if is_binary_trace(path):
         return load_trace(path)
     try:
         return import_synchrotrace(path)
     except TraceFormatError as exc:
-        if source_format != "auto" or isinstance(exc.__cause__, OSError):
+        if isinstance(exc.__cause__, OSError):
             raise
         detail = str(exc).removeprefix(f"{Path(path)}: ")
         raise TraceFormatError(
@@ -507,7 +505,7 @@ def cmd_trace_convert(args) -> int:
     from repro.isa.tracefile import TraceFormatError, save_trace
 
     try:
-        trace = _load_any_trace(args.input, args.source_format)
+        trace = _load_any_trace(args.input)
         save_trace(trace, args.output)
     except (TraceFormatError, FileNotFoundError, OSError) as exc:
         print(exc, file=sys.stderr)
@@ -538,7 +536,7 @@ def cmd_trace_info(args) -> int:
             ])
         else:
             rows.append(["format", "external event trace (imported)"])
-        trace = _load_any_trace(args.path, args.source_format)
+        trace = _load_any_trace(args.path)
     except (TraceFormatError, FileNotFoundError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -560,15 +558,10 @@ def cmd_trace_info(args) -> int:
 def cmd_trace_validate(args) -> int:
     from repro.isa.trace import DynInst, annotate_trace
     from repro.isa.tracefile import TraceFormatError
-    from repro.traces import is_binary_trace
 
     try:
-        trace = _load_any_trace(args.path, args.source_format)
+        trace = _load_any_trace(args.path)
     except (TraceFormatError, FileNotFoundError, OSError) as exc:
-        if args.source_format == "native" and not is_binary_trace(args.path):
-            # Not a trace file at all: bad input, not a failed validation.
-            print(exc, file=sys.stderr)
-            return 2
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
     # Re-derive every annotation from the raw instruction stream and
@@ -923,24 +916,18 @@ def build_parser() -> argparse.ArgumentParser:
         "convert",
         help="import an external event trace (or copy a trace) to v2",
     )
-    trace_convert.add_argument("input")
-    trace_convert.add_argument("output")
     trace_convert.add_argument(
-        "--from", dest="source_format",
-        choices=("auto", "native", "synchrotrace"), default="auto",
-        help="input format (default auto: a file with the v2 magic is a "
-             "trace, any other file a SynchroTrace-style event trace)",
+        "input",
+        help="a file with the v2 magic is a trace, any other file a "
+             "SynchroTrace-style event trace",
     )
+    trace_convert.add_argument("output")
     trace_convert.set_defaults(func=cmd_trace_convert)
 
     trace_info_cmd = trace_sub.add_parser(
         "info", help="show a trace file's layout and statistics"
     )
     trace_info_cmd.add_argument("path")
-    trace_info_cmd.add_argument(
-        "--from", dest="source_format",
-        choices=("auto", "native", "synchrotrace"), default="auto",
-    )
     trace_info_cmd.set_defaults(func=cmd_trace_info)
 
     trace_validate = trace_sub.add_parser(
@@ -949,10 +936,6 @@ def build_parser() -> argparse.ArgumentParser:
              "on corruption or stale annotations",
     )
     trace_validate.add_argument("path")
-    trace_validate.add_argument(
-        "--from", dest="source_format",
-        choices=("auto", "native", "synchrotrace"), default="auto",
-    )
     trace_validate.set_defaults(func=cmd_trace_validate)
 
     validate = sub.add_parser(

@@ -41,7 +41,8 @@ _SIZE_DECODE = {v: k for k, v in _SIZE_CODES.items()}
 
 @dataclass(slots=True)
 class _Entry:
-    tag: int
+    """One table entry; its (partial) tag is its key in the set dict."""
+
     dist: int
     shift: int
     size_code: int
@@ -70,16 +71,6 @@ _MISS_PREDICTION = BypassPrediction(
     hit=False, dist=NO_BYPASS, shift=0, store_size=8,
     confident=True, path_sensitive=False,
 )
-
-
-@dataclass
-class BypassPredictorStats:
-    lookups: int = 0
-    path_sensitive_hits: int = 0
-    path_insensitive_hits: int = 0
-    misses: int = 0
-    trainings: int = 0
-    confidence_drops: int = 0
 
 
 class _Table:
@@ -149,7 +140,7 @@ class _Table:
             return entry
         if not self.config.unbounded and len(entries) >= self.config.assoc:
             entries.pop(next(iter(entries)))
-        entry = _Entry(tag, dist, shift, size_code, self.config.conf_init)
+        entry = _Entry(dist, shift, size_code, self.config.conf_init)
         entries[tag] = entry
         return entry
 
@@ -162,7 +153,6 @@ class BypassingPredictor:
         self._plain = _Table(self.config)    # indexed by load PC
         self._path = _Table(self.config)     # indexed by PC ^ path history
         self._hist_mask = (1 << self.config.history_bits) - 1
-        self.stats = BypassPredictorStats()
 
     # -- decode-stage prediction --------------------------------------------
 
@@ -171,7 +161,6 @@ class BypassingPredictor:
 
         Both tables are probed in parallel; a path-sensitive hit wins.
         """
-        self.stats.lookups += 1
         # The plain key is the load's word address; the path key XORs in
         # the masked path history.
         key = pc >> 2
@@ -179,12 +168,7 @@ class BypassingPredictor:
         plain_entry = self._plain.lookup(key)
         entry = path_entry if path_entry is not None else plain_entry
         if entry is None:
-            self.stats.misses += 1
             return _MISS_PREDICTION
-        if path_entry is not None:
-            self.stats.path_sensitive_hits += 1
-        else:
-            self.stats.path_insensitive_hits += 1
         return BypassPrediction(
             hit=True,
             dist=entry.dist,
@@ -231,11 +215,9 @@ class BypassingPredictor:
         path_key = plain_key ^ (history & self._hist_mask)
 
         if mispredicted:
-            self.stats.trainings += 1
             path_entry = self._path.install(path_key, actual_dist, actual_shift, size_code)
             plain_entry = self._plain.install(plain_key, actual_dist, actual_shift, size_code)
             if prediction_available:
-                self.stats.confidence_drops += 1
                 path_entry.conf = max(0, path_entry.conf - cfg.conf_dec)
                 plain_entry.conf = max(0, plain_entry.conf - cfg.conf_dec)
             return

@@ -23,19 +23,9 @@ Timing consequences modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.memory.tlb import TLB
 from repro.pipeline.config import BackendConfig
-
-
-@dataclass
-class CommitPipelineStats:
-    store_commits: int = 0
-    reexec_reads: int = 0
-    port_conflict_cycles: int = 0
-    tlb_stall_cycles: int = 0
 
 
 class CommitPipeline:
@@ -55,15 +45,12 @@ class CommitPipeline:
         #: translated out-of-order); the conventional baseline translated at
         #: execute and commits with physical addresses.
         self.translate_stores = translate_stores
-        self.stats = CommitPipelineStats()
         self._port_free = 0  # next cycle the D$ write port is free
 
     def _book_port(self, earliest: int) -> int:
         # A comparison, not max(): this runs once per committed store.
         slot = self._port_free
-        if slot > earliest:
-            self.stats.port_conflict_cycles += slot - earliest
-        else:
+        if slot < earliest:
             slot = earliest
         self._port_free = slot + 1
         return slot
@@ -74,13 +61,9 @@ class CommitPipeline:
         Returns the cycle at which the store's value is visible to cache
         reads.
         """
-        stats = self.stats
-        stats.store_commits += 1
         earliest = entry_cycle + self.config.dcache_offset
         if self.translate_stores:
-            tlb_penalty = self.tlb.access(addr)
-            stats.tlb_stall_cycles += tlb_penalty
-            earliest += tlb_penalty
+            earliest += self.tlb.access(addr)
         slot = self._book_port(earliest)
         self.hierarchy.write(addr)
         return slot + 1
@@ -94,12 +77,10 @@ class CommitPipeline:
         Returns the cycle the re-executed value is available for the commit
         comparison.
         """
-        self.stats.reexec_reads += 1
-        tlb_penalty = 0
+        earliest = entry_cycle + self.config.dcache_offset
         if translate:
-            tlb_penalty = self.tlb.access(addr)
-            self.stats.tlb_stall_cycles += tlb_penalty
-        slot = self._book_port(entry_cycle + self.config.dcache_offset + tlb_penalty)
+            earliest += self.tlb.access(addr)
+        slot = self._book_port(earliest)
         self.hierarchy.read(addr)
         return slot + 1
 

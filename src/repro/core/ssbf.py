@@ -61,15 +61,12 @@ class TaggedSSBF:
         #: the SVW inequality test can short-circuit the common
         #: no-younger-store case without walking the sets.
         self.max_recorded_ssn = 0
-        self.updates = 0
-        self.lookups = 0
 
     def _locate(self, word: int) -> tuple[int, int]:
         return word & self._index_mask, word >> self._tag_shift
 
     def update(self, addr: int, size: int, ssn: int) -> None:
         """Record a committing store (SVW stage of the back-end pipeline)."""
-        self.updates += 1
         if ssn > self.max_recorded_ssn:
             self.max_recorded_ssn = ssn
         first = addr >> _WORD_SHIFT
@@ -118,7 +115,6 @@ class TaggedSSBF:
 
     def lookup(self, addr: int) -> SSBFEntry | None:
         """Look up the word containing *addr*; None on tag miss."""
-        self.lookups += 1
         index, tag = self._locate(addr >> _WORD_SHIFT)
         return self._sets[index].get(tag)
 

@@ -23,7 +23,6 @@ pipeline can flush directly.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from repro.core.ssbf import TaggedSSBF
 
@@ -36,15 +35,6 @@ class BypassVerdict(enum.Enum):
     TRANSFORM_MISMATCH = "mismatch"    # proven wrong (shift/coverage); flush
 
 
-@dataclass
-class SVWStats:
-    nonbypassing_tests: int = 0
-    nonbypassing_reexecs: int = 0
-    bypassing_tests: int = 0
-    bypassing_reexecs: int = 0
-    bypassing_mismatches: int = 0
-
-
 class SVWFilter:
     """The SVW stage of the back-end pipeline.
 
@@ -55,11 +45,9 @@ class SVWFilter:
 
     def __init__(self, ssbf: TaggedSSBF) -> None:
         self.ssbf = ssbf
-        self.stats = SVWStats()
 
     def test_nonbypassing(self, addr: int, size: int, ssn_nvul: int) -> bool:
         """Inequality test; returns True if the load must re-execute."""
-        self.stats.nonbypassing_tests += 1
         # No-conflict short-circuit: the filter's global SSN watermark upper-
         # bounds every per-word answer, so when no store younger than
         # SSNnvul has committed at all (the common case -- the load executed
@@ -68,10 +56,7 @@ class SVWFilter:
         # test below would return False for exactly the same calls.
         if self.ssbf.max_recorded_ssn <= ssn_nvul:
             return False
-        reexec = self.ssbf.youngest_store_ssn(addr, size) > ssn_nvul
-        if reexec:
-            self.stats.nonbypassing_reexecs += 1
-        return reexec
+        return self.ssbf.youngest_store_ssn(addr, size) > ssn_nvul
 
     def test_bypassing(
         self,
@@ -81,15 +66,12 @@ class SVWFilter:
         predicted_shift: int,
     ) -> BypassVerdict:
         """Equality test with replay-free shift verification."""
-        self.stats.bypassing_tests += 1
         if (addr >> 3) != ((addr + size - 1) >> 3):
             # A load spanning filter words cannot be proven by a single
             # entry; re-execute conservatively (aligned accesses never span).
-            self.stats.bypassing_reexecs += 1
             return BypassVerdict.REEXEC
         entry = self.ssbf.lookup(addr)
         if entry is None or entry.ssn != ssn_byp:
-            self.stats.bypassing_reexecs += 1
             return BypassVerdict.REEXEC
         # The predicted store was indeed the last committed writer of this
         # word.  Verify coverage from the entry's offset/size, and the shift
@@ -99,9 +81,7 @@ class SVWFilter:
         covered_start = word_base + entry.offset
         covered_end = covered_start + entry.size
         if addr < covered_start or addr + size > covered_end:
-            self.stats.bypassing_mismatches += 1
             return BypassVerdict.TRANSFORM_MISMATCH
         if addr - (word_base + entry.start) != predicted_shift:
-            self.stats.bypassing_mismatches += 1
             return BypassVerdict.TRANSFORM_MISMATCH
         return BypassVerdict.SKIP

@@ -94,8 +94,6 @@ class ResultCache:
         # every job, and formatting is about 20x cheaper than two
         # pathlib joins.
         self._prefix = os.path.join(self.root, "")
-        self.hits = 0
-        self.misses = 0
 
     def path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
@@ -109,12 +107,9 @@ class ResultCache:
             with open(f"{self._prefix}{key[:2]}{os.sep}{key}.json") as handle:
                 record = json.loads(handle.read())
         except (OSError, ValueError):
-            self.misses += 1
             return None
         if not isinstance(record, dict) or "run_stats" not in record:
-            self.misses += 1
             return None
-        self.hits += 1
         return record
 
     def put(self, key: str, record: dict[str, Any]) -> None:

@@ -13,7 +13,6 @@ from repro._lazy import lazy_exports
 
 #: Public name -> the submodule defining it, loaded on first access.
 _EXPORTS = {
-    "BranchPredictorStats": "branch_predictor",
     "BTB": "branch_predictor",
     "HybridBranchPredictor": "branch_predictor",
     "ReturnAddressStack": "branch_predictor",

@@ -8,20 +8,11 @@ Figure 3 quadruples the predictor tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def _saturate(counter: int, taken: bool, maximum: int = 3) -> int:
     if taken:
         return min(maximum, counter + 1)
     return max(0, counter - 1)
-
-
-@dataclass
-class BranchPredictorStats:
-    predictions: int = 0
-    mispredictions: int = 0
-    btb_misses: int = 0
 
 
 class HybridBranchPredictor:
@@ -36,8 +27,6 @@ class HybridBranchPredictor:
     def __init__(self, table_entries: int = 4096, history_bits: int = 12) -> None:
         if table_entries & (table_entries - 1):
             raise ValueError("table size must be a power of two")
-        self.table_entries = table_entries
-        self.history_bits = history_bits
         self._mask = table_entries - 1
         self._hist_mask = (1 << history_bits) - 1
         self._gshare = [1] * table_entries
@@ -45,7 +34,6 @@ class HybridBranchPredictor:
         self._chooser = [2] * table_entries  # weakly prefer gshare
         self._history = 0
         self._index_bits = table_entries.bit_length() - 1
-        self.stats = BranchPredictorStats()
 
     def _hash(self, pc: int) -> int:
         # Multiplicative hash: spreads strided instruction layouts evenly.
@@ -60,10 +48,6 @@ class HybridBranchPredictor:
         pred_b = self._bimodal[index_b] >= 2
         use_gshare = self._chooser[index_b] >= 2
         prediction = pred_g if use_gshare else pred_b
-
-        self.stats.predictions += 1
-        if prediction != taken:
-            self.stats.mispredictions += 1
 
         # Train the component tables and the chooser (_saturate inlined:
         # this runs once per simulated branch).

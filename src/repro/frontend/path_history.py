@@ -29,7 +29,6 @@ class PathHistory:
     def __init__(self, bits: int = MAX_HISTORY_BITS) -> None:
         if not 1 <= bits <= 64:
             raise ValueError("history bits must be in [1, 64]")
-        self.bits = bits
         self._mask = (1 << bits) - 1
         self.value = 0
 

@@ -59,7 +59,6 @@ class FunctionalExecutor:
     def __init__(self, program: list[Instruction], memory: SparseMemory | None = None):
         if not program:
             raise ValueError("program must contain at least one instruction")
-        self.program = program
         self.memory = memory if memory is not None else SparseMemory()
         self.registers = [0] * NUM_ARCH_REGS
         self._by_pc = {inst.pc: inst for inst in program}

@@ -11,7 +11,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "SparseMemory": "main_memory",
     "Cache": "cache",
-    "CacheStats": "cache",
     "MemoryHierarchy": "hierarchy",
     "HierarchyConfig": "hierarchy",
     "TLB": "tlb",

@@ -7,19 +7,6 @@ the per-access cost low enough for cycle-level simulation in Python.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters, split by access type."""
-
-    read_hits: int = 0
-    read_misses: int = 0
-    write_hits: int = 0
-    write_misses: int = 0
-    writebacks: int = 0
-
 
 class Cache:
     """A write-back, write-allocate, set-associative cache.
@@ -36,18 +23,13 @@ class Cache:
         size_bytes: int,
         assoc: int,
         line_bytes: int = 64,
-        name: str = "cache",
     ) -> None:
         if size_bytes % (assoc * line_bytes):
             raise ValueError("cache size must be a multiple of assoc * line size")
-        self.size_bytes = size_bytes
         self.assoc = assoc
-        self.line_bytes = line_bytes
         self.num_sets = size_bytes // (assoc * line_bytes)
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
-        self.name = name
-        self.stats = CacheStats()
         self._sets: list[dict[int, bool] | None] = [None] * self.num_sets
         self._set_mask = self.num_sets - 1
         self._line_shift = line_bytes.bit_length() - 1
@@ -69,18 +51,8 @@ class Cache:
         if hit:
             dirty = cache_set.pop(tag) or is_write
             cache_set[tag] = dirty
-            if is_write:
-                self.stats.write_hits += 1
-            else:
-                self.stats.read_hits += 1
         else:
-            if is_write:
-                self.stats.write_misses += 1
-            else:
-                self.stats.read_misses += 1
             if len(cache_set) >= self.assoc:
-                victim_tag = next(iter(cache_set))
-                if cache_set.pop(victim_tag):
-                    self.stats.writebacks += 1
+                cache_set.pop(next(iter(cache_set)))
             cache_set[tag] = is_write
         return hit

@@ -17,15 +17,15 @@ class MemoryHierarchy:
 
     ``read``/``write`` return the access latency in cycles and update the
     cache state.  The model is tag-only: data correctness is handled by the
-    functional layer; this class provides timing and bandwidth statistics
-    (data-cache read counts are the subject of Figure 4).
+    functional layer; this class provides timing only (Figure 4's
+    data-cache read counts are ``RunStats`` counters).
     """
 
     def __init__(self, config: HierarchyConfig | None = None) -> None:
         self.config = config or HierarchyConfig()
         cfg = self.config
-        self.l1 = Cache(cfg.l1_size, cfg.l1_assoc, cfg.line_bytes, name="L1D")
-        self.l2 = Cache(cfg.l2_size, cfg.l2_assoc, cfg.line_bytes, name="L2")
+        self.l1 = Cache(cfg.l1_size, cfg.l1_assoc, cfg.line_bytes)
+        self.l2 = Cache(cfg.l2_size, cfg.l2_assoc, cfg.line_bytes)
         self._line_fill_cycles = max(
             1, cfg.line_bytes // max(1, cfg.bus_bytes_per_cycle)
         )
@@ -44,13 +44,9 @@ class MemoryHierarchy:
             cache_set = l1._sets[index] = {}
         elif tag in cache_set:
             cache_set[tag] = cache_set.pop(tag)
-            l1.stats.read_hits += 1
             return cfg.l1_latency
-        l1.stats.read_misses += 1
         if len(cache_set) >= l1.assoc:
-            victim_tag = next(iter(cache_set))
-            if cache_set.pop(victim_tag):
-                l1.stats.writebacks += 1
+            cache_set.pop(next(iter(cache_set)))
         cache_set[tag] = False
         latency = cfg.l1_latency + cfg.l2_latency
         if self.l2.access(addr, False):

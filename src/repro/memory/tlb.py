@@ -9,14 +9,6 @@ stays off the SVW filter path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class TLBStats:
-    hits: int = 0
-    misses: int = 0
-
 
 class TLB:
     """A set-associative translation lookaside buffer with LRU replacement."""
@@ -34,9 +26,7 @@ class TLB:
         if self.num_sets & (self.num_sets - 1):
             raise ValueError("number of sets must be a power of two")
         self.assoc = assoc
-        self.page_bytes = page_bytes
         self.miss_penalty = miss_penalty
-        self.stats = TLBStats()
         self._sets: list[dict[int, None]] = [dict() for _ in range(self.num_sets)]
         self._page_shift = page_bytes.bit_length() - 1
         self._set_mask = self.num_sets - 1
@@ -50,9 +40,7 @@ class TLB:
         if tag in tlb_set:
             tlb_set.pop(tag)
             tlb_set[tag] = None
-            self.stats.hits += 1
             return 0
-        self.stats.misses += 1
         if len(tlb_set) >= self.assoc:
             tlb_set.pop(next(iter(tlb_set)))
         tlb_set[tag] = None

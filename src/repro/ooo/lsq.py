@@ -15,7 +15,7 @@ cost (Section 3.4), which this model reflects by making the tracker optional.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 from repro.isa.trace import DynInst
 
@@ -43,9 +43,9 @@ class StoreQueueEntry:
     ssn: int            # store sequence number
     addr: int
     size: int
-    #: Cycle the store's execution (address + data) completes in the
-    #: out-of-order engine.
-    execute_complete: int
+    #: Accepted and dropped: nothing reads an entry's execution cycle
+    #: (test_equivalence.py's reference still passes one).
+    execute_complete: InitVar[int] = -1
 
 
 class StoreQueue:
@@ -62,7 +62,6 @@ class StoreQueue:
             raise ValueError("store queue capacity must be positive")
         self.capacity = capacity
         self._entries: list[StoreQueueEntry] = []
-        self.searches = 0
 
     @property
     def full(self) -> bool:
@@ -89,7 +88,6 @@ class StoreQueue:
 
     def search(self, load: DynInst) -> ForwardResult:
         """Associative search on behalf of *load* (must carry addr/size)."""
-        self.searches += 1
         byte_writer: dict[int, StoreQueueEntry] = {}
         for entry in self._entries:
             if entry.seq >= load.seq:

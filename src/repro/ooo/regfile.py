@@ -22,8 +22,6 @@ class PhysicalRegisterFile:
     def __init__(self, total: int, arch_regs: int = NUM_ARCH_REGS) -> None:
         if total <= arch_regs:
             raise ValueError("need more physical than architectural registers")
-        self.total = total
-        self.arch_regs = arch_regs
         self._free = total - arch_regs
         #: reference counts for registers shared through SMB, keyed by the
         #: allocating instruction's dynamic seq.

@@ -34,7 +34,6 @@ class RegisterMapper:
     """
 
     def __init__(self, num_regs: int = NUM_ARCH_REGS) -> None:
-        self.num_regs = num_regs
         self.producers: list[InFlightInst | None] = [None] * num_regs
 
     def define(self, reg: int | None, entry: InFlightInst) -> None:

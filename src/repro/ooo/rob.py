@@ -25,9 +25,7 @@ class InFlightInst:
       (-1 = not scheduled yet);
     * ``dcache_read_cycle`` -- cycle of the out-of-order D$ read (loads);
     * ``bypassed`` / ``delayed`` / ``predicted_ssn`` / ``predicted_shift``
-      / ``path_sensitive_hit`` / ``pred_hit`` -- NoSQ bypassing state;
-    * ``ssn_nvul`` -- youngest store the load is not vulnerable to
-      (Section 2.2);
+      / ``pred_hit`` -- NoSQ bypassing state;
     * ``sq_forwarded`` -- forwarded from the store queue (baseline);
     * ``allocated_preg`` -- allocated a physical register at rename;
     * ``shared_with_seq`` -- shares the register allocated by that seq
@@ -57,8 +55,7 @@ class InFlightInst:
         "inst", "dispatch_cycle", "ssn", "issue_cycle",
         "complete_cycle", "dcache_read_cycle",
         "bypassed", "delayed", "predicted_ssn", "predicted_shift",
-        "path_sensitive_hit", "pred_hit", "ssn_nvul",
-        "sq_forwarded", "allocated_preg", "shared_with_seq",
+        "pred_hit", "sq_forwarded", "allocated_preg", "shared_with_seq",
         "predicted_store_seq", "ssn_rename_at_dispatch", "injected_op",
         "smb_applied", "squashed", "producers", "sched_kind",
         "port_class", "min_ready", "in_iq", "seq", "undo_producer",
@@ -83,16 +80,14 @@ class InFlightInst:
         if not inst.is_load:
             return
         # Bypassing/verification state only loads carry (and only loads
-        # read): the ~75% of instructions that are not loads skip twelve
+        # read): the ~75% of instructions that are not loads skip ten
         # slot initializations.
         self.dcache_read_cycle = -1
         self.bypassed = False
         self.delayed = False
         self.predicted_ssn = -1
         self.predicted_shift = -1
-        self.path_sensitive_hit = False
         self.pred_hit = False
-        self.ssn_nvul = -1
         self.sq_forwarded = False
         self.predicted_store_seq = -1
         self.injected_op = False

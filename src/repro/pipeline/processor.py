@@ -541,7 +541,6 @@ class Processor:
                         if tag in tlb_set:
                             tlb_set.pop(tag)
                             tlb_set[tag] = None
-                            tlb.stats.hits += 1
                         else:
                             latency += tlb.access(addr)
                         entry.dcache_read_cycle = issue + l1_latency
@@ -639,7 +638,6 @@ class Processor:
                 ssn=entry.ssn,
                 addr=inst.addr,
                 size=inst.size,
-                execute_complete=-1,
             )
         )
         if self.store_sets is not None:
@@ -757,7 +755,6 @@ class Processor:
             inst.pc, inst.path_hist
         )
         entry.pred_hit = pred.hit
-        entry.path_sensitive_hit = pred.path_sensitive
         if not (pred.predicts_bypass and pred.confident):
             return
         ssn_byp = entry.ssn_rename_at_dispatch + 1 - pred.dist
@@ -811,7 +808,6 @@ class Processor:
         stats.predictor_lookups += 1
         if pred.path_sensitive:
             stats.predictor_path_hits += 1
-        entry.path_sensitive_hit = pred.path_sensitive
         entry.pred_hit = pred.hit
 
         ssn_byp = -1
@@ -897,7 +893,6 @@ class Processor:
         entry.predicted_ssn = ssn_byp
         entry.predicted_store_seq = srq_entry.store_seq
         entry.predicted_shift = transform.shift
-        entry.ssn_nvul = ssn_byp
 
         def_producer = srq_entry.def_producer
         live_def = (
@@ -1268,7 +1263,6 @@ class Processor:
                 )
                 if ssn_nvul < 0:
                     ssn_nvul = 0
-            entry.ssn_nvul = ssn_nvul
             needs_reexec = self.svw.test_nonbypassing(
                 inst.addr, inst.size, ssn_nvul
             )

@@ -13,7 +13,6 @@ from repro._lazy import lazy_exports
 #: Public name -> the submodule defining it, loaded on first access.
 _EXPORTS = {
     "StoreSets": "store_sets",
-    "StoreSetsStats": "store_sets",
 }
 
 __all__ = list(_EXPORTS)

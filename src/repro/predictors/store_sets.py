@@ -17,15 +17,6 @@ smaller identifier if both do).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-
-@dataclass
-class StoreSetsStats:
-    load_waits: int = 0       # loads made to wait on a predicted store
-    violations: int = 0       # training events (memory-order violations)
-    merges: int = 0           # set merges during training
-
 
 class StoreSets:
     """SSIT + LFST with periodic clearing.
@@ -47,7 +38,6 @@ class StoreSets:
         self._lfst: dict[int, object] = {}
         self._next_ssid = 0
         self._trainings = 0
-        self.stats = StoreSetsStats()
 
     def _index(self, pc: int) -> int:
         # Multiplicative hash: spreads strided instruction layouts evenly.
@@ -68,10 +58,7 @@ class StoreSets:
         ssid = self._ssit[self._index(load_pc)]
         if ssid is None:
             return None
-        handle = self._lfst.get(ssid)
-        if handle is not None:
-            self.stats.load_waits += 1
-        return handle
+        return self._lfst.get(ssid)
 
     def store_retired(self, store_pc: int, handle: object) -> None:
         """Invalidate the LFST entry if it still names *handle*."""
@@ -83,7 +70,6 @@ class StoreSets:
 
     def train_violation(self, load_pc: int, store_pc: int) -> None:
         """Assign the violating load and store to a common store set."""
-        self.stats.violations += 1
         self._trainings += 1
         if self._trainings % self.CLEAR_INTERVAL == 0:
             # Cyclic clearing of both tables.
@@ -107,4 +93,3 @@ class StoreSets:
             winner = min(load_ssid, store_ssid)
             self._ssit[load_index] = winner
             self._ssit[store_index] = winner
-            self.stats.merges += 1

@@ -67,7 +67,6 @@ class _Builder:
         self.trace: list[DynInst] = []
         self._def_index = 0
         self._load_index = 0
-        self._fp_index = 0
 
     def __len__(self) -> int:
         return len(self.trace)

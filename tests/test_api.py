@@ -147,6 +147,23 @@ class TestOverrides:
         assert stats.config_name == "nosq-delay?rob_size=256"
 
 
+#: Overrides the pipeline cannot run (they livelock or crash it), with
+#: the start of their one-line error.
+UNRUNNABLE = [
+    ("nosq?width=0", "width=0:"),
+    ("conventional?commit_width=0", "commit_width=0:"),
+    ("nosq?commit_width=0", "commit_width=0:"),
+    ("conventional?max_branches_per_group=0", "max_branches_per_group=0:"),
+    ("nosq?max_branches_per_group=0", "max_branches_per_group=0:"),
+    ("conventional?lq_size=0", "lq_size=0:"),
+    ("nosq?lq_size=0", "lq_size=0:"),
+    ("conventional?sq_size=0", "sq_size=0:"),
+    ("nosq?sq_size=24", "sq_size=24:"),
+    ("nosq?exec_delay=-1", "exec_delay=-1:"),
+    ("conventional?frontend_depth=-2", "frontend_depth=-2:"),
+]
+
+
 class TestValidationErrors:
     @pytest.mark.parametrize("spec,fragment", [
         ("convntional", "did you mean 'conventional'"),
@@ -172,6 +189,12 @@ class TestValidationErrors:
         with pytest.raises(ConfigSpecError) as excinfo:
             resolve_config(spec)
         assert fragment in str(excinfo.value)
+
+    @pytest.mark.parametrize("spec,fragment", UNRUNNABLE)
+    def test_unrunnable_override_names_key_and_value(self, spec, fragment):
+        with pytest.raises(ConfigSpecError) as excinfo:
+            resolve_config(spec)
+        assert str(excinfo.value).startswith(fragment)
 
     def test_unknown_set_suggestion(self):
         with pytest.raises(ConfigSpecError,

@@ -155,13 +155,12 @@ class TestCapacity:
 
 class TestStatsAndOccupancy:
     def test_stats_track_lookups(self):
+        """A lookup misses until a misprediction trains the load in."""
         predictor = make()
-        predictor.predict(0x1000, 0)
+        assert not predictor.predict(0x1000, 0).hit
         predictor.train(0x1000, 0, True, False, actual_dist=1)
-        predictor.predict(0x1000, 0)
-        assert predictor.stats.lookups == 2
-        assert predictor.stats.misses == 1
-        assert predictor.stats.trainings == 1
+        prediction = predictor.predict(0x1000, 0)
+        assert prediction.hit and prediction.dist == 1
 
     def test_occupancy(self):
         predictor = make()

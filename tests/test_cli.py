@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from tests.conftest import write_v1_file
+from tests.test_api import UNRUNNABLE
 
 
 class TestParser:
@@ -17,6 +18,18 @@ class TestParser:
         assert main(["run", "quake3"]) == 2
         assert "neither a benchmark id nor a config spec" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,fragment", UNRUNNABLE)
+    def test_unrunnable_override_exits_2(self, spec, fragment, capsys,
+                                         tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", spec, "gzip", "--scale", "smoke"]) == 2
+        assert main(["campaign", "run", "gzip", "--configs", spec,
+                     "--scale", "smoke", "--no-cache", "--quiet"]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2
+        assert all(fragment in line for line in lines)
+        assert not (tmp_path / "results").exists()
 
     def test_scale_defaults(self):
         args = build_parser().parse_args(["run", "gzip"])

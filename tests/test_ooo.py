@@ -279,9 +279,8 @@ class TestIssueQueueTracker:
 
 
 class TestStoreQueue:
-    def _sq_entry(self, seq, addr, size, exec_complete=10):
-        return StoreQueueEntry(seq=seq, ssn=seq + 1, addr=addr, size=size,
-                               execute_complete=exec_complete)
+    def _sq_entry(self, seq, addr, size):
+        return StoreQueueEntry(seq=seq, ssn=seq + 1, addr=addr, size=size)
 
     def test_age_order_enforced(self):
         sq = StoreQueue(4)

@@ -53,7 +53,12 @@ class TestStoreSets:
         predictor.train_violation(0x1000, 0x2000)
         predictor.train_violation(0x3000, 0x4000)
         predictor.train_violation(0x1000, 0x4000)  # merges the two sets
-        assert predictor.stats.merges == 1
+        # Load 0x1000 keeps its set; store 0x4000 moves into it.
+        handle = object()
+        predictor.store_renamed(0x4000, handle)
+        assert predictor.load_dependence(0x1000) is handle
+        # Load 0x3000's set lost its store: it no longer waits on 0x4000.
+        assert predictor.load_dependence(0x3000) is None
 
     def test_clear(self):
         """Every CLEAR_INTERVAL-th training clears both tables."""
@@ -69,7 +74,9 @@ class TestStoreSets:
 
     def test_load_waits_counted(self):
         predictor = StoreSets()
+        assert predictor.load_dependence(0x1000) is None
         predictor.train_violation(0x1000, 0x2000)
-        predictor.store_renamed(0x2000, object())
-        predictor.load_dependence(0x1000)
-        assert predictor.stats.load_waits == 1
+        assert predictor.load_dependence(0x1000) is None  # no store in flight
+        handle = object()
+        predictor.store_renamed(0x2000, handle)
+        assert predictor.load_dependence(0x1000) is handle

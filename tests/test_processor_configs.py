@@ -4,6 +4,7 @@ import pytest
 
 from repro.api import resolve_config, standard_configs
 from repro.harness.runner import ExperimentScale, make_trace
+from repro.isa.instructions import NUM_ARCH_REGS
 from repro.pipeline import MachineConfig, Processor, simulate
 from repro.validate import run_validation
 from repro.workloads import generate_trace
@@ -74,7 +75,7 @@ def _assert_drained(processor):
     """Every rename register is free, the store queue and the SRQ are
     empty, and SSNcommit has caught up with SSNrename."""
     pregs = processor.pregs
-    assert pregs._free == pregs.total - pregs.arch_regs
+    assert pregs._free == processor.config.phys_regs - NUM_ARCH_REGS
     assert not pregs._refcounts
     if processor.sq is not None:
         assert processor.sq._entries == []
@@ -88,7 +89,7 @@ class TestStructureAccounting:
         processor.run(gzip_trace)
         # Everything committed: all rename registers must be free again.
         assert processor.pregs._free == (
-            processor.pregs.total - processor.pregs.arch_regs
+            processor.config.phys_regs - NUM_ARCH_REGS
         )
 
     def test_issue_queue_drains(self, gzip_trace):

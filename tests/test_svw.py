@@ -42,10 +42,11 @@ class TestNonBypassingInequality:
     def test_stats(self):
         svw = make_filter()
         svw.ssbf.update(0x100, 8, ssn=5)
-        svw.test_nonbypassing(0x100, 8, 5)
-        svw.test_nonbypassing(0x100, 8, 2)
-        assert svw.stats.nonbypassing_tests == 2
-        assert svw.stats.nonbypassing_reexecs == 1
+        verdicts = [
+            svw.test_nonbypassing(0x100, 8, 5),
+            svw.test_nonbypassing(0x100, 8, 2),
+        ]
+        assert verdicts == [False, True]
 
 
 class TestBypassingEquality:
@@ -116,9 +117,13 @@ class TestBypassingEquality:
     def test_stats_classified(self):
         svw = make_filter()
         svw.ssbf.update(0x100, 8, ssn=5)
-        svw.test_bypassing(0x100, 8, 5, 0)    # skip
-        svw.test_bypassing(0x100, 8, 4, 0)    # reexec
-        svw.test_bypassing(0x104, 4, 5, 0)    # mismatch
-        assert svw.stats.bypassing_tests == 3
-        assert svw.stats.bypassing_reexecs == 1
-        assert svw.stats.bypassing_mismatches == 1
+        verdicts = [
+            svw.test_bypassing(0x100, 8, 5, 0),
+            svw.test_bypassing(0x100, 8, 4, 0),
+            svw.test_bypassing(0x104, 4, 5, 0),
+        ]
+        assert verdicts == [
+            BypassVerdict.SKIP,
+            BypassVerdict.REEXEC,
+            BypassVerdict.TRANSFORM_MISMATCH,
+        ]

@@ -298,11 +298,8 @@ class TestV1Errors:
     """Only v2 is read and written; a v1 file fails with one line."""
 
     @pytest.mark.parametrize("argv", [
-        ["trace", "info", "--from", "native", "{v1}"],
-        ["trace", "validate", "--from", "native", "{v1}"],
-        ["trace", "convert", "--from", "native", "{v1}", "{out}"],
         ["run", "nosq", "trace:{v1}"],
-    ], ids=["info", "validate", "convert", "trace-source"])
+    ], ids=["trace-source"])
     def test_v1_file_exits_2_with_one_line(self, tmp_path, capsys, argv):
         path = tmp_path / "old.trace.gz"
         write_v1_file(path)
@@ -318,8 +315,8 @@ class TestV1Errors:
         (["trace", "convert", "{v1}", "{out}"], 2),
     ], ids=["info", "validate", "convert"])
     def test_auto_mode_says_neither_format(self, tmp_path, capsys, argv, code):
-        """Without --from, a v1 file is reported as neither a v2 trace nor
-        an event trace, with the importer's reason after it."""
+        """A v1 file is reported as neither a v2 trace nor an event
+        trace, with the importer's reason after it."""
         path = tmp_path / "old.trace.gz"
         write_v1_file(path)
         out = tmp_path / "new.bt"
