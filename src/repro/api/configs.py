@@ -45,7 +45,6 @@ config *set* names (``standard``, ``table5``, ``figure3``, ``figure4``,
 from __future__ import annotations
 
 import dataclasses
-import difflib
 import enum
 import fnmatch
 import re
@@ -92,6 +91,9 @@ def _type_hints(cls: type) -> dict[str, Any]:
 
 
 def _suggest(word: str, candidates: Iterable[str]) -> str:
+    # Imported here: only a spec that fails to resolve needs it.
+    import difflib
+
     guess = difflib.get_close_matches(word, list(candidates), n=1)
     return f"; did you mean {guess[0]!r}?" if guess else ""
 
@@ -261,15 +263,42 @@ def apply_overrides(
     )
 
 
+#: The mini-ISA's architectural registers
+#: (:data:`repro.isa.instructions.NUM_ARCH_REGS`), restated so that
+#: resolving a spec loads no ``repro.isa`` module; tests/test_api.py pins
+#: the two equal.
+_ARCH_REGS = 64
+
+
 def _check_runnable(config: MachineConfig) -> None:
-    """Reject values the pipeline cannot run: a zero-wide dispatch,
-    commit or branch group or a zero-entry load queue never makes
-    progress, port reservations assume no negative stage count, and
-    only the conventional machine has a store queue."""
-    for key in ("width", "commit_width", "max_branches_per_group", "lq_size"):
+    """Reject values the pipeline cannot run, before any trace is built:
+    a zero-wide dispatch, commit or branch group or a zero-entry load
+    queue, ROB or issue queue never makes progress, port reservations
+    assume no negative stage count, and only the conventional machine
+    has a store queue.  The last checks are the component constructors'
+    rules: renaming needs a free physical register beyond the
+    architectural ones, SSNs at least 4 bits, and the T-SSBF a
+    power-of-two number of sets of ``tssbf_assoc`` entries each."""
+    for key in ("width", "commit_width", "max_branches_per_group", "lq_size",
+                "rob_size", "iq_size", "tssbf_assoc"):
         value = getattr(config, key)
         if value is not None and value < 1:
             raise ConfigSpecError(f"{key}={value}: must be at least 1")
+    if config.phys_regs <= _ARCH_REGS:
+        raise ConfigSpecError(
+            f"phys_regs={config.phys_regs}: must exceed the {_ARCH_REGS} "
+            "architectural registers"
+        )
+    if config.ssn_bits < 4:
+        raise ConfigSpecError(
+            f"ssn_bits={config.ssn_bits}: must be at least 4"
+        )
+    sets, rest = divmod(config.tssbf_entries, config.tssbf_assoc)
+    if rest or sets < 1 or sets & (sets - 1):
+        raise ConfigSpecError(
+            f"tssbf_entries={config.tssbf_entries}: must be tssbf_assoc "
+            f"({config.tssbf_assoc}) times a power of two"
+        )
     for key in ("exec_delay", "frontend_depth"):
         value = getattr(config, key)
         if value < 0:

@@ -28,8 +28,7 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.api.configs import ConfigSpecError, resolve_config, resolve_configs
 from repro.harness.runner import (
     DEFAULT,
-    FULL,
-    SMOKE,
+    NAMED_SCALES,
     BenchmarkResult,
     ExperimentScale,
     effective_warmup,  # noqa: F401 -- re-exported by repro.api
@@ -38,11 +37,6 @@ from repro.harness.runner import (
 from repro.isa.trace import DynInst, TraceStats, communication_stats
 from repro.pipeline.config import MachineConfig
 from repro.pipeline.stats import RunStats
-
-#: The named scales every string-accepting entry point understands.
-NAMED_SCALES: dict[str, ExperimentScale] = {
-    "smoke": SMOKE, "default": DEFAULT, "full": FULL,
-}
 
 TraceLike = Any  # str benchmark id | TraceSource | list[DynInst]
 

@@ -55,27 +55,21 @@ import argparse
 import fnmatch
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from repro.api import (
-    NAMED_SCALES as _NAMED_SCALES,
-    ConfigSpecError,
-    resolve_config,
-    resolve_configs,
-)
+from repro.api import ConfigSpecError, resolve_config, resolve_configs
 from repro.experiments import (
     DEFAULT_CACHE_DIR,
-    CampaignSpec,
     ResultCache,
     ResultStore,
     collect_results,
-    plan_campaign,
-    run_campaign,
 )
-from repro.harness import ExperimentScale
 from repro.harness.report import render_table
-from repro.harness.runner import run_configs
+from repro.harness.runner import NAMED_SCALES, ExperimentScale
 from repro.workloads.profiles import PROFILES
+
+if TYPE_CHECKING:
+    from repro.experiments import CampaignSpec
 
 #: The scale of ``repro run`` and ``repro validate run`` without
 #: ``--scale`` or ``-n``; campaigns default to ``smoke``.
@@ -88,7 +82,7 @@ def _add_scale_args(
     """``--scale``/``-n``/``--seed``, plus ``-w`` for commands that use a
     warmup, read by :func:`_cli_scale`."""
     parser.add_argument(
-        "--scale", choices=sorted(_NAMED_SCALES), default=None,
+        "--scale", choices=sorted(NAMED_SCALES), default=None,
         help=scale_help,
     )
     parser.add_argument(
@@ -119,7 +113,7 @@ def _cli_scale(args, default: ExperimentScale) -> ExperimentScale:
     if args.warmup is not None:
         raise ValueError("-w/--warmup requires -n/--instructions")
     if args.scale is not None:
-        return _NAMED_SCALES[args.scale]
+        return NAMED_SCALES[args.scale]
     return default
 
 
@@ -242,6 +236,7 @@ def cmd_run(args) -> int:
         return 2
     if not configs:
         configs = resolve_configs(_DEFAULT_RUN_CONFIGS)
+    from repro.harness.runner import run_configs
     from repro.isa.tracefile import TraceFormatError
     from repro.traces import resolve_source
 
@@ -635,10 +630,12 @@ def _campaign_benchmarks(args) -> list[str]:
 
 
 def _campaign_spec(args) -> CampaignSpec:
+    from repro.experiments import CampaignSpec
+
     return CampaignSpec(
         benchmarks=_campaign_benchmarks(args),
         configs=resolve_configs(args.configs, window=args.window),
-        scale=_cli_scale(args, _NAMED_SCALES["smoke"]),
+        scale=_cli_scale(args, NAMED_SCALES["smoke"]),
         seeds=(args.seed,),
         name=args.configs,
     )
@@ -695,6 +692,8 @@ def cmd_campaign_run(args) -> int:
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     store = ResultStore(args.store)
     progress = None if args.quiet else (lambda ev: print(ev.describe()))
+    from repro.experiments import run_campaign
+
     try:
         result = run_campaign(
             spec, jobs=args.jobs, cache=cache, store=store,
@@ -724,6 +723,8 @@ def cmd_campaign_status(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
+    from repro.experiments import plan_campaign
+
     hits, groups = plan_campaign(spec, ResultCache(args.cache_dir))
     cached = {}
     for job, _key, _record in hits:

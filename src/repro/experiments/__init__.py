@@ -48,7 +48,8 @@ result**, and nothing else:
   ``extern:`` files, ``prog.*`` programs), the source's *content id*
   (:func:`repro.traces.source_identity`): a sha256 of the file bytes or
   a generator code version — so swapping the bytes behind a path, or
-  bumping ``ZOO_VERSION``, misses instead of serving stale results;
+  bumping ``repro.traces.source.ZOO_VERSION``, misses instead of
+  serving stale results;
   synthetic profiles contribute nothing extra, keeping their historical
   keys byte-stable;
 * the scale's behavioural numbers ``num_instructions`` and ``warmup``

@@ -55,33 +55,38 @@ def job_key(job: Job, memo: dict[Any, Any] | None = None) -> str:
     """
     if memo is None:
         memo = {}
-    # Memo entries: id(config) -> (config, its fields), holding the
-    # config so its id cannot be reused; benchmark id -> source content id.
+    # Memo entries: id(config) -> (config, its canonical JSON text),
+    # holding the config so its id cannot be reused; benchmark id -> the
+    # JSON text of its payload members that do not vary per job.
     entry = memo.get(id(job.config))
     if entry is None:
-        entry = memo[id(job.config)] = (job.config,
-                                        config_to_dict(job.config))
-    _config, config_fields = entry
-    if job.benchmark in memo:
-        source = memo[job.benchmark]
-    else:
+        # config_to_dict leaves plain JSON values, so this is
+        # canonical_json(job.config) without a second walk.
+        entry = memo[id(job.config)] = (job.config, json.dumps(
+            config_to_dict(job.config), sort_keys=True, separators=(",", ":")
+        ))
+    config_json = entry[1]
+    benchmark = memo.get(job.benchmark)
+    if benchmark is None:
         from repro.traces import source_identity
 
-        source = memo[job.benchmark] = source_identity(job.benchmark)
-    payload = {
-        "schema": CACHE_SCHEMA,
-        "version": repro.__version__,
-        "benchmark": job.benchmark,
-        "config": config_fields,
-        "num_instructions": job.scale.num_instructions,
-        "warmup": job.scale.warmup,
-        "seed": job.seed,
-    }
-    if source is not None:
-        payload["source"] = source
-    # Every value is already plain JSON (config_to_dict converted the
-    # config), so this is canonical_json(payload) without a second walk.
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        source = source_identity(job.benchmark)
+        benchmark = memo[job.benchmark] = (
+            json.dumps(job.benchmark),
+            ("" if source is None else f'"source":{json.dumps(source)},')
+            + f'"version":{json.dumps(repro.__version__)},',
+        )
+    benchmark_json, source_and_version = benchmark
+    scale = job.scale
+    # canonical_json of the payload {schema, version, benchmark, config,
+    # num_instructions, warmup, seed[, source]}: its members in sorted key
+    # order, with no whitespace.  Synthetic profiles have no source.
+    text = (
+        f'{{"benchmark":{benchmark_json},"config":{config_json},'
+        f'"num_instructions":{scale.num_instructions},'
+        f'"schema":{CACHE_SCHEMA},"seed":{job.seed},{source_and_version}'
+        f'"warmup":{scale.warmup}}}'
+    )
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 

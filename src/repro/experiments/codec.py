@@ -18,11 +18,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.isa.trace import TraceStats
-from repro.pipeline.config import MachineConfig
-from repro.pipeline.stats import RunStats
+if TYPE_CHECKING:
+    from repro.pipeline.config import MachineConfig
+    from repro.pipeline.stats import RunStats, TraceStats
 
 
 def jsonify(value: Any) -> Any:
@@ -68,6 +68,10 @@ def run_stats_to_dict(stats: RunStats) -> dict[str, Any]:
 
 
 def run_stats_from_dict(data: dict[str, Any]) -> RunStats:
+    # Imported here: a run that only hashes and stores records never
+    # builds the dataclass (DESIGN.md §6).
+    from repro.pipeline.stats import RunStats
+
     return RunStats(**data)
 
 
@@ -76,4 +80,6 @@ def trace_stats_to_dict(stats: TraceStats) -> dict[str, Any]:
 
 
 def trace_stats_from_dict(data: dict[str, Any]) -> TraceStats:
+    from repro.pipeline.stats import TraceStats
+
     return TraceStats(**data)

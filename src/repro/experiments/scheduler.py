@@ -38,10 +38,9 @@ from repro.harness.runner import (
     ExperimentScale,
     run_configs,
 )
-from repro.isa.trace import communication_stats
-from repro.pipeline.config import MachineConfig
 
 if TYPE_CHECKING:
+    from repro.pipeline.config import MachineConfig
     from repro.traces.source import TraceSource
 
 
@@ -144,6 +143,8 @@ _GROUP_MODULES = (
 def _iter_group_records(group: JobGroup):
     """Run a group's jobs on one shared trace, yielding ``(key, record)``
     as each finishes (so inline callers can persist per job)."""
+    from repro.isa.trace import communication_stats
+
     trace = group.source.trace(group.scale, group.seed)
     trace_stats = communication_stats(trace)
     # run_configs clamps the default warmup for intrinsic-length sources

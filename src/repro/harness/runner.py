@@ -11,11 +11,14 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from repro.isa.trace import DynInst, TraceStats, communication_stats
-from repro.pipeline.config import MachineConfig
-from repro.pipeline.stats import RunStats
+if TYPE_CHECKING:
+    # Imported where a trace or stats object is built: a campaign served
+    # from the cache builds neither.
+    from repro.isa.trace import DynInst
+    from repro.pipeline.config import MachineConfig
+    from repro.pipeline.stats import RunStats, TraceStats
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,10 @@ SMOKE = ExperimentScale("smoke", num_instructions=8_000, warmup=3_000)
 DEFAULT = ExperimentScale("default", num_instructions=30_000, warmup=12_000)
 #: The largest named scale (``campaign run --scale full``).
 FULL = ExperimentScale("full", num_instructions=60_000, warmup=30_000)
+#: The named scales every string-accepting entry point understands.
+NAMED_SCALES: dict[str, ExperimentScale] = {
+    "smoke": SMOKE, "default": DEFAULT, "full": FULL,
+}
 
 
 @dataclass
@@ -160,6 +167,8 @@ def run_benchmark(
     trace: list[DynInst] | None = None,
 ) -> BenchmarkResult:
     """Run *name* through every configuration on one shared trace."""
+    from repro.isa.trace import communication_stats
+
     if trace is None:
         trace = make_trace(name, scale, seed)
     result = BenchmarkResult(

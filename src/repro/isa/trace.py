@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.isa.opcodes import OpClass
+from repro.pipeline.stats import TraceStats
 
 #: Pseudo store sequence number meaning "the value comes from memory older
 #: than the trace" (i.e. no in-trace store wrote the byte).
@@ -190,32 +191,6 @@ def annotate_trace(trace: Sequence[DynInst]) -> list[DynInst]:
                 inst.seq - youngest_inst_seq if youngest_inst_seq >= 0 else -1
             )
     return list(trace)
-
-
-@dataclass
-class TraceStats:
-    """Aggregate store-load communication statistics of a trace.
-
-    ``window`` bounds the *instruction* distance considered "in window",
-    matching the paper's Table 5 methodology ("in a 128 instruction window
-    with no limit on the number of stores").
-    """
-
-    window: int
-    loads: int = 0
-    stores: int = 0
-    branches: int = 0
-    communicating_loads: int = 0
-    partial_word_loads: int = 0
-    multi_source_loads: int = 0
-
-    @property
-    def pct_communicating(self) -> float:
-        return 100.0 * self.communicating_loads / max(1, self.loads)
-
-    @property
-    def pct_partial_word(self) -> float:
-        return 100.0 * self.partial_word_loads / max(1, self.loads)
 
 
 def communication_stats(

@@ -15,7 +15,7 @@ cost (Section 3.4), which this model reflects by making the tracker optional.
 from __future__ import annotations
 
 import enum
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 
 from repro.isa.trace import DynInst
 
@@ -43,9 +43,6 @@ class StoreQueueEntry:
     ssn: int            # store sequence number
     addr: int
     size: int
-    #: Accepted and dropped: nothing reads an entry's execution cycle
-    #: (test_equivalence.py's reference still passes one).
-    execute_complete: InitVar[int] = -1
 
 
 class StoreQueue:

@@ -1,14 +1,43 @@
-"""Run statistics collected by the timing model.
+"""Statistics the tables and figures are derived from.
 
-Everything the paper's tables and figures report is derived from these
-counters: execution time (cycles) for Figures 2/3/5, data-cache reads split
-by pipeline half for Figure 4, and bypassing mispredictions / delayed loads
-for Table 5.
+:class:`RunStats` holds the timing model's counters: execution time
+(cycles) for Figures 2/3/5, data-cache reads split by pipeline half for
+Figure 4, and bypassing mispredictions / delayed loads for Table 5.
+:class:`TraceStats` holds a trace's store-load communication (Table 5's
+left half), which :func:`repro.isa.trace.communication_stats` computes.
+Both live here, apart from the trace and simulator code, so decoding a
+stored record loads neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+
+@dataclass
+class TraceStats:
+    """Aggregate store-load communication statistics of a trace.
+
+    ``window`` bounds the *instruction* distance considered "in window",
+    matching the paper's Table 5 methodology ("in a 128 instruction window
+    with no limit on the number of stores").
+    """
+
+    window: int
+    loads: int = 0
+    stores: int = 0
+    branches: int = 0
+    communicating_loads: int = 0
+    partial_word_loads: int = 0
+    multi_source_loads: int = 0
+
+    @property
+    def pct_communicating(self) -> float:
+        return 100.0 * self.communicating_loads / max(1, self.loads)
+
+    @property
+    def pct_partial_word(self) -> float:
+        return 100.0 * self.partial_word_loads / max(1, self.loads)
 
 
 @dataclass

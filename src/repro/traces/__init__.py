@@ -24,28 +24,26 @@ simulators (gem5's SynchroTrace tester is the pattern's reference):
 command line; see ``docs/traces.md`` for the format specification and the
 importer field mapping.
 
-Importing this package loads :mod:`~repro.traces.source` and fills its
-``SOURCES`` table with the workload-zoo generator families (``zoo.*``)
-and the mini-ISA programs (``prog.*``); the format, importer and
-repro-case names load their modules on first access.
+Importing this package loads :mod:`~repro.traces.source`, whose
+``SOURCES`` table names the workload-zoo generator families (``zoo.*``)
+and the mini-ISA programs (``prog.*``) without loading their modules;
+the format, importer and repro-case names load their modules on first
+access.
 """
 
 from repro._lazy import lazy_exports
 from repro.traces.source import (
+    ZOO_BENCHMARKS,
     ExternalTraceSource,
     FileTraceSource,
     GeneratorSource,
     SyntheticSource,
     TraceSource,
     known_benchmark_ids,
+    register_zoo_sources,
     resolve_source,
     source_identity,
 )
-from repro.workloads.programs import register_program_sources
-from repro.workloads.zoo import ZOO_BENCHMARKS, register_zoo_sources
-
-register_zoo_sources()
-register_program_sources()
 
 #: The codecs, the importer and the repro-case API, loaded on first
 #: access: resolving and hashing a benchmark id needs none of them.

@@ -35,13 +35,15 @@ byte-stable.
 from __future__ import annotations
 
 import hashlib
+from functools import partial
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.isa.trace import DynInst
-
-if TYPE_CHECKING:  # circular at runtime: harness.runner uses this module
+if TYPE_CHECKING:
+    # Annotations only: harness.runner uses this module, and resolving an
+    # id builds no trace.
     from repro.harness.runner import ExperimentScale
+    from repro.isa.trace import DynInst
 
 #: Bump when a generator family changes behaviour, so cached
 #: campaign results keyed on its content id are invalidated.
@@ -184,10 +186,83 @@ class ExternalTraceSource(TraceSource):
 # Benchmark ids
 # --------------------------------------------------------------------- #
 
+#: Behavioural version of the zoo families (part of campaign cache keys):
+#: bump it when a family in :mod:`repro.workloads.zoo` changes its output.
+ZOO_VERSION = 1
+
+#: The workload-zoo families (:mod:`repro.workloads.zoo`): name ->
+#: one-line description.
+_ZOO_FAMILIES = {
+    "pchase": "pointer chasing, serialized cache-miss loads",
+    "prodcons": "producer-consumer store-to-load chains",
+    "hashjoin": "hash-join probe over a large table",
+    "spmv": "sparse SpMV index+gather loads, FP accumulate",
+    "callstack": "call-heavy recursion with stack spills",
+    "memset": "streaming stores with rare read-back",
+    "overlap": "mixed-size partial-word overlap pairs",
+    "fsm": "branchy state machine over a hot table",
+}
+
+#: Fully-qualified benchmark ids of the zoo families.
+ZOO_BENCHMARKS = tuple(f"zoo.{name}" for name in _ZOO_FAMILIES)
+
+#: The mini-ISA programs (:mod:`repro.workloads.programs`): name -> what
+#: the suite's build of it does.
+_PROGRAMS = {
+    "memcpy": "byte-wise copy of 256 bytes",
+    "stack_spill": "64 calls with register spill/reload",
+    "struct_pack": "64 records packed field-wise and read back",
+    "fp_convert": "64 sts/lds single-precision round trips",
+    "histogram": "128 histogram updates over 8 buckets",
+}
+
+
+def _zoo_trace(family: str, num_instructions: int, seed: int) -> list[DynInst]:
+    from repro.workloads.zoo import generate_zoo_trace
+
+    return generate_zoo_trace(family, num_instructions, seed)
+
+
+def _program_trace(program: str, _length: int, _seed: int) -> list[DynInst]:
+    from repro.workloads.programs import program_trace
+
+    return program_trace(program)
+
+
 #: The named generator sources, ``zoo.*`` families and ``prog.*``
-#: programs; importing :mod:`repro.traces` fills it.
+#: programs.  The tables above name, describe and version them, so
+#: resolving or hashing their ids loads no generator module: a source
+#: imports its module when it produces a trace.
 SOURCES: dict[str, TraceSource] = {}
 _SYNTHETIC_CACHE: dict[str, SyntheticSource] = {}
+
+
+def register_zoo_sources() -> None:
+    """Add every zoo family to :data:`SOURCES` as ``zoo.<name>``."""
+    for family, description in _ZOO_FAMILIES.items():
+        SOURCES[f"zoo.{family}"] = GeneratorSource(
+            f"zoo.{family}", partial(_zoo_trace, family),
+            description=description, version=ZOO_VERSION,
+        )
+
+
+def register_program_sources() -> None:
+    """Add every program to :data:`SOURCES` as ``prog.<name>``.  Like
+    a trace file's, a program's length is intrinsic: the scale's
+    instruction count and the seed are ignored, and the default warmup
+    is clamped to half the program."""
+    for program, description in _PROGRAMS.items():
+        SOURCES[f"prog.{program}"] = GeneratorSource(
+            f"prog.{program}",
+            # A partial, not a lambda: campaign job groups pickle their
+            # source for the worker processes.
+            partial(_program_trace, program),
+            description=f"mini-ISA program: {description}",
+        )
+
+
+register_zoo_sources()
+register_program_sources()
 
 
 def resolve_source(benchmark_id: str) -> TraceSource:

@@ -18,14 +18,14 @@ mechanisms exist for:
 Each builder returns an :class:`ExampleProgram`; :func:`build_trace` runs it
 and returns the annotated trace plus final architectural state for checking.
 Every program is also a trace source, ``prog.<name>``
-(:func:`register_program_sources`), so ``repro run``, campaigns and
-``repro validate run`` take it like any benchmark id.
+(:data:`repro.traces.source.SOURCES`, which names and describes them
+without loading this module), so ``repro run``, campaigns and ``repro
+validate run`` take it like any benchmark id.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -222,24 +222,10 @@ def all_programs() -> list[ExampleProgram]:
     ]
 
 
-def _program_trace(
-    program: ExampleProgram, _length: int, _seed: int
-) -> list[DynInst]:
-    return build_trace(program).trace
-
-
-def register_program_sources() -> None:
-    """Add every program to the trace sources as ``prog.<name>``.  Like
-    a trace file's, a program's length is intrinsic: the scale's
-    instruction count and the seed are ignored, and the default warmup
-    is clamped to half the program."""
-    from repro.traces.source import SOURCES, GeneratorSource
-
+def program_trace(name: str) -> list[DynInst]:
+    """The annotated trace of the suite program *name* (the
+    ``prog.<name>`` source)."""
     for program in all_programs():
-        SOURCES[f"prog.{program.name}"] = GeneratorSource(
-            f"prog.{program.name}",
-            # A partial, not a lambda: campaign job groups pickle their
-            # source for the worker processes.
-            partial(_program_trace, program),
-            description=f"mini-ISA program: {program.description}",
-        )
+        if program.name == name:
+            return build_trace(program).trace
+    raise KeyError(f"unknown mini-ISA program {name!r}")

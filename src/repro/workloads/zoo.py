@@ -24,7 +24,9 @@ Every family is a deterministic function of ``(num_instructions, seed)``
 and is a :class:`~repro.traces.source.GeneratorSource` in
 :data:`repro.traces.source.SOURCES`, so
 ``repro campaign run zoo.pchase zoo.overlap`` sweeps them like any
-benchmark.  Bump :data:`ZOO_VERSION` when a family's output changes:
+benchmark.  That table names and describes the families, so resolving a
+``zoo.*`` id does not load this module.  Bump
+:data:`repro.traces.source.ZOO_VERSION` when a family's output changes:
 campaign cache keys incorporate it.
 """
 
@@ -36,9 +38,6 @@ from typing import Callable
 
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import DynInst, annotate_trace
-
-#: Behavioural version of the zoo families (part of campaign cache keys).
-ZOO_VERSION = 1
 
 # Operation classes bound once: an enum member read costs about ten module
 # global reads, and every emitted instruction needs one (DESIGN.md §4).
@@ -313,20 +312,19 @@ def _fsm(n: int, seed: int) -> list[DynInst]:
     return annotate_trace(b.trace)
 
 
-#: name (without the ``zoo.`` prefix) -> (generator, one-line description)
-FAMILIES: dict[str, tuple[Callable[[int, int], list[DynInst]], str]] = {
-    "pchase": (_pchase, "pointer chasing, serialized cache-miss loads"),
-    "prodcons": (_prodcons, "producer-consumer store-to-load chains"),
-    "hashjoin": (_hashjoin, "hash-join probe over a large table"),
-    "spmv": (_spmv, "sparse SpMV index+gather loads, FP accumulate"),
-    "callstack": (_callstack, "call-heavy recursion with stack spills"),
-    "memset": (_memset, "streaming stores with rare read-back"),
-    "overlap": (_overlap, "mixed-size partial-word overlap pairs"),
-    "fsm": (_fsm, "branchy state machine over a hot table"),
+#: name (without the ``zoo.`` prefix) -> generator.  The same names, in
+#: the same order, describe the ``zoo.*`` sources in
+#: :mod:`repro.traces.source`.
+FAMILIES: dict[str, Callable[[int, int], list[DynInst]]] = {
+    "pchase": _pchase,
+    "prodcons": _prodcons,
+    "hashjoin": _hashjoin,
+    "spmv": _spmv,
+    "callstack": _callstack,
+    "memset": _memset,
+    "overlap": _overlap,
+    "fsm": _fsm,
 }
-
-#: Fully-qualified benchmark ids of the zoo families.
-ZOO_BENCHMARKS = tuple(f"zoo.{name}" for name in FAMILIES)
 
 
 def generate_zoo_trace(name: str, num_instructions: int,
@@ -335,20 +333,9 @@ def generate_zoo_trace(name: str, num_instructions: int,
     ``pchase`` or ``zoo.pchase``)."""
     key = name[4:] if name.startswith("zoo.") else name
     try:
-        generate, _ = FAMILIES[key]
+        generate = FAMILIES[key]
     except KeyError:
         raise KeyError(
             f"unknown zoo family {name!r}; known: {sorted(FAMILIES)}"
         ) from None
     return generate(num_instructions, seed)
-
-
-def register_zoo_sources() -> None:
-    """Add every family to the trace sources as ``zoo.<name>``."""
-    from repro.traces.source import SOURCES, GeneratorSource
-
-    for name, (generate, description) in FAMILIES.items():
-        SOURCES[f"zoo.{name}"] = GeneratorSource(
-            f"zoo.{name}", generate,
-            description=description, version=ZOO_VERSION,
-        )

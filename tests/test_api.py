@@ -161,6 +161,14 @@ UNRUNNABLE = [
     ("nosq?sq_size=24", "sq_size=24:"),
     ("nosq?exec_delay=-1", "exec_delay=-1:"),
     ("conventional?frontend_depth=-2", "frontend_depth=-2:"),
+    ("nosq?tssbf_entries=0", "tssbf_entries=0:"),
+    ("conventional?tssbf_entries=96", "tssbf_entries=96:"),
+    ("nosq?tssbf_assoc=0", "tssbf_assoc=0:"),
+    ("nosq?rob_size=0", "rob_size=0:"),
+    ("conventional?iq_size=0", "iq_size=0:"),
+    ("nosq?phys_regs=8", "phys_regs=8:"),
+    ("conventional?phys_regs=64", "phys_regs=64:"),
+    ("nosq?ssn_bits=2", "ssn_bits=2:"),
 ]
 
 
@@ -195,6 +203,22 @@ class TestValidationErrors:
         with pytest.raises(ConfigSpecError) as excinfo:
             resolve_config(spec)
         assert str(excinfo.value).startswith(fragment)
+
+    def test_arch_register_count_matches_isa(self):
+        from repro.api.configs import _ARCH_REGS
+        from repro.isa.instructions import NUM_ARCH_REGS
+
+        assert _ARCH_REGS == NUM_ARCH_REGS
+
+    @pytest.mark.parametrize("spec", [
+        "nosq?rob_size=1,iq_size=1,phys_regs=65,ssn_bits=4",
+        "conventional?tssbf_entries=4",
+        "nosq?tssbf_entries=1,tssbf_assoc=1",
+        "nosq?tssbf_entries=24,tssbf_assoc=3",
+    ])
+    def test_smallest_runnable_values_construct(self, spec):
+        # The resolve-time rules reject no machine the constructors build.
+        Processor(resolve_config(spec))
 
     def test_unknown_set_suggestion(self):
         with pytest.raises(ConfigSpecError,

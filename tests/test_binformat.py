@@ -23,10 +23,10 @@ from hypothesis import given, settings
 
 from repro.isa.opcodes import OpClass
 from repro.isa.trace import MEMORY_SOURCE, DynInst
-from repro.traces import binformat
+from repro.traces import ZOO_BENCHMARKS, binformat
 from repro.traces.binformat import read_trace, write_trace
 from repro.validate import ops_strategy, ops_to_trace
-from repro.workloads.zoo import ZOO_BENCHMARKS, generate_zoo_trace
+from repro.workloads.zoo import generate_zoo_trace
 from tests.conftest import build_trace
 
 DATA = Path(__file__).parent / "data"

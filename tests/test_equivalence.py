@@ -52,7 +52,7 @@ def test_sq_search_matches_classification(stores, load_slot, load_size, committe
             sq.insert(
                 StoreQueueEntry(
                     seq=inst.seq, ssn=inst.store_seq + 1,
-                    addr=inst.addr, size=inst.size, execute_complete=0,
+                    addr=inst.addr, size=inst.size,
                 )
             )
     search = sq.search(load)

@@ -170,6 +170,33 @@ class TestKeyPayload:
         self.check(f"trace:{path}", MachineConfig.nosq())
 
 
+class TestKeyMemo:
+    """A plan shares one memo across its jobs, which keeps each config's
+    JSON text and each benchmark's fixed members; every key built with it
+    must equal the one built from the whole payload without it."""
+
+    def test_standard_presets_on_every_kind_of_source(self, tmp_path):
+        from repro.api import resolve_configs
+        from repro.isa.tracefile import save_trace
+        from repro.workloads.generator import generate_trace
+
+        path = tmp_path / "g.bt"
+        save_trace(generate_trace("gzip", 600, seed=5), path, version=2)
+        benchmarks = ("gzip", "zoo.pchase", "prog.memcpy", f"trace:{path}")
+        configs = resolve_configs("standard")
+        assert len(configs) == 5
+        memo: dict = {}
+        keys = set()
+        for seed in (17, 18):
+            for benchmark in benchmarks:
+                for config in configs:
+                    job = Job(benchmark, config, TINY, seed)
+                    key = job_key(job, memo)
+                    assert key == TestKeyPayload.canonical_key(job), job
+                    keys.add(key)
+        assert len(keys) == 2 * len(benchmarks) * len(configs)
+
+
 class TestKeyStability:
     """Cache keys are what a user's cache is addressed by: any change to
     them silently invalidates every stored result."""

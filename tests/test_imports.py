@@ -34,15 +34,31 @@ HEAVY = (
 )
 
 #: Modules that planning a campaign never needs: the simulator's
-#: components and the trace codecs, importer and repro-case files.
-NOT_PLANNED = re.compile(
-    r"repro\.(core|memory)(\..*)?"
-    r"|repro\.isa\.tracefile|repro\.traces\.(binformat|importers|reprocase)"
+#: components, the trace code (``repro.isa``), the trace codecs,
+#: importer and repro-case files, and the generator families behind the
+#: ``zoo.*`` and ``prog.*`` ids.
+NOT_PLANNED = (
+    r"repro\.(core|memory|isa)(\..*)?"
+    r"|repro\.traces\.(binformat|importers|reprocase)"
+    r"|repro\.workloads\.(zoo|programs)"
 )
+
+#: Per command served from the store, the modules it must not load
+#: (DESIGN.md, "Import boundaries"): a cached run builds no stats
+#: object, and a report plans nothing.  Neither needs the façade.
+NOT_LOADED = {
+    "run": re.compile(
+        rf"{NOT_PLANNED}|repro\.pipeline\.(processor|stats)|repro\.api\.facade"
+    ),
+    "report": re.compile(
+        rf"{NOT_PLANNED}|repro\.pipeline\.processor"
+        r"|repro\.experiments\.scheduler|repro\.api\.facade"
+    ),
+}
 
 #: The ``repro`` modules a cached ``campaign run`` loads (DESIGN.md,
 #: "Import boundaries").  A change that loads more must justify it here.
-CACHED_RUN_MODULES = 27
+CACHED_RUN_MODULES = 20
 
 #: Every package of the library, by dotted name.
 PACKAGES = sorted(
@@ -86,22 +102,21 @@ def test_cached_campaign_never_loads_processor(tmp_path):
     _python(*run, cwd=tmp_path)  # fills the cache (simulates)
     cached = _python("-X", "importtime", *run, cwd=tmp_path)
     assert "4 cached, 0 executed" in cached.stdout
-    loaded = re.findall(
-        r"\|\s*(repro(?:\.[\w.]+)?)$", cached.stderr, re.MULTILINE
-    )
-    assert not [m for m in loaded if NOT_PLANNED.fullmatch(m)], loaded
-    assert len(loaded) == CACHED_RUN_MODULES, loaded
     report = _python(
         "-X", "importtime", "-m", "repro", "campaign", "report",
         "--store", "campaign.jsonl", cwd=tmp_path,
     )
     assert "zoo.pchase" in report.stdout
-    for done in (cached, report):
+    for command, done in (("run", cached), ("report", report)):
         # -X importtime logs one "... | <module>" line per import.
-        assert "repro.experiments.scheduler" in done.stderr
-        assert not re.search(
-            r"\|\s*repro\.pipeline\.processor$", done.stderr, re.MULTILINE
+        loaded = re.findall(
+            r"\|\s*(repro(?:\.[\w.]+)?)$", done.stderr, re.MULTILINE
         )
+        assert "repro.cli" in loaded
+        banned = [m for m in loaded if NOT_LOADED[command].fullmatch(m)]
+        assert banned == [], command
+        if command == "run":
+            assert len(loaded) == CACHED_RUN_MODULES, loaded
 
 
 def test_planning_loads_no_simulator_or_codec(tmp_path):
@@ -124,7 +139,39 @@ def test_planning_loads_no_simulator_or_codec(tmp_path):
     assert planned == "15"
     modules = json.loads(loaded)
     assert "repro.experiments.scheduler" in modules
-    assert [m for m in modules if NOT_PLANNED.fullmatch(m)] == []
+    assert [m for m in modules if re.fullmatch(NOT_PLANNED, m)] == []
+
+
+def test_source_names_resolve_without_generators():
+    # repro.traces.source names the zoo.* and prog.* sources; a fresh
+    # interpreter lists, filters and plans them without loading their
+    # generator modules, and producing a trace loads the one it runs.
+    done = _python("-c", (
+        "import sys\n"
+        "from repro.cli import _campaign_spec, build_parser\n"
+        "from repro.harness import SMOKE\n"
+        "from repro.traces import known_benchmark_ids, resolve_source\n"
+        "families = ('repro.workloads.zoo', 'repro.workloads.programs')\n"
+        "ids = list(known_benchmark_ids())\n"
+        "args = build_parser().parse_args(\n"
+        "    ['campaign', 'run', '--benchmarks', 'zoo.*'])\n"
+        "spec = _campaign_spec(args)\n"
+        "from repro.experiments import plan_campaign\n"
+        "hits, groups = plan_campaign(spec, None)\n"
+        "print(len(ids), len(groups), sum(len(g.keys) for g in groups),\n"
+        "      [m for m in families if m in sys.modules])\n"
+        "trace = resolve_source('zoo.pchase').trace(SMOKE, 17)\n"
+        "print(len(trace), [m for m in families if m in sys.modules])\n"
+    ))
+    assert done.stdout.splitlines() == [
+        "60 8 40 []", "8000 ['repro.workloads.zoo']",
+    ]
+    listed = _python("-m", "repro", "list").stdout
+    rows = [line.split(None, 1) for line in map(str.strip, listed.splitlines())
+            if line.startswith(("zoo.", "prog."))]
+    assert len(rows) == 13
+    assert ["zoo.pchase", "pointer chasing, serialized cache-miss loads"] \
+        in rows
 
 
 def test_program_sources_load_no_assembler():

@@ -32,6 +32,7 @@ from repro.harness.runner import ExperimentScale, make_trace
 from repro.isa.tracefile import TraceFormatError, load_trace, save_trace
 from repro.pipeline import MachineConfig, simulate
 from repro.traces import (
+    ZOO_BENCHMARKS,
     GeneratorSource,
     binformat,
     import_synchrotrace,
@@ -43,7 +44,7 @@ from repro.traces import (
     write_trace,
 )
 from repro.workloads import generate_trace
-from repro.workloads.zoo import FAMILIES, ZOO_BENCHMARKS, generate_zoo_trace
+from repro.workloads.zoo import FAMILIES, generate_zoo_trace
 from tests.conftest import build_trace, write_v1_file
 
 DATA = Path(__file__).parent / "data"
@@ -459,6 +460,27 @@ class TestSources:
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
             resolve_source("trace:/no/such/file.bt")
+
+    def test_named_sources_match_their_modules(self):
+        # repro.traces.source names and describes the zoo.* and prog.*
+        # sources without loading their modules; the modules must agree.
+        from repro.traces.source import SOURCES
+        from repro.workloads.programs import all_programs, build_trace
+
+        assert ZOO_BENCHMARKS == tuple(f"zoo.{name}" for name in FAMILIES)
+        programs = all_programs()
+        assert [name for name in SOURCES if name.startswith("prog.")] == [
+            f"prog.{program.name}" for program in programs
+        ]
+        assert len(SOURCES) == len(ZOO_BENCHMARKS) + len(programs)
+        scale = ExperimentScale("tiny", 10, 5)
+        for program in programs:
+            source = resolve_source(f"prog.{program.name}")
+            assert source.describe() == \
+                f"mini-ISA program: {program.description}"
+            assert_traces_identical(
+                source.trace(scale, 1), build_trace(program).trace
+            )
 
     def test_generator_source_version_in_content_id(self):
         source = GeneratorSource("x", lambda n, s: [], version=7)
