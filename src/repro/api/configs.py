@@ -57,7 +57,7 @@ from repro.pipeline.config import (
     BypassPredictorConfig,
     HierarchyConfig,
     MachineConfig,
-    Mode,
+    check_runnable,
 )
 
 
@@ -263,59 +263,6 @@ def apply_overrides(
     )
 
 
-#: The mini-ISA's architectural registers
-#: (:data:`repro.isa.instructions.NUM_ARCH_REGS`), restated so that
-#: resolving a spec loads no ``repro.isa`` module; tests/test_api.py pins
-#: the two equal.
-_ARCH_REGS = 64
-
-
-def _check_runnable(config: MachineConfig) -> None:
-    """Reject values the pipeline cannot run, before any trace is built:
-    a zero-wide dispatch, commit or branch group or a zero-entry load
-    queue, ROB or issue queue never makes progress, port reservations
-    assume no negative stage count, and only the conventional machine
-    has a store queue.  The last checks are the component constructors'
-    rules: renaming needs a free physical register beyond the
-    architectural ones, SSNs at least 4 bits, and the T-SSBF a
-    power-of-two number of sets of ``tssbf_assoc`` entries each."""
-    for key in ("width", "commit_width", "max_branches_per_group", "lq_size",
-                "rob_size", "iq_size", "tssbf_assoc"):
-        value = getattr(config, key)
-        if value is not None and value < 1:
-            raise ConfigSpecError(f"{key}={value}: must be at least 1")
-    if config.phys_regs <= _ARCH_REGS:
-        raise ConfigSpecError(
-            f"phys_regs={config.phys_regs}: must exceed the {_ARCH_REGS} "
-            "architectural registers"
-        )
-    if config.ssn_bits < 4:
-        raise ConfigSpecError(
-            f"ssn_bits={config.ssn_bits}: must be at least 4"
-        )
-    sets, rest = divmod(config.tssbf_entries, config.tssbf_assoc)
-    if rest or sets < 1 or sets & (sets - 1):
-        raise ConfigSpecError(
-            f"tssbf_entries={config.tssbf_entries}: must be tssbf_assoc "
-            f"({config.tssbf_assoc}) times a power of two"
-        )
-    for key in ("exec_delay", "frontend_depth"):
-        value = getattr(config, key)
-        if value < 0:
-            raise ConfigSpecError(f"{key}={value}: must not be negative")
-    if config.mode is Mode.NOSQ:
-        if config.sq_size:
-            raise ConfigSpecError(
-                f"sq_size={config.sq_size}: NoSQ has no store queue; "
-                "must be 0"
-            )
-    elif config.sq_size < 1:
-        raise ConfigSpecError(
-            f"sq_size={config.sq_size}: the conventional machine needs "
-            "a store queue; must be at least 1"
-        )
-
-
 # --------------------------------------------------------------------- #
 # The paper's presets and config sets.
 # --------------------------------------------------------------------- #
@@ -430,9 +377,19 @@ def resolve_config(
 ) -> MachineConfig:
     """Resolve one config spec to a :class:`MachineConfig` (a config
     passes through).  An explicit ``@N`` in the spec wins over *window*.
+    Every config returned passes
+    :func:`~repro.pipeline.config.check_runnable`.
     """
-    if isinstance(spec, MachineConfig):
-        return spec
+    config = spec if isinstance(spec, MachineConfig) else _build(spec, window)
+    try:
+        check_runnable(config)
+    except ValueError as exc:
+        raise ConfigSpecError(str(exc)) from None
+    return config
+
+
+def _build(spec: str, window: int) -> MachineConfig:
+    """The config a spec string names."""
     match = _SPEC_RE.match(spec.strip())
     if not match or not match.group("name").strip():
         raise ConfigSpecError(
@@ -470,7 +427,6 @@ def resolve_config(
         config = apply_overrides(
             config, parse_overrides(match.group("overrides"))
         )
-        _check_runnable(config)
     return config
 
 
@@ -494,7 +450,7 @@ def resolve_configs(
     configs: list[MachineConfig] = []
     for item in items:
         if isinstance(item, MachineConfig):
-            configs.append(item)
+            configs.append(resolve_config(item))
             continue
         item = item.strip()
         match = _SPEC_RE.match(item)

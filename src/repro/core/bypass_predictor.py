@@ -81,14 +81,10 @@ class _Table:
 
     def __init__(self, config: BypassPredictorConfig) -> None:
         self.config = config
-        if config.unbounded:
-            self.num_sets = 1
-        else:
-            if config.entries_per_table % config.assoc:
-                raise ValueError("table entries must be a multiple of assoc")
-            self.num_sets = config.entries_per_table // config.assoc
-            if self.num_sets & (self.num_sets - 1):
-                raise ValueError("number of sets must be a power of two")
+        self.num_sets = (
+            1 if config.unbounded
+            else config.entries_per_table // config.assoc
+        )
         self._sets: list[dict[int, _Entry] | None] = [None] * self.num_sets
         self._tag_mask = (1 << config.tag_bits) - 1
         self._index_bits = max(1, self.num_sets.bit_length() - 1)

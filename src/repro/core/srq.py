@@ -42,8 +42,6 @@ class StoreRegisterQueue:
     """
 
     def __init__(self, capacity: int = 128) -> None:
-        if capacity <= 0:
-            raise ValueError("SRQ capacity must be positive")
         self.capacity = capacity
         self._entries: dict[int, SRQEntry] = {}
 

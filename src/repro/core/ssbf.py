@@ -43,11 +43,7 @@ class TaggedSSBF:
     """Tagged, set-associative SSBF with FIFO replacement per set."""
 
     def __init__(self, entries: int = 128, assoc: int = 4) -> None:
-        if entries % assoc:
-            raise ValueError("entries must be a multiple of associativity")
         self.num_sets = entries // assoc
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
         self.assoc = assoc
         self._index_mask = self.num_sets - 1
         self._tag_shift = self.num_sets.bit_length() - 1

@@ -26,8 +26,6 @@ class SSNCounters:
     """
 
     def __init__(self, bits: int = 20) -> None:
-        if bits < 4:
-            raise ValueError("SSNs need at least 4 bits")
         self.limit = 1 << bits
         self.rename = 0
         self.commit = 0

@@ -25,8 +25,6 @@ class HybridBranchPredictor:
     """
 
     def __init__(self, table_entries: int = 4096, history_bits: int = 12) -> None:
-        if table_entries & (table_entries - 1):
-            raise ValueError("table size must be a power of two")
         self._mask = table_entries - 1
         self._hist_mask = (1 << history_bits) - 1
         self._gshare = [1] * table_entries
@@ -79,11 +77,7 @@ class BTB:
     """
 
     def __init__(self, entries: int = 2048, assoc: int = 4) -> None:
-        if entries % assoc:
-            raise ValueError("entries must be a multiple of associativity")
         self.num_sets = entries // assoc
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
         self.assoc = assoc
         #: Per-set dicts, each built on first touch (``None`` until then).
         self._sets: list[dict[int, int] | None] = [None] * self.num_sets

@@ -24,12 +24,8 @@ class Cache:
         assoc: int,
         line_bytes: int = 64,
     ) -> None:
-        if size_bytes % (assoc * line_bytes):
-            raise ValueError("cache size must be a multiple of assoc * line size")
         self.assoc = assoc
         self.num_sets = size_bytes // (assoc * line_bytes)
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
         self._sets: list[dict[int, bool] | None] = [None] * self.num_sets
         self._set_mask = self.num_sets - 1
         self._line_shift = line_bytes.bit_length() - 1

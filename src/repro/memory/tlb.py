@@ -20,11 +20,7 @@ class TLB:
         page_bytes: int = 4096,
         miss_penalty: int = 30,
     ) -> None:
-        if entries % assoc:
-            raise ValueError("entry count must be a multiple of associativity")
         self.num_sets = entries // assoc
-        if self.num_sets & (self.num_sets - 1):
-            raise ValueError("number of sets must be a power of two")
         self.assoc = assoc
         self.miss_penalty = miss_penalty
         self._sets: list[dict[int, None]] = [dict() for _ in range(self.num_sets)]

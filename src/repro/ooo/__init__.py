@@ -17,7 +17,6 @@ _EXPORTS = {
     "PortSchedule": "scheduler",
     "ISSUE_PORTS": "scheduler",
     "IssueQueueTracker": "issue_queue",
-    "ForwardResult": "lsq",
     "LoadQueueTracker": "lsq",
     "StoreQueue": "lsq",
 }

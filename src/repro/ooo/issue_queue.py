@@ -23,8 +23,6 @@ class IssueQueueTracker:
     """Counts issue-queue occupancy over time."""
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("issue queue capacity must be positive")
         self.capacity = capacity
         self._scheduled: list[int] = []  # heap of issue cycles
         self._unscheduled = 0            # entries with unknown issue cycle

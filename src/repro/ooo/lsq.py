@@ -14,27 +14,7 @@ cost (Section 3.4), which this model reflects by making the tracker optional.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-from repro.isa.trace import DynInst
-
-
-class ForwardKind(enum.Enum):
-    """Outcome of an associative store-queue search."""
-
-    NONE = "none"          # no older in-flight store writes the load's bytes
-    FULL = "full"          # one store supplies every byte (forwardable)
-    PARTIAL = "partial"    # multiple stores / partial coverage: must stall
-
-
-@dataclass(slots=True)
-class ForwardResult:
-    kind: ForwardKind
-    #: The forwarding store's entry for FULL; None otherwise.
-    store: "StoreQueueEntry | None" = None
-    #: Youngest store seq involved (PARTIAL waits for it to commit).
-    youngest_seq: int = -1
 
 
 @dataclass(slots=True)
@@ -48,15 +28,13 @@ class StoreQueueEntry:
 class StoreQueue:
     """Age-ordered associative store queue (conventional baseline).
 
-    Entries are kept in dispatch (age) order.  ``search`` implements the
-    associative lookup: per byte of the load, the youngest older store
-    writing that byte wins; full single-store coverage forwards, anything
-    else stalls the load until the involved stores drain to the cache.
+    Entries are kept in dispatch (age) order.  The processor answers a
+    load's associative lookup from the trace's per-byte annotations
+    (``Processor._classify_against_sq``); tests/sq_search.py holds the
+    search over these entries that the answer is checked against.
     """
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("store queue capacity must be positive")
         self.capacity = capacity
         self._entries: list[StoreQueueEntry] = []
 
@@ -82,30 +60,6 @@ class StoreQueue:
         while self._entries and self._entries[-1].seq > seq:
             self._entries.pop()
         return before - len(self._entries)
-
-    def search(self, load: DynInst) -> ForwardResult:
-        """Associative search on behalf of *load* (must carry addr/size)."""
-        byte_writer: dict[int, StoreQueueEntry] = {}
-        for entry in self._entries:
-            if entry.seq >= load.seq:
-                break
-            if entry.addr < load.addr + load.size and load.addr < entry.addr + entry.size:
-                low = max(entry.addr, load.addr)
-                high = min(entry.addr + entry.size, load.addr + load.size)
-                for byte in range(low, high):
-                    byte_writer[byte] = entry
-        if not byte_writer:
-            return ForwardResult(ForwardKind.NONE)
-        covered = [
-            byte_writer.get(b) for b in range(load.addr, load.addr + load.size)
-        ]
-        writers = {e.seq for e in covered if e is not None}
-        youngest = max(writers)
-        if None not in covered and len(writers) == 1:
-            return ForwardResult(
-                ForwardKind.FULL, store=covered[0], youngest_seq=youngest
-            )
-        return ForwardResult(ForwardKind.PARTIAL, youngest_seq=youngest)
 
 
 class LoadQueueTracker:

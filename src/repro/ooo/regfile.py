@@ -20,8 +20,6 @@ class PhysicalRegisterFile:
     """Counts free physical registers; supports SMB reference sharing."""
 
     def __init__(self, total: int, arch_regs: int = NUM_ARCH_REGS) -> None:
-        if total <= arch_regs:
-            raise ValueError("need more physical than architectural registers")
         self._free = total - arch_regs
         #: reference counts for registers shared through SMB, keyed by the
         #: allocating instruction's dynamic seq.

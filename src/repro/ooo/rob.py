@@ -104,8 +104,6 @@ class ReorderBuffer:
     """
 
     def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("ROB capacity must be positive")
         self.capacity = capacity
         self._entries: deque[InFlightInst] = deque()
 

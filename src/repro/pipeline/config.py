@@ -21,13 +21,15 @@ and leaves the bypassing predictor unchanged, exactly as in Section 4.4.
 
 The records nested in a ``MachineConfig`` (:class:`BackendConfig`,
 :class:`BypassPredictorConfig`, :class:`HierarchyConfig`) live here too,
-so describing a machine imports no simulator module.
+so describing a machine imports no simulator module.  So does
+:func:`check_runnable`, the one table of rules deciding which machines
+the pipeline can run; the component constructors trust it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 
 @dataclass(frozen=True)
@@ -269,3 +271,96 @@ def scale_window(config: MachineConfig, window: int) -> MachineConfig:
     # distance field is deliberately NOT widened (the paper keeps the
     # bypassing predictor fixed to show its capacity sensitivity).
     return scaled
+
+
+# --------------------------------------------------------------------- #
+# Which machines can run
+# --------------------------------------------------------------------- #
+
+#: The mini-ISA's architectural registers
+#: (:data:`repro.isa.instructions.NUM_ARCH_REGS`), restated so that
+#: checking a config loads no ``repro.isa`` module; tests/test_api.py pins
+#: the two equal.
+_ARCH_REGS = 64
+
+
+def _sets(entries: int, way: int) -> bool:
+    """Whether *entries* fill a power-of-two number of sets of *way*
+    entries each: the geometry of every table indexed by a mask."""
+    sets, rest = divmod(entries, way)
+    return not rest and sets >= 1 and not sets & (sets - 1)
+
+
+def _positive(value: int | None, config: MachineConfig) -> bool:
+    return value is None or value >= 1
+
+
+#: Which machines the pipeline can run, as (field, test of its value
+#: within the whole config, what the value must be), checked in order
+#: once no numeric field is negative.  A zero-wide group or zero-entry
+#: queue never makes progress, and a table with no ways or return slots
+#: divides by zero or indexes nothing; renaming needs a free physical
+#: register beyond the architectural ones; SSNs need at least 4 bits;
+#: only the conventional machine has a store queue; and every table
+#: indexed by a mask holds a power-of-two number of sets of its
+#: associativity.
+RUNNABLE_RULES = (
+    *((key, _positive, "must be at least 1") for key in (
+        "width", "commit_width", "max_branches_per_group", "lq_size",
+        "rob_size", "iq_size", "ras_depth", "tssbf_assoc", "tlb_assoc",
+        "btb_assoc", "bypass_predictor.assoc", "hierarchy.l1_assoc",
+        "hierarchy.l2_assoc",
+    )),
+    ("phys_regs", lambda v, c: v > _ARCH_REGS,
+     f"must exceed the {_ARCH_REGS} architectural registers"),
+    ("ssn_bits", lambda v, c: v >= 4, "must be at least 4"),
+    ("sq_size", lambda v, c: c.mode is not Mode.NOSQ or v == 0,
+     "NoSQ has no store queue; must be 0"),
+    ("sq_size", lambda v, c: c.mode is Mode.NOSQ or v >= 1,
+     "the conventional machine needs a store queue; must be at least 1"),
+    ("bp_table_entries", lambda v, c: _sets(v, 1), "must be a power of two"),
+    ("hierarchy.line_bytes", lambda v, c: _sets(v, 1),
+     "must be a power of two"),
+    ("tssbf_entries", lambda v, c: _sets(v, c.tssbf_assoc),
+     "must be tssbf_assoc ({c.tssbf_assoc}) times a power of two"),
+    ("tlb_entries", lambda v, c: _sets(v, c.tlb_assoc),
+     "must be tlb_assoc ({c.tlb_assoc}) times a power of two"),
+    ("btb_entries", lambda v, c: _sets(v, c.btb_assoc),
+     "must be btb_assoc ({c.btb_assoc}) times a power of two"),
+    ("bypass_predictor.entries_per_table",
+     lambda v, c: c.bypass_predictor.unbounded
+     or _sets(v, c.bypass_predictor.assoc),
+     "must be assoc ({c.bypass_predictor.assoc}) times a power of two"),
+    ("hierarchy.l1_size",
+     lambda v, c: _sets(v, c.hierarchy.l1_assoc * c.hierarchy.line_bytes),
+     "must be l1_assoc x line_bytes ({c.hierarchy.l1_assoc} x "
+     "{c.hierarchy.line_bytes}) times a power of two"),
+    ("hierarchy.l2_size",
+     lambda v, c: _sets(v, c.hierarchy.l2_assoc * c.hierarchy.line_bytes),
+     "must be l2_assoc x line_bytes ({c.hierarchy.l2_assoc} x "
+     "{c.hierarchy.line_bytes}) times a power of two"),
+)
+
+
+def check_runnable(config: MachineConfig) -> None:
+    """Raise ``ValueError("key=value: requirement")`` for the first
+    field of *config* that :data:`RUNNABLE_RULES` (or the rule that no
+    number is negative) rejects."""
+    records = [("", config)] + [
+        (f"{name}.", getattr(config, name)) for name in
+        ("backend", "bypass_predictor", "hierarchy")
+    ]
+    for prefix, record in records:
+        for item in fields(record):
+            value = getattr(record, item.name)
+            if type(value) is int and value < 0:
+                raise ValueError(
+                    f"{prefix}{item.name}={value}: must not be negative"
+                )
+    for key, test, requirement in RUNNABLE_RULES:
+        section, _, name = key.rpartition(".")
+        value = getattr(getattr(config, section) if section else config, name)
+        if not test(value, config):
+            raise ValueError(
+                f"{key}={value}: {requirement.format(c=config)}"
+            )

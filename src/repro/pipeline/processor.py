@@ -60,6 +60,7 @@ from repro.pipeline.config import (
     MachineConfig,
     Mode,
     SchedulerKind,
+    check_runnable,
 )
 from repro.pipeline.stats import RunStats
 from repro.predictors.store_sets import StoreSets
@@ -83,6 +84,7 @@ class Processor:
     """Cycle-level simulator for one machine configuration."""
 
     def __init__(self, config: MachineConfig) -> None:
+        check_runnable(config)  # the components below trust its rules
         self.config = config
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.tlb = TLB(
@@ -654,8 +656,8 @@ class Processor:
 
         Returns ``(kind, store_seq)`` where kind is "none", "full", or
         "partial".  Per-byte youngest-writer reasoning makes this exactly
-        equivalent to :meth:`repro.ooo.lsq.StoreQueue.search` restricted to
-        in-flight stores (a property verified by tests).
+        equivalent to an associative search of the in-flight stores
+        (tests/test_equivalence.py checks it against tests/sq_search.py).
         """
         inflight = self._inflight_stores
         inflight_sources = [

@@ -31,8 +31,6 @@ class StoreSets:
     CLEAR_INTERVAL = 30_000
 
     def __init__(self, ssit_entries: int = 4096) -> None:
-        if ssit_entries & (ssit_entries - 1):
-            raise ValueError("SSIT size must be a power of two")
         self.ssit_entries = ssit_entries
         self._ssit: list[int | None] = [None] * ssit_entries
         self._lfst: dict[int, object] = {}

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import (
     ConfigSpecError,
@@ -20,8 +21,9 @@ from repro.api import (
     simulate,
     standard_configs,
     sweep,
+    validate,
 )
-from repro.api.configs import SETS, split_spec_list
+from repro.api.configs import PRESETS, SETS, split_spec_list
 from repro.experiments.cache import job_key
 from repro.experiments.spec import CampaignSpec, Job
 from repro.harness.runner import SMOKE, ExperimentScale
@@ -169,6 +171,27 @@ UNRUNNABLE = [
     ("nosq?phys_regs=8", "phys_regs=8:"),
     ("conventional?phys_regs=64", "phys_regs=64:"),
     ("nosq?ssn_bits=2", "ssn_bits=2:"),
+    # Each of these crashed a component after the trace was built until
+    # the rule table covered its field.
+    ("nosq?tlb_assoc=0", "tlb_assoc=0:"),
+    ("nosq?memory.l1_assoc=0", "hierarchy.l1_assoc=0:"),
+    ("nosq?memory.line_bytes=0", "hierarchy.line_bytes=0:"),
+    ("conventional?smb_opportunistic=true,bypass.assoc=0",
+     "bypass_predictor.assoc=0:"),
+    ("nosq?tlb_entries=0", "tlb_entries=0:"),
+    ("nosq?btb_entries=0", "btb_entries=0:"),
+    ("nosq?bypass.entries_per_table=0", "bypass_predictor.entries_per_table=0:"),
+    ("nosq?ras_depth=0", "ras_depth=0:"),
+    ("nosq?bypass.assoc=3", "bypass_predictor.entries_per_table=1024:"),
+    ("nosq?tlb_entries=6", "tlb_entries=6:"),
+    ("nosq?bp_history_bits=-1", "bp_history_bits=-1:"),
+    ("nosq?bp_table_entries=1000", "bp_table_entries=1000:"),
+    ("nosq?memory.l1_size=1000", "hierarchy.l1_size=1000:"),
+    # Set geometry, which no component checks itself.
+    ("nosq?memory.line_bytes=48", "hierarchy.line_bytes=48:"),
+    ("conventional?memory.l2_size=96", "hierarchy.l2_size=96:"),
+    ("nosq?btb_entries=10", "btb_entries=10:"),
+    ("nosq?tssbf_entries=3,tssbf_assoc=1", "tssbf_entries=3:"),
 ]
 
 
@@ -205,7 +228,7 @@ class TestValidationErrors:
         assert str(excinfo.value).startswith(fragment)
 
     def test_arch_register_count_matches_isa(self):
-        from repro.api.configs import _ARCH_REGS
+        from repro.pipeline.config import _ARCH_REGS
         from repro.isa.instructions import NUM_ARCH_REGS
 
         assert _ARCH_REGS == NUM_ARCH_REGS
@@ -215,10 +238,30 @@ class TestValidationErrors:
         "conventional?tssbf_entries=4",
         "nosq?tssbf_entries=1,tssbf_assoc=1",
         "nosq?tssbf_entries=24,tssbf_assoc=3",
+        "nosq?tlb_entries=1,tlb_assoc=1,btb_entries=1,btb_assoc=1",
+        "nosq?tlb_entries=12,tlb_assoc=3,btb_entries=6,btb_assoc=3",
+        "nosq?memory.line_bytes=1,memory.l1_size=1,memory.l1_assoc=1,"
+        "memory.l2_size=3,memory.l2_assoc=3",
+        "nosq?bypass.entries_per_table=1,bypass.assoc=1,ras_depth=1",
+        "nosq?bypass.entries_per_table=10,bypass.unbounded=true",
+        "nosq?bp_table_entries=1,bp_history_bits=0",
     ])
     def test_smallest_runnable_values_construct(self, spec):
-        # The resolve-time rules reject no machine the constructors build.
-        Processor(resolve_config(spec))
+        # The rule table rejects no machine the components can build.
+        trace = generate_trace("gzip", 400, seed=17)
+        Processor(resolve_config(spec)).run(trace)
+
+    def test_processor_rejects_hand_built_config(self):
+        config = dataclasses.replace(MachineConfig.nosq(), ras_depth=0)
+        with pytest.raises(ValueError, match=r"^ras_depth=0: must be at least 1$"):
+            Processor(config)
+
+    def test_passed_through_config_is_checked(self):
+        config = dataclasses.replace(MachineConfig.nosq(), tlb_assoc=0)
+        with pytest.raises(ConfigSpecError, match="^tlb_assoc=0:"):
+            resolve_config(config)
+        with pytest.raises(ConfigSpecError, match="^tlb_assoc=0:"):
+            resolve_configs([config])
 
     def test_unknown_set_suggestion(self):
         with pytest.raises(ConfigSpecError,
@@ -228,6 +271,52 @@ class TestValidationErrors:
     def test_campaign_spec_rejects_bad_config_string(self):
         with pytest.raises(ValueError, match="unknown config preset"):
             CampaignSpec(benchmarks=["gzip"], configs=["nosqq"], scale=TINY)
+
+
+def _numeric_fields(config):
+    """(dotted key, value) of every integer field of *config* and of its
+    three sections."""
+    records = [("", config)] + [
+        (f"{name}.", getattr(config, name))
+        for name in ("backend", "bypass_predictor", "hierarchy")
+    ]
+    return [
+        (prefix + item.name, getattr(record, item.name))
+        for prefix, record in records
+        for item in dataclasses.fields(record)
+        if type(getattr(record, item.name)) is int
+    ]
+
+
+@st.composite
+def _numeric_overrides(draw):
+    """A preset with one to three of its integer fields each set to a
+    value between -2 and four times the preset's (at least 8), so no
+    draw builds huge tables."""
+    preset = draw(st.sampled_from(sorted(PRESETS)))
+    chosen = draw(st.lists(
+        st.sampled_from(_numeric_fields(resolve_config(preset))),
+        min_size=1, max_size=3, unique_by=lambda item: item[0],
+    ))
+    return preset + "?" + ",".join(
+        f"{key}={draw(st.integers(-2, max(4 * value, 8)))}"
+        for key, value in chosen
+    )
+
+
+@given(_numeric_overrides())
+@settings(max_examples=300)
+@example("nosq?ras_depth=0")
+@example("nosq?tlb_assoc=0")
+def test_numeric_override_is_rejected_or_runs_valid(spec):
+    """Every numeric override either fails to resolve or simulates to
+    completion with every oracle invariant holding."""
+    try:
+        config = resolve_config(spec)
+    except ConfigSpecError:
+        return
+    result = validate(config, "gzip", scale=400)
+    assert result.ok, result.reports[0].describe()
 
 
 # --------------------------------------------------------------------- #

@@ -1,7 +1,5 @@
 """Tests for the store-load bypassing predictor."""
 
-import pytest
-
 from repro.core.bypass_predictor import (
     NO_BYPASS,
     BypassingPredictor,
@@ -167,7 +165,3 @@ class TestStatsAndOccupancy:
         predictor.train(0x1000, 0, True, False, actual_dist=1)
         for table in (predictor._plain, predictor._path):
             assert sum(len(s) for s in table._sets if s) == 1
-
-    def test_rejects_bad_geometry(self):
-        with pytest.raises(ValueError):
-            make(entries_per_table=10, assoc=4)

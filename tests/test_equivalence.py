@@ -10,10 +10,11 @@ interleavings and in-flight windows.
 
 from hypothesis import given, settings, strategies as st
 
-from repro.ooo.lsq import ForwardKind, StoreQueue, StoreQueueEntry
+from repro.ooo.lsq import StoreQueue, StoreQueueEntry
 from repro.pipeline import MachineConfig
 from repro.pipeline.processor import Processor
 from tests.conftest import build_trace
+from tests.sq_search import ForwardKind, search
 
 STORES = st.lists(
     st.tuples(
@@ -55,7 +56,7 @@ def test_sq_search_matches_classification(stores, load_slot, load_size, committe
                     addr=inst.addr, size=inst.size,
                 )
             )
-    search = sq.search(load)
+    result = search(sq, load)
 
     # Mirror the processor's in-flight view.
     processor = Processor(MachineConfig.conventional())
@@ -66,8 +67,8 @@ def test_sq_search_matches_classification(stores, load_slot, load_size, committe
     }
     kind, source = processor._classify_against_sq(load)
 
-    assert kind == search.kind.value
-    if search.kind is ForwardKind.FULL:
-        assert source == trace[search.store.seq].store_seq
-    elif search.kind is ForwardKind.PARTIAL:
-        assert source == trace[search.youngest_seq].store_seq
+    assert kind == result.kind.value
+    if result.kind is ForwardKind.FULL:
+        assert source == trace[result.store.seq].store_seq
+    elif result.kind is ForwardKind.PARTIAL:
+        assert source == trace[result.youngest_seq].store_seq

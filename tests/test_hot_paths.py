@@ -256,19 +256,6 @@ def test_trace_emitter_reads_no_enum_member(name):
 #: The timing-model component packages under src/repro.
 _COMPONENT_PACKAGES = ("ooo", "core", "memory", "frontend", "predictors")
 
-#: Definitions kept without a caller in src/, with the reason.
-_UNCALLED_ALLOWED = {
-    # test_equivalence.py's reference for the processor's store-queue
-    # classification.
-    ("ooo/lsq.py", "StoreQueue.search"),
-}
-
-#: Stored state kept without a reader in src/, with the reason.
-_UNREAD_ALLOWED = {
-    # Part of StoreQueue.search's result, test_equivalence.py's reference.
-    ("ooo/lsq.py", "ForwardResult.youngest_seq"),
-}
-
 #: Annotations that declare no per-instance field.
 _PSEUDO_FIELDS = ("ClassVar", "InitVar")
 
@@ -391,7 +378,7 @@ def test_every_component_definition_is_named_in_src():
         and name not in named
         and (owner, name) not in uses.own
     }
-    assert uncalled == _UNCALLED_ALLOWED
+    assert uncalled == set()
 
 
 def test_every_component_field_is_read_in_src():
@@ -403,4 +390,4 @@ def test_every_component_field_is_read_in_src():
         for module, owner, name in state
         if name not in uses.reads and (owner, name) not in uses.own
     }
-    assert unread == _UNREAD_ALLOWED
+    assert unread == set()

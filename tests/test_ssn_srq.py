@@ -37,10 +37,6 @@ class TestSSNCounters:
         with pytest.raises(ValueError):
             ssn.squash_to(0)   # below SSNcommit
 
-    def test_minimum_bits(self):
-        with pytest.raises(ValueError):
-            SSNCounters(bits=2)
-
 
 def _srq_entry(ssn, store_seq=0, size=8, fp=False):
     return SRQEntry(
