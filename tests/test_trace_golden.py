@@ -1,8 +1,8 @@
 """Trace production must be bit-identical to the recorded digests.
 
 ``tests/data/golden_trace_digests.json`` holds, for every synthetic
-profile and every ``zoo.*``/``prog.*`` source at 2,000 instructions and
-seeds 17 and 3, a SHA-256 over every :class:`DynInst` field of the
+profile, every ``zoo.*``/``prog.*`` source and the committed external
+event trace (:data:`EXTERN`) at 2,000 instructions and seeds 17 and 3, a SHA-256 over every :class:`DynInst` field of the
 annotated trace, plus its :func:`communication_stats` at windows 128 and
 256.  Generator, annotation and ``DynInst`` performance work must keep
 every digest; only an intentional workload change may re-record them:
@@ -21,7 +21,12 @@ from repro.harness.runner import ExperimentScale, make_trace
 from repro.isa.trace import communication_stats
 from repro.traces.source import known_benchmark_ids
 
-GOLDEN_PATH = Path(__file__).parent / "data" / "golden_trace_digests.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN_PATH = DATA / "golden_trace_digests.json"
+#: The committed SynchroTrace-style sample, imported through its source.
+#: Its own fixture (``sample_synchrotrace.golden.json``) hashes fewer
+#: fields; this one pins every field the importer's output carries.
+EXTERN = "extern:tests/data/sample_synchrotrace.txt"
 NUM_INSTRUCTIONS = 2_000
 SEEDS = (17, 3)
 WINDOWS = (128, 256)
@@ -42,7 +47,7 @@ STATS_FIELDS = (
 
 
 def _benchmarks() -> list[str]:
-    return sorted(known_benchmark_ids())
+    return sorted([*known_benchmark_ids(), EXTERN])
 
 
 def trace_digest(trace) -> str:
@@ -61,6 +66,10 @@ def trace_digest(trace) -> str:
 def record(bench: str, seed: int) -> dict:
     scale = ExperimentScale("golden", num_instructions=NUM_INSTRUCTIONS,
                             warmup=0)
+    if bench == EXTERN:
+        # The id is relative to the repository root; resolve it from this
+        # file so the test runs from any working directory.
+        bench = f"extern:{DATA / 'sample_synchrotrace.txt'}"
     trace = make_trace(bench, scale, seed)
     entry = {"trace": trace_digest(trace), "length": len(trace)}
     for window in WINDOWS:
