@@ -551,7 +551,7 @@ def cmd_trace_info(args) -> int:
 
 
 def cmd_trace_validate(args) -> int:
-    from repro.isa.trace import DynInst, annotate_trace
+    from repro.isa.trace import reindex_trace
     from repro.isa.tracefile import TraceFormatError
 
     try:
@@ -562,17 +562,7 @@ def cmd_trace_validate(args) -> int:
     # Re-derive every annotation from the raw instruction stream and
     # compare: catches stale or inconsistent annotations, not just
     # container corruption.
-    rebuilt = [
-        DynInst(
-            seq=inst.seq, pc=inst.pc, op=inst.op, srcs=inst.srcs,
-            dst=inst.dst, lat=inst.lat, addr=inst.addr, size=inst.size,
-            signed=inst.signed, fp_convert=inst.fp_convert,
-            taken=inst.taken, target=inst.target, is_call=inst.is_call,
-            is_return=inst.is_return,
-        )
-        for inst in trace
-    ]
-    annotate_trace(rebuilt)
+    rebuilt = reindex_trace(trace)
     fields = ("store_seq", "src_stores", "containing_store", "dist_insns",
               "unique_stores", "path_hist")
     bad = 0

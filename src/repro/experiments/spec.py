@@ -62,7 +62,9 @@ class CampaignSpec:
     ``configs`` entries may be :class:`MachineConfig` objects or config
     spec strings (``nosq?backend.rob_size=256``, ``conventional@256``),
     resolved by :func:`repro.api.configs.resolve_config` — the config
-    axis is string-addressable exactly like the benchmark axis."""
+    axis is string-addressable exactly like the benchmark axis.  A config
+    that cannot run raises :class:`~repro.api.configs.ConfigSpecError`
+    (a :class:`ValueError`) here."""
 
     benchmarks: Sequence[str]
     configs: Sequence[MachineConfig | str] = field(
@@ -73,17 +75,13 @@ class CampaignSpec:
     name: str = "campaign"
 
     def __post_init__(self) -> None:
-        self.benchmarks = list(self.benchmarks)
-        if any(isinstance(config, str) for config in self.configs):
-            # Imported lazily: repro.api builds on this package.
-            from repro.api.configs import resolve_config
+        # Imported lazily: repro.api builds on this package.
+        from repro.api.configs import resolve_config
 
-            self.configs = [
-                resolve_config(config) if isinstance(config, str) else config
-                for config in self.configs
-            ]
-        else:
-            self.configs = list(self.configs)
+        self.benchmarks = list(self.benchmarks)
+        # Every config, a spec string or a MachineConfig, is checked to be
+        # runnable here, before any job builds a trace.
+        self.configs = [resolve_config(config) for config in self.configs]
         self.seeds = list(self.seeds)
         # Validate through the trace-source layer: every benchmark id
         # must resolve (profiles, zoo.*/prog.* sources, trace:/extern: paths).

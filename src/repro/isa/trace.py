@@ -2,8 +2,11 @@
 
 A *trace* is the committed (correct-path) dynamic instruction stream of a
 program, either produced by functionally executing a mini-ISA program
-(:mod:`repro.isa.executor`) or synthesized directly by the workload generator
-(:mod:`repro.workloads.generator`).  The timing simulator consumes traces.
+(:mod:`repro.isa.executor`) or written down by a :class:`TraceBuilder`:
+the synthetic generator (:mod:`repro.workloads.generator`), the workload
+zoo (:mod:`repro.workloads.zoo`) and the SynchroTrace importer
+(:mod:`repro.traces.importers`) all emit through one.  The timing
+simulator consumes traces.
 
 Each load in a trace carries ground-truth store-load communication
 annotations computed by :func:`annotate_trace`: the set of dynamic stores
@@ -37,6 +40,24 @@ _OP_TRAITS = tuple(
     (op is OpClass.LOAD, op is OpClass.STORE, op is OpClass.BRANCH, int(op))
     for op in OpClass
 )
+
+# Operation classes bound once: an enum member read costs about ten module
+# global reads, and every emitted instruction needs one (DESIGN.md §4).
+_ALU = OpClass.ALU
+_COMPLEX = OpClass.COMPLEX
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+
+# Register conventions of built traces (integer registers 0-31, fp 32-63,
+# as in repro.isa.instructions).
+BASE_REG = 5                       # never written: always-ready base address
+CONST_REG = 6                      # never written: standalone store data
+DEF_REGS = tuple(range(8, 14))     # rotating ALU definition targets
+USE_REG = 14                       # consumer of loaded values
+CHAIN_REG = 15                     # serial ALU chain of the generator filler
+LOAD_REGS = tuple(range(16, 24))   # rotating load destinations
+FP_REGS = tuple(range(34, 42))     # f2..f9, rotating FP targets
 
 
 @dataclass(slots=True)
@@ -191,6 +212,123 @@ def annotate_trace(trace: Sequence[DynInst]) -> list[DynInst]:
                 inst.seq - youngest_inst_seq if youngest_inst_seq >= 0 else -1
             )
     return list(trace)
+
+
+def reindex_trace(insts: Sequence[DynInst]) -> list[DynInst]:
+    """Re-number and re-annotate a copy of an instruction sequence.
+
+    Each instruction is rebuilt from its raw fields (op, registers,
+    access, control flow) with ``seq`` dense from 0, and every annotation
+    is re-derived, so any subsequence of a trace is a well-formed trace
+    again and a loaded trace can be checked against fresh annotations.
+    """
+    rebuilt = [
+        DynInst(
+            seq=i, pc=inst.pc, op=inst.op, srcs=inst.srcs, dst=inst.dst,
+            lat=inst.lat, addr=inst.addr, size=inst.size,
+            signed=inst.signed, fp_convert=inst.fp_convert,
+            taken=inst.taken, target=inst.target, is_call=inst.is_call,
+            is_return=inst.is_return,
+        )
+        for i, inst in enumerate(insts)
+    ]
+    return annotate_trace(rebuilt)
+
+
+class TraceBuilder:
+    """Writes a generated trace down, one instruction per call.
+
+    Every producer that synthesizes instructions (the profile generator,
+    the zoo families, the SynchroTrace importer) emits through a builder,
+    so they share one register convention and one rotation rule: the
+    def, load and FP cursors hand out the register they point at, then
+    move one slot on.  Instructions are numbered densely as they are
+    emitted; :meth:`finish` annotates the trace and returns it.
+
+    ``loads``, ``stores`` and ``branches`` count the instructions of each
+    kind emitted so far (the generator steers its filler by them).
+    """
+
+    def __init__(self) -> None:
+        self.trace: list[DynInst] = []
+        self.loads = self.stores = self.branches = 0
+        #: Index of the register each rotation hands out next.
+        self.next_def = self.next_load = self.next_fp = 0
+
+    def def_reg(self) -> int:
+        reg = DEF_REGS[self.next_def]
+        self.next_def = (self.next_def + 1) % len(DEF_REGS)
+        return reg
+
+    def fp_reg(self) -> int:
+        reg = FP_REGS[self.next_fp]
+        self.next_fp = (self.next_fp + 1) % len(FP_REGS)
+        return reg
+
+    def alu(self, pc: int, dst: int | None = None,
+            srcs: tuple[int, ...] = ()) -> DynInst:
+        """A 1-cycle ALU op; *dst* defaults to the next def register."""
+        if dst is None:
+            dst = self.def_reg()
+        trace = self.trace
+        inst = DynInst(seq=len(trace), pc=pc, op=_ALU, srcs=srcs, dst=dst,
+                       lat=1)
+        trace.append(inst)
+        return inst
+
+    def fp(self, pc: int, dst: int, srcs: tuple[int, ...] = ()) -> DynInst:
+        """A 4-cycle COMPLEX (floating-point) op."""
+        trace = self.trace
+        inst = DynInst(seq=len(trace), pc=pc, op=_COMPLEX, srcs=srcs,
+                       dst=dst, lat=4)
+        trace.append(inst)
+        return inst
+
+    def load(self, pc: int, addr: int, size: int = 8, *,
+             signed: bool = False, fp_convert: bool = False,
+             base: int = BASE_REG) -> DynInst:
+        """A load into the next load register."""
+        dst = LOAD_REGS[self.next_load]
+        self.next_load = (self.next_load + 1) % len(LOAD_REGS)
+        self.loads += 1
+        trace = self.trace
+        inst = DynInst(
+            seq=len(trace), pc=pc, op=_LOAD, srcs=(base,), dst=dst, lat=1,
+            addr=addr, size=size, signed=signed, fp_convert=fp_convert,
+        )
+        trace.append(inst)
+        return inst
+
+    def store(self, pc: int, addr: int, size: int = 8,
+              data_reg: int = CONST_REG, *,
+              fp_convert: bool = False) -> DynInst:
+        """A store of *data_reg* (the never-written constant by default)."""
+        self.stores += 1
+        trace = self.trace
+        inst = DynInst(
+            seq=len(trace), pc=pc, op=_STORE, srcs=(BASE_REG, data_reg),
+            lat=1, addr=addr, size=size, fp_convert=fp_convert,
+        )
+        trace.append(inst)
+        return inst
+
+    def branch(self, pc: int, taken: bool, *, target: int | None = None,
+               srcs: tuple[int, ...] = (), is_call: bool = False,
+               is_return: bool = False) -> DynInst:
+        """A branch, call or return; *target* defaults to ``pc + 0x20``."""
+        self.branches += 1
+        trace = self.trace
+        inst = DynInst(
+            seq=len(trace), pc=pc, op=_BRANCH, srcs=srcs, lat=1,
+            taken=taken, target=pc + 0x20 if target is None else target,
+            is_call=is_call, is_return=is_return,
+        )
+        trace.append(inst)
+        return inst
+
+    def finish(self) -> list[DynInst]:
+        """The emitted trace, annotated."""
+        return annotate_trace(self.trace)
 
 
 def communication_stats(

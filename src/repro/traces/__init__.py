@@ -40,7 +40,6 @@ from repro.traces.source import (
     SyntheticSource,
     TraceSource,
     known_benchmark_ids,
-    register_zoo_sources,
     resolve_source,
     source_identity,
 )
@@ -77,7 +76,6 @@ __all__ = [
     "load_repro_case",
     "read_trace",
     "save_repro_case",
-    "register_zoo_sources",
     "resolve_source",
     "source_identity",
     "trace_info",

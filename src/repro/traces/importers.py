@@ -21,14 +21,18 @@ comment, blank lines are skipped; files may be gzip-compressed)::
     <eid>,<tid>,ret                        function return
 
 ``eid`` is the (monotonic, per-thread) event id and ``tid`` the thread id;
-addresses accept decimal or ``0x`` hex.  Field mapping into the mini-ISA:
+addresses accept decimal or ``0x`` hex.  Instructions are emitted through
+a :class:`~repro.isa.trace.TraceBuilder`, so imported traces share the
+synthetic generator's register conventions.  Field mapping into the
+mini-ISA:
 
 * compute events expand to ``iops`` single-cycle ALU operations plus
   ``flops`` 4-cycle COMPLEX operations on rotating registers;
 * reads/writes become loads/stores; accesses wider than 8 bytes are split
   into 8-byte pieces (the mini-ISA's maximum access size);
 * ``comm`` events become loads at the produced address — when the
-  producing write is in the imported window, :func:`annotate_trace`
+  producing write is in the imported window,
+  :func:`~repro.isa.trace.annotate_trace`
   recovers the store-load dependency exactly as it does for native
   traces, so the bypassing machinery sees real communication;
 * branches/calls/returns map onto the BRANCH class with the call/return
@@ -51,25 +55,8 @@ import gzip
 from pathlib import Path
 from typing import Iterable
 
-from repro.isa.opcodes import OpClass
-from repro.isa.trace import DynInst, annotate_trace
+from repro.isa.trace import USE_REG, DynInst, TraceBuilder
 from repro.isa.tracefile import TraceFormatError
-
-#: Base register conventions (match the synthetic generator's).
-# Operation classes bound once: an enum member read costs about ten module
-# global reads, and every emitted instruction needs one (DESIGN.md §4).
-_ALU = OpClass.ALU
-_COMPLEX = OpClass.COMPLEX
-_LOAD = OpClass.LOAD
-_STORE = OpClass.STORE
-_BRANCH = OpClass.BRANCH
-
-_BASE_REG = 5
-_CONST_REG = 6
-_DEF_REGS = tuple(range(8, 14))
-_USE_REG = 14
-_LOAD_REGS = tuple(range(16, 24))
-_FP_REGS = tuple(range(34, 42))
 
 #: Per-thread PC region spacing and per-kind sub-regions.
 _THREAD_PC_BASE = 0x0040_0000
@@ -85,89 +72,40 @@ _SITES_PER_KIND = 256
 _MAX_ACCESS = 8
 
 
-class _Builder:
-    """Accumulates DynInsts with the importer's register/PC conventions."""
+def _pc(tid: int, kind: str, site: int) -> int:
+    base = _THREAD_PC_BASE + (tid % 64) * _THREAD_PC_SPAN
+    return base + _KIND_OFFSETS[kind] + 4 * (site % _SITES_PER_KIND)
 
-    def __init__(self) -> None:
-        self.trace: list[DynInst] = []
-        self._def_index = 0
-        self._load_index = 0
-        self._fp_index = 0
 
-    def _pc(self, tid: int, kind: str, site: int) -> int:
-        base = _THREAD_PC_BASE + (tid % 64) * _THREAD_PC_SPAN
-        return base + _KIND_OFFSETS[kind] + 4 * (site % _SITES_PER_KIND)
+def _access_pieces(addr: int, nbytes: int) -> Iterable[tuple[int, int]]:
+    offset = 0
+    while offset < nbytes:
+        size = min(_MAX_ACCESS, nbytes - offset)
+        yield addr + offset, size
+        offset += size
 
-    def _emit(self, inst: DynInst) -> DynInst:
-        inst.seq = len(self.trace)
-        self.trace.append(inst)
-        return inst
 
-    def comp(self, tid: int, eid: int, iops: int, flops: int) -> None:
-        for i in range(iops):
-            dst = _DEF_REGS[self._def_index]
-            self._def_index = (self._def_index + 1) % len(_DEF_REGS)
-            self._emit(DynInst(
-                seq=0, pc=self._pc(tid, "comp", eid + i), op=_ALU,
-                srcs=(dst,), dst=dst, lat=1,
-            ))
-        for i in range(flops):
-            reg = _FP_REGS[self._fp_index]
-            self._fp_index = (self._fp_index + 1) % len(_FP_REGS)
-            self._emit(DynInst(
-                seq=0, pc=self._pc(tid, "fp", eid + i), op=_COMPLEX,
-                srcs=(reg,), dst=reg, lat=4,
-            ))
+def _comp(b: TraceBuilder, tid: int, eid: int, iops: int, flops: int) -> None:
+    for i in range(iops):
+        reg = b.def_reg()
+        b.alu(_pc(tid, "comp", eid + i), reg, (reg,))
+    for i in range(flops):
+        reg = b.fp_reg()
+        b.fp(_pc(tid, "fp", eid + i), reg, (reg,))
 
-    def _access_pieces(self, addr: int, nbytes: int) -> Iterable[tuple[int, int]]:
-        offset = 0
-        while offset < nbytes:
-            size = min(_MAX_ACCESS, nbytes - offset)
-            yield addr + offset, size
-            offset += size
 
-    def read(self, tid: int, kind: str, addr: int, nbytes: int) -> None:
-        for piece_addr, size in self._access_pieces(addr, nbytes):
-            dst = _LOAD_REGS[self._load_index]
-            self._load_index = (self._load_index + 1) % len(_LOAD_REGS)
-            pc = self._pc(tid, kind, piece_addr >> 3)
-            self._emit(DynInst(
-                seq=0, pc=pc, op=_LOAD, srcs=(_BASE_REG,), dst=dst,
-                lat=1, addr=piece_addr, size=size,
-            ))
-            self._emit(DynInst(
-                seq=0, pc=pc + 4, op=_ALU, srcs=(dst,), dst=_USE_REG,
-                lat=1,
-            ))
+def _read(b: TraceBuilder, tid: int, kind: str, addr: int,
+          nbytes: int) -> None:
+    """A read or comm event: one load and one use per 8-byte piece."""
+    for piece_addr, size in _access_pieces(addr, nbytes):
+        pc = _pc(tid, kind, piece_addr >> 3)
+        load = b.load(pc, piece_addr, size)
+        b.alu(pc + 4, USE_REG, (load.dst,))
 
-    def write(self, tid: int, addr: int, nbytes: int) -> None:
-        for piece_addr, size in self._access_pieces(addr, nbytes):
-            self._emit(DynInst(
-                seq=0, pc=self._pc(tid, "write", piece_addr >> 3),
-                op=_STORE, srcs=(_BASE_REG, _CONST_REG), lat=1,
-                addr=piece_addr, size=size,
-            ))
 
-    def branch(self, tid: int, eid: int, taken: bool) -> None:
-        pc = self._pc(tid, "branch", eid)
-        self._emit(DynInst(
-            seq=0, pc=pc, op=_BRANCH, srcs=(_USE_REG,), lat=1,
-            taken=taken, target=pc + 0x20,
-        ))
-
-    def call(self, tid: int, eid: int) -> None:
-        pc = self._pc(tid, "call", eid)
-        self._emit(DynInst(
-            seq=0, pc=pc, op=_BRANCH, lat=1, taken=True,
-            target=pc + 0x100, is_call=True,
-        ))
-
-    def ret(self, tid: int, eid: int) -> None:
-        pc = self._pc(tid, "ret", eid)
-        self._emit(DynInst(
-            seq=0, pc=pc, op=_BRANCH, lat=1, taken=True,
-            target=pc + 4, is_return=True,
-        ))
+def _write(b: TraceBuilder, tid: int, addr: int, nbytes: int) -> None:
+    for piece_addr, size in _access_pieces(addr, nbytes):
+        b.store(_pc(tid, "write", piece_addr >> 3), piece_addr, size)
 
 
 def _parse_int(field: str, what: str, path: Path, lineno: int) -> int:
@@ -195,7 +133,7 @@ def import_synchrotrace(path: str | Path) -> list[DynInst]:
     """
     path = Path(path)
     opener = gzip.open if path.suffix == ".gz" else open
-    builder = _Builder()
+    b = TraceBuilder()
     try:
         stream = opener(path, "rt", encoding="utf-8")
     except OSError as exc:
@@ -222,7 +160,7 @@ def import_synchrotrace(path: str | Path) -> list[DynInst]:
                     raise TraceFormatError(
                         f"{path}: line {lineno}: negative op count"
                     )
-                builder.comp(tid, eid, iops, flops)
+                _comp(b, tid, eid, iops, flops)
             elif kind in ("read", "write"):
                 _require(fields, 5, path, lineno)
                 addr = _parse_int(fields[3], "address", path, lineno)
@@ -232,9 +170,9 @@ def import_synchrotrace(path: str | Path) -> list[DynInst]:
                         f"{path}: line {lineno}: byte count must be >= 1"
                     )
                 if kind == "read":
-                    builder.read(tid, "read", addr, nbytes)
+                    _read(b, tid, "read", addr, nbytes)
                 else:
-                    builder.write(tid, addr, nbytes)
+                    _write(b, tid, addr, nbytes)
             elif kind == "comm":
                 _require(fields, 6, path, lineno)
                 addr = _parse_int(fields[4], "address", path, lineno)
@@ -243,19 +181,22 @@ def import_synchrotrace(path: str | Path) -> list[DynInst]:
                     raise TraceFormatError(
                         f"{path}: line {lineno}: byte count must be >= 1"
                     )
-                builder.read(tid, "comm", addr, nbytes)
+                _read(b, tid, "comm", addr, nbytes)
             elif kind == "branch":
                 _require(fields, 4, path, lineno)
                 taken = _parse_int(fields[3], "taken flag", path, lineno)
-                builder.branch(tid, eid, bool(taken))
+                b.branch(_pc(tid, "branch", eid), bool(taken),
+                         srcs=(USE_REG,))
             elif kind == "call":
                 _require(fields, 3, path, lineno)
-                builder.call(tid, eid)
+                pc = _pc(tid, "call", eid)
+                b.branch(pc, True, target=pc + 0x100, is_call=True)
             elif kind == "ret":
                 _require(fields, 3, path, lineno)
-                builder.ret(tid, eid)
+                pc = _pc(tid, "ret", eid)
+                b.branch(pc, True, target=pc + 4, is_return=True)
             else:
                 raise TraceFormatError(
                     f"{path}: line {lineno}: unknown event kind {kind!r}"
                 )
-    return annotate_trace(builder.trace)
+    return b.finish()

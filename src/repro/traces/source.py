@@ -232,37 +232,28 @@ def _program_trace(program: str, _length: int, _seed: int) -> list[DynInst]:
 #: The named generator sources, ``zoo.*`` families and ``prog.*``
 #: programs.  The tables above name, describe and version them, so
 #: resolving or hashing their ids loads no generator module: a source
-#: imports its module when it produces a trace.
-SOURCES: dict[str, TraceSource] = {}
-_SYNTHETIC_CACHE: dict[str, SyntheticSource] = {}
-
-
-def register_zoo_sources() -> None:
-    """Add every zoo family to :data:`SOURCES` as ``zoo.<name>``."""
-    for family, description in _ZOO_FAMILIES.items():
-        SOURCES[f"zoo.{family}"] = GeneratorSource(
+#: imports its module when it produces a trace.  A source holds a
+#: partial, not a lambda: campaign job groups pickle their source for
+#: the worker processes.  Like a trace file's, a program's length is
+#: intrinsic: the scale's instruction count and the seed are ignored,
+#: and the default warmup is clamped to half the program.
+SOURCES: dict[str, TraceSource] = {
+    **{
+        f"zoo.{family}": GeneratorSource(
             f"zoo.{family}", partial(_zoo_trace, family),
             description=description, version=ZOO_VERSION,
         )
-
-
-def register_program_sources() -> None:
-    """Add every program to :data:`SOURCES` as ``prog.<name>``.  Like
-    a trace file's, a program's length is intrinsic: the scale's
-    instruction count and the seed are ignored, and the default warmup
-    is clamped to half the program."""
-    for program, description in _PROGRAMS.items():
-        SOURCES[f"prog.{program}"] = GeneratorSource(
-            f"prog.{program}",
-            # A partial, not a lambda: campaign job groups pickle their
-            # source for the worker processes.
-            partial(_program_trace, program),
+        for family, description in _ZOO_FAMILIES.items()
+    },
+    **{
+        f"prog.{program}": GeneratorSource(
+            f"prog.{program}", partial(_program_trace, program),
             description=f"mini-ISA program: {description}",
         )
-
-
-register_zoo_sources()
-register_program_sources()
+        for program, description in _PROGRAMS.items()
+    },
+}
+_SYNTHETIC_CACHE: dict[str, SyntheticSource] = {}
 
 
 def resolve_source(benchmark_id: str) -> TraceSource:

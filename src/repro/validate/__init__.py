@@ -32,6 +32,7 @@ run|fuzz|shrink`` CLI, and the Hypothesis strategies the property tests
 build on (``repro.validate.fuzz.ops_strategy``).
 """
 
+from repro.isa.trace import reindex_trace
 from repro.validate.diff import (
     INVARIANTS,
     DiffReport,
@@ -48,7 +49,6 @@ from repro.validate.fuzz import (
     generate_ops,
     ops_strategy,
     ops_to_trace,
-    reindex_trace,
     run_fuzz,
     shrink_ops,
     shrink_trace,

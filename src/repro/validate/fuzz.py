@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import DynInst, annotate_trace
+from repro.isa.trace import DynInst, annotate_trace, reindex_trace
 from repro.pipeline.config import MachineConfig
 from repro.validate.diff import DiffReport, Violation, run_diff, run_validation
 
@@ -295,27 +295,6 @@ def shrink_ops(
                 current = candidate
                 break
     return current
-
-
-def reindex_trace(insts: Sequence[DynInst]) -> list[DynInst]:
-    """Re-number and re-annotate an instruction subsequence.
-
-    Lets :func:`shrink_ops` minimize raw :class:`DynInst` lists (loaded
-    trace files) as well as op lists: a candidate subsequence becomes a
-    well-formed trace again by densifying ``seq`` and re-deriving every
-    annotation.
-    """
-    rebuilt = [
-        DynInst(
-            seq=i, pc=inst.pc, op=inst.op, srcs=inst.srcs, dst=inst.dst,
-            lat=inst.lat, addr=inst.addr, size=inst.size,
-            signed=inst.signed, fp_convert=inst.fp_convert,
-            taken=inst.taken, target=inst.target, is_call=inst.is_call,
-            is_return=inst.is_return,
-        )
-        for i, inst in enumerate(insts)
-    ]
-    return annotate_trace(rebuilt)
 
 
 def shrink_trace(

@@ -11,6 +11,12 @@ learn per-PC behaviour.  Per dynamic instance a site emits a short
 instruction sequence; the mix of site kinds is steered to the profile's
 load/store/branch fractions and communication rates.
 
+Instructions are written down by a :class:`~repro.isa.trace.TraceBuilder`,
+which owns the register conventions, the register rotations and the
+instruction constructors; this module decides what the trace says: the
+site templates, the address regions and the filler that steers the mix
+(by the builder's load/store/branch counts).
+
 Site kinds
 ----------
 
@@ -39,26 +45,8 @@ import zlib
 from dataclasses import dataclass
 from itertools import accumulate
 
-from repro.isa.opcodes import OpClass
-from repro.isa.trace import DynInst, annotate_trace
+from repro.isa.trace import BASE_REG, CHAIN_REG, USE_REG, DynInst, TraceBuilder
 from repro.workloads.profiles import BenchmarkProfile
-
-# Operation classes bound once: an enum member read costs about ten module
-# global reads, and every emitted instruction needs one (DESIGN.md §4).
-_ALU = OpClass.ALU
-_COMPLEX = OpClass.COMPLEX
-_LOAD = OpClass.LOAD
-_STORE = OpClass.STORE
-_BRANCH = OpClass.BRANCH
-
-# Architectural register conventions (see repro.isa.instructions).
-_BASE_REG = 5        # never written: always-ready base address register
-_CONST_REG = 6       # never written: standalone store data
-_DEF_REGS = tuple(range(8, 14))     # rotating ALU definition targets
-_USE_REG = 14
-_CHAIN_REG = 15
-_LOAD_REGS = tuple(range(16, 24))   # rotating load destinations
-_FP_REGS = tuple(range(34, 42))     # f2..f9
 
 # Address-space layout (all byte addresses; regions never overlap).
 _COMM_BASE = 0x0010_0000
@@ -101,20 +89,11 @@ class _Site:
 
 @dataclass
 class _Pending:
-    """A deferred load (far communication or mid-window hard case).
-
-    ``due`` is an *instruction* count for far loads; hard-case loads
-    instead use ``due_stores`` (a store count) so the store-distance of
-    the pair stays fixed per site -- the property the bypassing predictor
-    keys on.
-    """
+    """A deferred far-communication load."""
 
     due: int       # emit when the trace reaches this instruction count
     addr: int
     site: _Site
-    size: int = 8
-    signed: bool = False
-    due_stores: int | None = None
 
 
 class SyntheticWorkload:
@@ -124,16 +103,7 @@ class SyntheticWorkload:
         self.profile = profile
         self.seed = seed
         self._rng = random.Random(zlib.crc32(profile.name.encode()) ^ seed)
-        self._trace: list[DynInst] = []
-        self._pending: list[_Pending] = []
-        self._counts = {"load": 0, "store": 0, "branch": 0}
-        self._cursors = {"comm": 0, "standalone": 0, "far": 0}
-        self._def_index = 0
-        self._load_index = 0
-        self._fp_index = 0
-        self._chain_loaded_reg: int | None = None
         self._event_weights = self._build_event_weights()
-        self._sites: dict[str, list[_Site]] = {}
 
     # ------------------------------------------------------------------ #
     # Site library
@@ -250,14 +220,20 @@ class SyntheticWorkload:
     # ------------------------------------------------------------------ #
 
     def generate(self, num_instructions: int) -> list[DynInst]:
-        """Generate at least *num_instructions* (ends on an event boundary)."""
+        """Generate at least *num_instructions* (ends on an event boundary).
+
+        Every call starts afresh, so equal arguments give equal traces.
+        """
         self._rng.seed(
             (zlib.crc32(self.profile.name.encode()) ^ self.seed)
             + 0x9E3779B9 * num_instructions
         )
-        self._trace = []
-        self._pending = []
-        self._counts = {"load": 0, "store": 0, "branch": 0}
+        # The generator's def and load register rotations start one slot
+        # on (at r9 and r17).
+        self._b = b = TraceBuilder()
+        b.next_def = b.next_load = 1
+        self._pending: list[_Pending] = []
+        self._chain_loaded_reg: int | None = None
         self._cursors = {"comm": 0, "standalone": 0, "far": 0}
         expected_loads = int(num_instructions * self.profile.load_frac)
         self._sites = self._build_sites(expected_loads)
@@ -268,14 +244,15 @@ class SyntheticWorkload:
         # exactly as choices(cum_weights=accumulate(w)): same RNG stream.
         cum_weights = list(accumulate(w for _, w in self._event_weights))
         choices = self._rng.choices
-        while len(self._trace) < num_instructions:
+        trace = b.trace
+        while len(trace) < num_instructions:
             self._emit_due_far_loads()
             kind = choices(kinds, cum_weights=cum_weights, k=1)[0]
             site = self._pick_site(kind)
             site.instances += 1
             self._emit_event(kind, site)
             self._emit_filler()
-        return annotate_trace(self._trace)
+        return b.finish()
 
     def _pick_site(self, kind: str) -> _Site:
         """Visit each site twice (in order) before choosing by popularity.
@@ -298,73 +275,6 @@ class SyntheticWorkload:
             ))
             self._zipf_cum_weights[kind] = cum_weights
         return self._rng.choices(sites, cum_weights=cum_weights, k=1)[0]
-
-    # -- low-level emitters ------------------------------------------------
-
-    def _emit(self, inst: DynInst) -> DynInst:
-        inst.seq = len(self._trace)
-        self._trace.append(inst)
-        if inst.is_load:
-            self._counts["load"] += 1
-        elif inst.is_store:
-            self._counts["store"] += 1
-        elif inst.is_branch:
-            self._counts["branch"] += 1
-        return inst
-
-    def _next_def_reg(self) -> int:
-        self._def_index = (self._def_index + 1) % len(_DEF_REGS)
-        return _DEF_REGS[self._def_index]
-
-    def _next_load_reg(self) -> int:
-        self._load_index = (self._load_index + 1) % len(_LOAD_REGS)
-        return _LOAD_REGS[self._load_index]
-
-    def _alu(self, pc: int, dst: int, srcs: tuple[int, ...] = ()) -> DynInst:
-        return self._emit(
-            DynInst(seq=0, pc=pc, op=_ALU, srcs=srcs, dst=dst, lat=1)
-        )
-
-    def _fp(self, pc: int, dst: int, srcs: tuple[int, ...] = ()) -> DynInst:
-        return self._emit(
-            DynInst(seq=0, pc=pc, op=_COMPLEX, srcs=srcs, dst=dst, lat=4)
-        )
-
-    def _load(
-        self, pc: int, addr: int, size: int, *, signed: bool = False,
-        fp_convert: bool = False, base: int = _BASE_REG,
-    ) -> DynInst:
-        dst = self._next_load_reg()
-        return self._emit(
-            DynInst(
-                seq=0, pc=pc, op=_LOAD, srcs=(base,), dst=dst, lat=1,
-                addr=addr, size=size, signed=signed, fp_convert=fp_convert,
-            )
-        )
-
-    def _store(
-        self, pc: int, addr: int, size: int, data_reg: int, *,
-        fp_convert: bool = False, base: int = _BASE_REG,
-    ) -> DynInst:
-        return self._emit(
-            DynInst(
-                seq=0, pc=pc, op=_STORE, srcs=(base, data_reg), lat=1,
-                addr=addr, size=size, fp_convert=fp_convert,
-            )
-        )
-
-    def _branch(
-        self, pc: int, taken: bool, target: int, *,
-        srcs: tuple[int, ...] = (), is_call: bool = False,
-        is_return: bool = False,
-    ) -> DynInst:
-        return self._emit(
-            DynInst(
-                seq=0, pc=pc, op=_BRANCH, srcs=srcs, lat=1,
-                dst=None, taken=taken, target=target,
-                is_call=is_call, is_return=is_return,
-            )
-        )
 
     # -- address cursors -----------------------------------------------------
 
@@ -420,26 +330,26 @@ class SyntheticWorkload:
 
     def _emit_comm(self, site: _Site) -> None:
         """DEF -> store -> filler stores -> load -> USE."""
+        b = self._b
         pc = site.pc
         addr = self._fresh_slot("comm")
-        def_reg = self._next_def_reg()
+        def_reg = b.def_reg()
         if site.fp_convert:
-            self._fp(pc, dst=def_reg, srcs=(def_reg,))
+            b.fp(pc, dst=def_reg, srcs=(def_reg,))
         else:
-            self._alu(pc, dst=def_reg)
-        self._store(
+            b.alu(pc, dst=def_reg)
+        b.store(
             pc + 4, addr, site.store_size, def_reg,
             fp_convert=site.fp_convert,
         )
         for i in range(site.filler_stores):
-            filler_addr = self._fresh_slot("standalone")
-            self._store(pc + 8 + 8 * i, filler_addr, 8, _CONST_REG)
+            b.store(pc + 8 + 8 * i, self._fresh_slot("standalone"))
         load_pc = pc + 8 + 8 * site.filler_stores
-        load = self._load(
+        load = b.load(
             load_pc, addr + site.shift, site.load_size,
             signed=site.signed, fp_convert=site.fp_convert,
         )
-        self._alu(load_pc + 4, dst=_USE_REG, srcs=(load.dst,))
+        b.alu(load_pc + 4, dst=USE_REG, srcs=(load.dst,))
 
     def _emit_multi(self, site: _Site) -> None:
         """Usually a plain halfword pair; with the profile's flip rate the
@@ -449,38 +359,38 @@ class SyntheticWorkload:
         The load follows at a mid-window distance (like real packed-field
         reads), so a delayed load waits on a store already near commit.
         """
+        b = self._b
         pc = site.pc
         addr = self._fresh_slot("comm")
-        def_reg = self._next_def_reg()
-        self._alu(pc, dst=def_reg)
+        def_reg = b.alu(pc).dst
         if self._rng.random() < self.profile.hard_flip_rate:
-            self._store(pc + 4, addr, 1, def_reg)
-            self._store(pc + 8, addr + 1, 1, def_reg)
+            b.store(pc + 4, addr, 1, def_reg)
+            b.store(pc + 8, addr + 1, 1, def_reg)
         else:
-            self._store(pc + 4, addr, 2, def_reg)
-            self._store(pc + 8, self._fresh_slot("standalone"), 8, _CONST_REG)
+            b.store(pc + 4, addr, 2, def_reg)
+            b.store(pc + 8, self._fresh_slot("standalone"))
         # Deterministic in-template spacing keeps the pair's store distance
         # fixed per site (a requirement for distance prediction) while
         # pushing the load mid-window, where a delayed load's store is
         # already near commit.
         self._emit_gap(site)
-        load = self._load(pc + 0x40, addr, 2, signed=True)
-        self._alu(pc + 0x44, dst=_USE_REG, srcs=(load.dst,))
+        load = b.load(pc + 0x40, addr, 2, signed=True)
+        b.alu(pc + 0x44, dst=USE_REG, srcs=(load.dst,))
 
     def _emit_datadep(self, site: _Site) -> None:
         """Load reads one of two mid-window stores, chosen by data."""
+        b = self._b
         pc = site.pc
         addr_a = self._fresh_slot("comm")
         addr_b = self._fresh_slot("comm")
-        def_reg = self._next_def_reg()
-        self._alu(pc, dst=def_reg)
-        self._store(pc + 4, addr_a, 8, def_reg)
-        self._store(pc + 8, addr_b, 8, def_reg)
+        def_reg = b.alu(pc).dst
+        b.store(pc + 4, addr_a, 8, def_reg)
+        b.store(pc + 8, addr_b, 8, def_reg)
         flip = self._rng.random() < self.profile.hard_flip_rate
         chosen = addr_a if flip else addr_b
         self._emit_gap(site)
-        load = self._load(pc + 0x40, chosen, 8)
-        self._alu(pc + 0x44, dst=_USE_REG, srcs=(load.dst,))
+        load = b.load(pc + 0x40, chosen, 8)
+        b.alu(pc + 0x44, dst=USE_REG, srcs=(load.dst,))
 
     #: Path-history bits a pathdep site keeps deterministic at its load
     #: (matches the longest history configuration of Figure 5).
@@ -496,6 +406,7 @@ class SyntheticWorkload:
         site, differing only in the deciding bit ``depth + 1`` branches
         back.
         """
+        b = self._b
         pc = site.pc
         addr_a = self._fresh_slot("comm")
         addr_b = self._fresh_slot("comm")
@@ -505,108 +416,103 @@ class SyntheticWorkload:
             outcome = self._rng.random() >= self.profile.hard_flip_rate
         else:
             outcome = site.instances % 2 == 0
-        def_reg = self._next_def_reg()
-        self._alu(pc, dst=def_reg)
+        def_reg = b.alu(pc).dst
         prefix = max(0, self._PATH_WINDOW - site.depth - 1)
         for i in range(prefix):
-            self._branch(pc + 4 + 8 * i, taken=True, target=pc + 8 + 8 * i)
+            b.branch(pc + 4 + 8 * i, taken=True, target=pc + 8 + 8 * i)
         decide_pc = pc + 4 + 8 * prefix
-        self._branch(decide_pc, taken=outcome, target=decide_pc + 8)
+        b.branch(decide_pc, taken=outcome, target=decide_pc + 8)
         if outcome:
-            self._store(decide_pc + 8, addr_a, 8, def_reg)    # taken arm
-            self._store(decide_pc + 12, addr_b, 8, def_reg)
+            b.store(decide_pc + 8, addr_a, 8, def_reg)    # taken arm
+            b.store(decide_pc + 12, addr_b, 8, def_reg)
         else:
-            self._store(decide_pc + 16, addr_b, 8, def_reg)   # other arm
-            self._store(decide_pc + 20, addr_a, 8, def_reg)
+            b.store(decide_pc + 16, addr_b, 8, def_reg)   # other arm
+            b.store(decide_pc + 20, addr_a, 8, def_reg)
         # Mid-window spacing (stores + ALUs, no branches: the history
         # window at the load stays template-internal).
         self._emit_gap(site)
         suffix_pc = decide_pc + 24
         for i in range(site.depth):
-            self._branch(suffix_pc + 8 * i, taken=True, target=suffix_pc + 4 + 8 * i)
+            b.branch(suffix_pc + 8 * i, taken=True, target=suffix_pc + 4 + 8 * i)
         load_pc = suffix_pc + 8 * site.depth
-        load = self._load(load_pc, addr_a, 8)
-        self._alu(load_pc + 4, dst=_USE_REG, srcs=(load.dst,))
+        load = b.load(load_pc, addr_a, 8)
+        b.alu(load_pc + 4, dst=USE_REG, srcs=(load.dst,))
 
     def _emit_far_store(self, site: _Site) -> None:
         """Store whose consumer load arrives 150-260 instructions later."""
+        b = self._b
         addr = self._fresh_slot("far")
-        def_reg = self._next_def_reg()
-        self._alu(site.pc, dst=def_reg)
-        self._store(site.pc + 4, addr, 8, def_reg)
+        b.store(site.pc + 4, addr, 8, b.alu(site.pc).dst)
         gap = self._rng.randint(150, 260)
         self._pending.append(
-            _Pending(due=len(self._trace) + gap, addr=addr, site=site)
+            _Pending(due=len(b.trace) + gap, addr=addr, site=site)
         )
 
     def _emit_gap(self, site: _Site) -> None:
         """Deterministic store/ALU spacing between the parts of a hard
         store-load pair: ``gap_stores`` stores plus independent ALU work."""
+        b = self._b
         pc = site.pc + 0x80
         for i in range(site.gap_stores):
-            self._store(pc + 12 * i, self._fresh_slot("standalone"), 8,
-                        _CONST_REG)
-            self._alu(pc + 12 * i + 4, dst=self._next_def_reg())
-            self._alu(pc + 12 * i + 8, dst=self._next_def_reg())
+            b.store(pc + 12 * i, self._fresh_slot("standalone"))
+            b.alu(pc + 12 * i + 4)
+            b.alu(pc + 12 * i + 8)
 
     def _emit_due_far_loads(self) -> None:
         if not self._pending:
             return
-        now = len(self._trace)
+        b = self._b
+        now = len(b.trace)
         due = [p for p in self._pending if p.due <= now]
         if not due:
             return
         self._pending = [p for p in self._pending if p.due > now]
         for pending in due:
-            load = self._load(
-                pending.site.pc + 0x40, pending.addr, pending.size,
-                signed=pending.signed,
-            )
-            self._alu(
-                pending.site.pc + 0x44, dst=_USE_REG, srcs=(load.dst,)
-            )
+            load = b.load(pending.site.pc + 0x40, pending.addr)
+            b.alu(pending.site.pc + 0x44, dst=USE_REG, srcs=(load.dst,))
 
     def _emit_nocomm(self, site: _Site) -> None:
+        b = self._b
         prof = self.profile
         addr = self._nocomm_addr()
-        base = _BASE_REG
+        base = BASE_REG
         if (
             self._chain_loaded_reg is not None
             and self._rng.random() < prof.chase_frac
         ):
             base = self._chain_loaded_reg
-        load = self._load(site.pc, addr, 8, base=base)
+        load = b.load(site.pc, addr, base=base)
         self._chain_loaded_reg = load.dst
-        self._alu(site.pc + 4, dst=_USE_REG, srcs=(load.dst,))
+        b.alu(site.pc + 4, dst=USE_REG, srcs=(load.dst,))
 
     # -- filler ---------------------------------------------------------------
 
     def _emit_filler(self) -> None:
         """Non-load instructions steering the trace to the profile's
         load/store/branch fractions."""
+        b = self._b
+        trace = b.trace
         prof = self.profile
-        target_insts = int(self._counts["load"] / max(prof.load_frac, 0.01))
+        target_insts = int(b.loads / max(prof.load_frac, 0.01))
         serial_p = min(0.8, prof.chase_frac * 1.5)
-        while len(self._trace) < target_insts:
-            n = len(self._trace)
-            if self._counts["store"] < prof.store_frac * n:
+        while len(trace) < target_insts:
+            n = len(trace)
+            if b.stores < prof.store_frac * n:
                 addr = self._fresh_slot("standalone")
-                pc = self._filler_pc("store")
-                self._store(pc, addr, 8, _CONST_REG)
-            elif self._counts["branch"] < prof.branch_frac * n:
+                b.store(self._filler_pc("store"), addr)
+            elif b.branches < prof.branch_frac * n:
                 self._emit_branch_filler()
             else:
                 pc = self._filler_pc("alu")
                 if prof.fp_heavy and self._rng.random() < 0.5:
-                    fp_reg = _FP_REGS[self._fp_index]
-                    self._fp_index = (self._fp_index + 1) % len(_FP_REGS)
+                    fp_reg = b.fp_reg()
                     srcs = (fp_reg,) if self._rng.random() < serial_p else ()
-                    self._fp(pc, dst=fp_reg, srcs=srcs)
+                    b.fp(pc, dst=fp_reg, srcs=srcs)
                 else:
                     srcs = (
-                        (_CHAIN_REG,) if self._rng.random() < serial_p else ()
+                        (CHAIN_REG,) if self._rng.random() < serial_p else ()
                     )
-                    self._alu(pc, dst=_CHAIN_REG, srcs=srcs)
+                    b.alu(pc, dst=CHAIN_REG, srcs=srcs)
             self._emit_due_far_loads()
 
     _FILLER_PCS = {"store": 0x8000, "alu": 0x8100, "loop": 0x8200}
@@ -616,14 +522,15 @@ class SyntheticWorkload:
         return _TEXT_BASE - 0x9000 + block + 4 * self._rng.randrange(16)
 
     def _emit_branch_filler(self) -> None:
+        b = self._b
         roll = self._rng.random()
         if roll < 0.15 and self._sites["call"]:
             site = self._rng.choice(self._sites["call"])
             func = site.pc + 0x40
-            self._branch(site.pc, taken=True, target=func, is_call=True)
-            self._alu(func, dst=_USE_REG)
-            self._alu(func + 4, dst=_USE_REG, srcs=(_USE_REG,))
-            self._branch(
+            b.branch(site.pc, taken=True, target=func, is_call=True)
+            b.alu(func, dst=USE_REG)
+            b.alu(func + 4, dst=USE_REG, srcs=(USE_REG,))
+            b.branch(
                 func + 8, taken=True, target=site.pc + 4, is_return=True
             )
         else:
@@ -634,7 +541,7 @@ class SyntheticWorkload:
             site = self._rng.choice(self._sites["branch"])
             site.instances += 1
             taken = site.instances % 32 != 0
-            self._branch(site.pc, taken=taken, target=site.pc + 0x20)
+            b.branch(site.pc, taken=taken, target=site.pc + 0x20)
 
 
 def generate_trace(

@@ -272,6 +272,13 @@ class TestValidationErrors:
         with pytest.raises(ValueError, match="unknown config preset"):
             CampaignSpec(benchmarks=["gzip"], configs=["nosqq"], scale=TINY)
 
+    def test_campaign_spec_rejects_unrunnable_machine_config(self):
+        # A MachineConfig object is checked like a spec string: building
+        # the spec fails, before any job generates a trace.
+        config = dataclasses.replace(MachineConfig.nosq(), ras_depth=0)
+        with pytest.raises(ConfigSpecError, match="^ras_depth=0:"):
+            CampaignSpec(benchmarks=["gzip"], configs=[config], scale=TINY)
+
 
 def _numeric_fields(config):
     """(dotted key, value) of every integer field of *config* and of its

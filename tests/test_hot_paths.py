@@ -7,8 +7,9 @@
   hit and miss counts (tallied from the accesses' return values), the
   set contents and the occupancy pinned below (recorded from the
   eager-table implementation).
-* The per-instruction methods, and the trace emitters of the zoo, the
-  external-trace importer and the fuzzer, read no enum member attribute.
+* The per-instruction methods, and the trace emitters (the shared
+  ``TraceBuilder``, the synthetic generator and the fuzzer), read no
+  enum member attribute.
 * Every function and method of the timing-model components is named
   somewhere in src/ outside its own definition, and every attribute or
   field they store is read somewhere in src/: a component keeps no
@@ -29,15 +30,14 @@ import pytest
 from repro.api import resolve_config, standard_configs
 from repro.frontend.branch_predictor import BTB
 from repro.isa.opcodes import OpClass
-from repro.isa.trace import DynInst
+from repro.isa.trace import DynInst, TraceBuilder
 from repro.memory.cache import Cache
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline.config import HierarchyConfig
 from repro.pipeline.processor import Processor
 import repro
-from repro.traces import importers
 from repro.validate import fuzz
-from repro.workloads import zoo
+from repro.workloads.generator import SyntheticWorkload
 
 
 def _kind_of(op: OpClass) -> tuple:
@@ -240,8 +240,8 @@ def test_hot_method_reads_no_enum_member(owner, name):
 
 #: Code that builds one DynInst per emitted instruction.
 _EMITTERS = {
-    "zoo._Builder": zoo._Builder,
-    "importers._Builder": importers._Builder,
+    "TraceBuilder": TraceBuilder,
+    "SyntheticWorkload": SyntheticWorkload,
     "fuzz.ops_to_trace": fuzz.ops_to_trace,
 }
 

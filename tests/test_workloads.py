@@ -89,6 +89,12 @@ class TestGenerator:
             for a, b in zip(first, second)
         )
 
+    def test_generate_restarts_on_every_call(self):
+        # Register rotations and the pointer-chase register restart too,
+        # so a second call repeats the first field for field.
+        workload = SyntheticWorkload(profile("mcf"), seed=17)
+        assert workload.generate(3_000) == workload.generate(3_000)
+
     def test_seeds_differ(self):
         first = generate_trace("vortex", num_instructions=5_000, seed=1)
         second = generate_trace("vortex", num_instructions=5_000, seed=2)
