@@ -123,8 +123,8 @@ class TestCommands:
         assert "did you mean 'rob_size'" in capsys.readouterr().err
 
     def test_run_trace_file_clamps_default_warmup(self, capsys, tmp_path):
-        # File sources keep their intrinsic length; the default warmup
-        # (15000) must not swallow a short recorded trace.
+        # File sources keep their intrinsic length; the default scale's
+        # warmup (12000) must not swallow a short recorded trace.
         from repro.isa.tracefile import save_trace
         from repro.workloads import generate_trace
 
@@ -133,6 +133,24 @@ class TestCommands:
         assert main(["run", f"trace:{path}"]) == 0
         out = capsys.readouterr().out
         assert "(1000 warmup" in out
+
+    def test_run_default_scale_matches_simulate(self, capsys):
+        # With no scale flag `repro run` measures what the façade's
+        # simulate() does at its default scale: one row, same numbers.
+        from repro.api import simulate
+
+        assert main(["run", "nosq", "gzip"]) == 0
+        out = capsys.readouterr().out
+        stats = simulate("nosq", "gzip").stats
+        assert "gzip: 30000 instructions (12000 warmup" in out
+        row = next(line.split() for line in out.splitlines()
+                   if line.strip().startswith("nosq-delay"))
+        assert row[1:] == [
+            f"{stats.ipc:.2f}", "1.000", f"{stats.pct_loads_bypassed:.1f}%",
+            f"{stats.pct_loads_delayed:.1f}%",
+            f"{stats.mispredicts_per_10k_loads:.1f}",
+            str(stats.reexecuted_loads), str(stats.flushes),
+        ]
 
     def test_run_corrupt_trace_file(self, capsys, tmp_path):
         bad = tmp_path / "bad.bt"

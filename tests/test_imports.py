@@ -93,6 +93,17 @@ def test_import_loads_no_simulator(module):
     assert done.stdout.strip() == "[]"
 
 
+def test_root_package_loads_nothing():
+    # `repro` is the package map and the version: the entry points live
+    # in repro.api and the packages it names.
+    done = _python("-c", (
+        "import sys, repro\n"
+        "print([m for m in sys.modules if m.startswith('repro.')])\n"
+        "print(repro.__all__)\n"
+    ))
+    assert done.stdout.splitlines() == ["[]", "['__version__']"]
+
+
 def test_cached_campaign_never_loads_processor(tmp_path):
     run = [
         "-m", "repro", "campaign", "run", "gzip", "zoo.pchase",
