@@ -2,7 +2,7 @@
 
 A cycle-level Python reproduction of Sha, Martin & Roth, MICRO-39 (2006).
 
-Quick start (the public façade, :mod:`repro.api`)::
+The entry points live in :mod:`repro.api`, the public façade::
 
     from repro.api import simulate, sweep
 
@@ -11,18 +11,16 @@ Quick start (the public façade, :mod:`repro.api`)::
                       scale="smoke")
     print(result.ipc, custom.ipc)
 
-The low-level entry points remain::
+Below it, one :class:`~repro.pipeline.Processor` runs one annotated
+trace on one :class:`~repro.pipeline.MachineConfig`::
 
-    from repro import MachineConfig, generate_trace, simulate
+    from repro.pipeline import MachineConfig, Processor
+    from repro.workloads import generate_trace
 
     trace = generate_trace("gzip", num_instructions=20_000)
-    base = simulate(MachineConfig.conventional(), trace)
-    nosq = simulate(MachineConfig.nosq(), trace)
-    print(base.ipc, nosq.ipc)
+    stats = Processor(MachineConfig.nosq()).run(trace, warmup=10_000)
 
-(Note there are two ``simulate`` functions: ``repro.simulate`` is the historical
-``(config, trace) -> RunStats`` wrapper; ``repro.api.simulate`` is the
-typed ``(config_spec, source, scale) -> SimResult`` façade.)
+This package exports only ``__version__`` and imports nothing.
 
 Package map:
 
@@ -38,23 +36,9 @@ Package map:
 * :mod:`repro.experiments` -- sharded, cached, resumable campaign engine
 * :mod:`repro.traces` -- trace sources addressed by benchmark id
 * :mod:`repro.api` -- the public façade: string-addressable configs and
-  typed ``simulate``/``sweep`` entry points
+  typed ``simulate``/``sweep``/``validate`` entry points
 """
-
-from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-#: Public name -> the submodule defining it, loaded on first access.
-_EXPORTS = {
-    "MachineConfig": "pipeline.config",
-    "Processor": "pipeline.processor",
-    "RunStats": "pipeline.stats",
-    "simulate": "pipeline.processor",
-    "generate_trace": "workloads.generator",
-    "profile": "workloads.profiles",
-    "PROFILES": "workloads.profiles",
-}
-
-__all__ = [*_EXPORTS, "__version__"]
-__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+__all__ = ["__version__"]

@@ -25,10 +25,18 @@ Quick start::
     swept = sweep("nosq*", ["gzip", "mcf"], scale="smoke", jobs=4,
                   cache="results/cache")
 
-The historical entry points (``MachineConfig.conventional()``/``nosq()``,
-``repro.simulate``) remain beside this façade; the five standard presets
-resolve to configs bit-identical to those factories, so existing campaign
-caches stay valid.
+Scales are resolved in one place (``resolve_scale``, defined beside the
+named scales in :mod:`repro.harness.runner`): a name (``smoke``,
+``default``, ``full``), an instruction count (warmup half of it), or an
+:class:`~repro.harness.runner.ExperimentScale`.  Every single-run entry
+point -- ``simulate``, ``validate``, ``repro run`` and ``repro validate
+run`` -- defaults to ``default``, so ``repro run nosq gzip`` prints the
+numbers ``simulate("nosq", "gzip")`` returns.
+
+Below the façade, ``Processor(config).run(trace, warmup)``
+(:mod:`repro.pipeline`) runs one trace on one machine; the standard
+presets resolve to configs bit-identical to the ``MachineConfig`` factories, so
+existing campaign caches stay valid.
 """
 
 from repro._lazy import lazy_exports

@@ -25,13 +25,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Sequence
 
-from repro.api.configs import ConfigSpecError, resolve_config, resolve_configs
+from repro.api.configs import resolve_config, resolve_configs
 from repro.harness.runner import (
     DEFAULT,
-    NAMED_SCALES,
+    NAMED_SCALES,  # noqa: F401 -- re-exported by repro.api
     BenchmarkResult,
     ExperimentScale,
     effective_warmup,  # noqa: F401 -- re-exported by repro.api
+    resolve_scale,
     run_configs,
 )
 from repro.isa.trace import DynInst, TraceStats, communication_stats
@@ -39,21 +40,6 @@ from repro.pipeline.config import MachineConfig
 from repro.pipeline.stats import RunStats
 
 TraceLike = Any  # str benchmark id | TraceSource | list[DynInst]
-
-
-def resolve_scale(scale: str | int | ExperimentScale) -> ExperimentScale:
-    """Accept a named scale, an instruction count, or a scale object."""
-    if isinstance(scale, ExperimentScale):
-        return scale
-    if isinstance(scale, int):
-        return ExperimentScale("custom", scale, scale // 2)
-    if scale in NAMED_SCALES:
-        return NAMED_SCALES[scale]
-    raise ConfigSpecError(
-        f"unknown scale {scale!r} (named scales: "
-        f"{', '.join(sorted(NAMED_SCALES))}; or pass an instruction count "
-        "or an ExperimentScale)"
-    )
 
 
 def _resolve_trace(

@@ -52,6 +52,7 @@ Differential validation (oracle diffing + fuzzing; see
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fnmatch
 import sys
 from pathlib import Path
@@ -65,15 +66,11 @@ from repro.experiments import (
     collect_results,
 )
 from repro.harness.report import render_table
-from repro.harness.runner import NAMED_SCALES, ExperimentScale
+from repro.harness.runner import NAMED_SCALES, ExperimentScale, resolve_scale
 from repro.workloads.profiles import PROFILES
 
 if TYPE_CHECKING:
     from repro.experiments import CampaignSpec
-
-#: The scale of ``repro run`` and ``repro validate run`` without
-#: ``--scale`` or ``-n``; campaigns default to ``smoke``.
-_RUN_SCALE = ExperimentScale("cli", 30_000, 15_000)
 
 
 def _add_scale_args(
@@ -99,22 +96,20 @@ def _add_scale_args(
     parser.add_argument("--seed", type=int, default=17)
 
 
-def _cli_scale(args, default: ExperimentScale) -> ExperimentScale:
-    """The scale ``-n/-w/--scale`` select, else *default*.
+def _cli_scale(args, default: str = "default") -> ExperimentScale:
+    """The scale ``-n/-w/--scale`` select, else the named *default*,
+    resolved like :mod:`repro.api`'s ``scale=`` argument.
 
     ``-n`` overrides ``--scale`` and its warmup defaults to n/2; ``-w``
     without ``-n`` raises ValueError (callers exit 2)."""
-    if args.instructions is not None:
-        warmup = (
-            args.warmup if args.warmup is not None
-            else args.instructions // 2
-        )
-        return ExperimentScale("cli", args.instructions, warmup)
-    if args.warmup is not None:
-        raise ValueError("-w/--warmup requires -n/--instructions")
-    if args.scale is not None:
-        return NAMED_SCALES[args.scale]
-    return default
+    if args.instructions is None:
+        if args.warmup is not None:
+            raise ValueError("-w/--warmup requires -n/--instructions")
+        return resolve_scale(args.scale or default)
+    scale = resolve_scale(args.instructions)
+    if args.warmup is None:
+        return scale
+    return dataclasses.replace(scale, warmup=args.warmup)
 
 
 def cmd_list(args) -> int:
@@ -230,7 +225,7 @@ def cmd_run(args) -> int:
         return 2
     configs, benchmarks = split
     try:
-        scale = _cli_scale(args, _RUN_SCALE)
+        scale = _cli_scale(args)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -298,7 +293,7 @@ def cmd_validate_run(args) -> int:
         return 2
     configs, benchmarks = split
     try:
-        scale = _cli_scale(args, _RUN_SCALE)
+        scale = _cli_scale(args)
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -625,7 +620,7 @@ def _campaign_spec(args) -> CampaignSpec:
     return CampaignSpec(
         benchmarks=_campaign_benchmarks(args),
         configs=resolve_configs(args.configs, window=args.window),
-        scale=_cli_scale(args, NAMED_SCALES["smoke"]),
+        scale=_cli_scale(args, "smoke"),
         seeds=(args.seed,),
         name=args.configs,
     )
@@ -874,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
              "the standard four",
     )
     _add_scale_args(
-        run, "named experiment scale (default: 30000 instructions)"
+        run, "named experiment scale (default: default, as "
+             "repro.api.simulate)"
     )
     run.set_defaults(func=cmd_run)
 
@@ -949,8 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scale_args(
         validate_run,
-        "named experiment scale (default: 30000 instructions); "
-        "validation measures the whole trace",
+        "named experiment scale (default: default, as "
+        "repro.api.validate); validation measures the whole trace",
         warmup=False,
     )
     validate_run.set_defaults(func=cmd_validate_run)

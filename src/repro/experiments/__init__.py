@@ -24,7 +24,7 @@ Quick start::
 
     from repro.experiments import CampaignSpec, run_campaign
 
-    spec = CampaignSpec.standard(["gzip", "mcf"], scale=SMOKE)
+    spec = CampaignSpec(["gzip", "mcf"], scale=SMOKE)  # standard configs
     result = run_campaign(spec, jobs=4, cache="results/cache",
                           store="results/campaign.jsonl")
     suite = result.suite_results()   # dict[benchmark -> BenchmarkResult]

@@ -124,22 +124,3 @@ class CampaignSpec:
                         scale=self.scale,
                         seed=seed,
                     )
-
-    @staticmethod
-    def standard(
-        benchmarks: Sequence[str] | None = None,
-        scale: ExperimentScale = DEFAULT,
-        seeds: Sequence[int] = (17,),
-        window: int = 128,
-        name: str = "standard",
-    ) -> "CampaignSpec":
-        """The five-configuration sweep behind Table 5 / Figures 2-4."""
-        return CampaignSpec(
-            benchmarks=(
-                list(benchmarks) if benchmarks is not None else list(PROFILES)
-            ),
-            configs=_standard_configs(window),
-            scale=scale,
-            seeds=seeds,
-            name=name,
-        )

@@ -68,7 +68,8 @@ def effective_warmup(scale: ExperimentScale, trace_length: int) -> int:
 
 #: Seconds-per-benchmark scale: campaigns' default and the tests'.
 SMOKE = ExperimentScale("smoke", num_instructions=8_000, warmup=3_000)
-#: Default scale for the examples.
+#: The default of every single-run entry point: ``repro.api.simulate``,
+#: ``repro.api.validate``, ``repro run`` and ``repro validate run``.
 DEFAULT = ExperimentScale("default", num_instructions=30_000, warmup=12_000)
 #: The largest named scale (``campaign run --scale full``).
 FULL = ExperimentScale("full", num_instructions=60_000, warmup=30_000)
@@ -76,6 +77,30 @@ FULL = ExperimentScale("full", num_instructions=60_000, warmup=30_000)
 NAMED_SCALES: dict[str, ExperimentScale] = {
     "smoke": SMOKE, "default": DEFAULT, "full": FULL,
 }
+
+
+def resolve_scale(scale: str | int | ExperimentScale) -> ExperimentScale:
+    """Accept a named scale, an instruction count (warmup half of it), or
+    a scale object.
+
+    The one place a scale argument becomes an :class:`ExperimentScale`,
+    for :mod:`repro.api` and the CLI alike.  An unknown name raises
+    :class:`~repro.api.ConfigSpecError`.
+    """
+    if isinstance(scale, ExperimentScale):
+        return scale
+    if isinstance(scale, int):
+        return ExperimentScale("custom", scale, scale // 2)
+    if scale in NAMED_SCALES:
+        return NAMED_SCALES[scale]
+    # Imported here: loading the harness loads no repro.api module.
+    from repro.api.configs import ConfigSpecError
+
+    raise ConfigSpecError(
+        f"unknown scale {scale!r} (named scales: "
+        f"{', '.join(sorted(NAMED_SCALES))}; or pass an instruction count "
+        "or an ExperimentScale)"
+    )
 
 
 @dataclass

@@ -19,7 +19,6 @@ _EXPORTS = {
     "SchedulerKind": "config",
     "RunStats": "stats",
     "Processor": "processor",
-    "simulate": "processor",
 }
 
 __all__ = list(_EXPORTS)

@@ -194,7 +194,7 @@ class Processor:
         the paper's warmed sampling methodology.
 
         A :class:`Processor` is single-use: predictors and caches carry
-        state, so use a fresh instance (or :func:`simulate`) per run.
+        state, so use a fresh instance per run.
         """
         if self._ran:
             raise SimulationError("Processor instances are single-use")
@@ -1450,9 +1450,3 @@ class _BarrierRaiser:
             self.branch.complete_cycle + self.processor.config.frontend_depth,
         )
 
-
-def simulate(
-    config: MachineConfig, trace: list[DynInst], warmup: int = 0
-) -> RunStats:
-    """Convenience wrapper: build a processor, run *trace*, return stats."""
-    return Processor(config).run(trace, warmup=warmup)

@@ -64,7 +64,7 @@ def save_repro_case(
 
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    save_trace(list(trace), path, version=2)
+    save_trace(list(trace), path)
     sidecar = {
         "format": CASE_FORMAT,
         "version": CASE_VERSION,

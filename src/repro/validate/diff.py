@@ -520,12 +520,6 @@ class ValidationResult:
             r.ok for r in self.reports
         )
 
-    @property
-    def total_violations(self) -> int:
-        return len(self.cross_violations) + sum(
-            len(r.violations) for r in self.reports
-        )
-
 
 def run_validation(
     configs: Sequence[MachineConfig],

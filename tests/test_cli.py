@@ -353,7 +353,7 @@ class TestValidateCLI:
         from repro.workloads import generate_trace
 
         path = tmp_path / "bare.bt"
-        save_trace(generate_trace("gzip", 500, seed=17), path, version=2)
+        save_trace(generate_trace("gzip", 500, seed=17), path)
         assert main(["validate", "shrink", str(path)]) == 2
         assert "pass --config" in capsys.readouterr().err
 

@@ -166,7 +166,7 @@ class TestKeyPayload:
         from repro.workloads.generator import generate_trace
 
         path = tmp_path / "g.bt"
-        save_trace(generate_trace("gzip", 600, seed=5), path, version=2)
+        save_trace(generate_trace("gzip", 600, seed=5), path)
         self.check(f"trace:{path}", MachineConfig.nosq())
 
 
@@ -181,7 +181,7 @@ class TestKeyMemo:
         from repro.workloads.generator import generate_trace
 
         path = tmp_path / "g.bt"
-        save_trace(generate_trace("gzip", 600, seed=5), path, version=2)
+        save_trace(generate_trace("gzip", 600, seed=5), path)
         benchmarks = ("gzip", "zoo.pchase", "prog.memcpy", f"trace:{path}")
         configs = resolve_configs("standard")
         assert len(configs) == 5
@@ -219,7 +219,7 @@ class TestKeyStability:
         from repro.workloads.generator import generate_trace
 
         path = tmp_path / "g.bt"
-        save_trace(generate_trace("gzip", 600, seed=5), path, version=2)
+        save_trace(generate_trace("gzip", 600, seed=5), path)
         return CampaignSpec(
             benchmarks=["gzip", "zoo.pchase", f"trace:{path}"],
             configs=["nosq", "conventional", "nosq?backend.rob_size=256"],

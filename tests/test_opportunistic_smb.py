@@ -2,7 +2,7 @@
 background design: SMB as a complement to store-queue forwarding)."""
 
 from repro.harness.runner import ExperimentScale, make_trace
-from repro.pipeline import MachineConfig, simulate
+from repro.pipeline import MachineConfig, Processor
 from tests.conftest import build_trace, comm_loop_specs
 
 TINY = ExperimentScale("tiny", num_instructions=6_000, warmup=2_500)
@@ -26,7 +26,7 @@ class TestConfig:
 class TestBehaviour:
     def test_short_circuits_comm_loads(self):
         trace = build_trace(comm_loop_specs(iterations=96))
-        stats = simulate(MachineConfig.conventional_smb(), trace)
+        stats = Processor(MachineConfig.conventional_smb()).run(trace)
         # After training, most instances short-circuit through rename ...
         assert stats.bypassed_loads > 40
         # ... but the loads still execute and read the cache (the SQ/cache
@@ -45,14 +45,19 @@ class TestBehaviour:
             ]
         trace = build_trace(specs)
         warmup = len(trace) // 2
-        plain = simulate(MachineConfig.conventional(), trace, warmup=warmup)
-        smb = simulate(MachineConfig.conventional_smb(), trace, warmup=warmup)
+        plain = Processor(MachineConfig.conventional()).run(
+            trace, warmup=warmup
+        )
+        smb = Processor(MachineConfig.conventional_smb()).run(
+            trace, warmup=warmup
+        )
         assert smb.cycles <= plain.cycles
 
     def test_runs_generated_workloads(self):
         trace = make_trace("gzip", TINY)
-        stats = simulate(MachineConfig.conventional_smb(), trace,
-                         warmup=TINY.warmup)
+        stats = Processor(MachineConfig.conventional_smb()).run(
+            trace, warmup=TINY.warmup
+        )
         assert stats.instructions == len(trace) - TINY.warmup
         assert stats.bypassed_loads > 0
 
@@ -71,15 +76,17 @@ class TestBehaviour:
                 ("ld", chosen, 8, {"pc": 0x200C}),
             ]
         trace = build_trace(specs)
-        stats = simulate(MachineConfig.conventional_smb(), trace)
+        stats = Processor(MachineConfig.conventional_smb()).run(trace)
         assert stats.flush_wrong_store > 0
 
     def test_never_slower_than_an_order_of_magnitude(self):
         """Sanity: opportunistic SMB is a small perturbation of the
         baseline, never a collapse."""
         trace = make_trace("vortex", TINY)
-        plain = simulate(MachineConfig.conventional(), trace,
-                         warmup=TINY.warmup)
-        smb = simulate(MachineConfig.conventional_smb(), trace,
-                       warmup=TINY.warmup)
+        plain = Processor(MachineConfig.conventional()).run(
+            trace, warmup=TINY.warmup
+        )
+        smb = Processor(MachineConfig.conventional_smb()).run(
+            trace, warmup=TINY.warmup
+        )
         assert smb.cycles < plain.cycles * 1.3

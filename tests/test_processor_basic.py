@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.pipeline import MachineConfig, Processor, simulate
+from repro.pipeline import MachineConfig, Processor
 from repro.pipeline.processor import SimulationError
 from tests.conftest import build_trace, comm_loop_specs
 
@@ -17,31 +17,31 @@ def conventional(**kwargs):
 
 class TestBasics:
     def test_empty_trace(self):
-        stats = simulate(nosq(), [])
+        stats = Processor(nosq()).run([])
         assert stats.cycles == 0
         assert stats.instructions == 0
 
     def test_all_instructions_commit(self):
         trace = build_trace([("alu", 8)] * 100)
-        stats = simulate(nosq(), trace)
+        stats = Processor(nosq()).run(trace)
         assert stats.instructions == 100
         assert stats.cycles > 0
 
     def test_width_bounds_ipc(self):
         trace = build_trace([("alu", 8)] * 400)
-        stats = simulate(nosq(), trace)
+        stats = Processor(nosq()).run(trace)
         assert stats.ipc <= 4.0
 
     def test_dependent_chain_is_serial(self):
         chain = build_trace([("alu", 8, 8)] * 200)
         parallel = build_trace([("alu", 8)] * 200)
-        chain_stats = simulate(nosq(), chain)
-        parallel_stats = simulate(nosq(), parallel)
+        chain_stats = Processor(nosq()).run(chain)
+        parallel_stats = Processor(nosq()).run(parallel)
         assert chain_stats.cycles > 1.5 * parallel_stats.cycles
 
     def test_nops_commit(self):
         trace = build_trace([("nop",)] * 50)
-        stats = simulate(nosq(), trace)
+        stats = Processor(nosq()).run(trace)
         assert stats.instructions == 50
 
     def test_processor_is_single_use(self):
@@ -57,8 +57,8 @@ class TestBasics:
              else ("ld", 0x100 + 8 * (i % 16), 8)
              for i in range(300)]
         )
-        first = simulate(nosq(), trace)
-        second = simulate(nosq(), trace)
+        first = Processor(nosq()).run(trace)
+        second = Processor(nosq()).run(trace)
         assert first.cycles == second.cycles
         assert first.flushes == second.flushes
 
@@ -66,7 +66,7 @@ class TestBasics:
 class TestWarmup:
     def test_warmup_excluded_from_counts(self):
         trace = build_trace([("alu", 8)] * 100)
-        stats = simulate(nosq(), trace, warmup=40)
+        stats = Processor(nosq()).run(trace, warmup=40)
         assert stats.instructions == 60
 
     def test_measured_composition_matches_trace_tail(self):
@@ -76,7 +76,7 @@ class TestWarmup:
                       ("ld", 0x100 + 8 * i, 8), ("br", True)]
         trace = build_trace(specs)
         warmup = 100
-        stats = simulate(nosq(), trace, warmup=warmup)
+        stats = Processor(nosq()).run(trace, warmup=warmup)
         tail = trace[warmup:]
         assert stats.loads == sum(i.is_load for i in tail)
         assert stats.stores == sum(i.is_store for i in tail)
@@ -85,7 +85,7 @@ class TestWarmup:
 
 class TestNoSQBypassing(object):
     def test_repeated_comm_site_trains_and_bypasses(self, tiny_comm_trace):
-        stats = simulate(nosq(), tiny_comm_trace)
+        stats = Processor(nosq()).run(tiny_comm_trace)
         # The first instance mispredicts (cold); later instances bypass.
         assert stats.bypassed_loads >= 50
         assert stats.bypass_identity >= 50
@@ -93,18 +93,18 @@ class TestNoSQBypassing(object):
     def test_stores_skip_out_of_order_engine(self, tiny_comm_trace):
         """NoSQ never dispatches stores (or bypassed loads) into the issue
         queue -- one of the paper's secondary benefits."""
-        nosq_stats = simulate(nosq(), tiny_comm_trace)
-        conv_stats = simulate(conventional(), tiny_comm_trace)
+        nosq_stats = Processor(nosq()).run(tiny_comm_trace)
+        conv_stats = Processor(conventional()).run(tiny_comm_trace)
         assert nosq_stats.iq_dispatches < conv_stats.iq_dispatches
 
     def test_partial_word_uses_injected_op(self):
         specs = comm_loop_specs(iterations=64, load_size=4, shift=4)
-        stats = simulate(nosq(), build_trace(specs))
+        stats = Processor(nosq()).run(build_trace(specs))
         assert stats.bypass_injected >= 50
         assert stats.bypass_identity == 0
 
     def test_bypassed_loads_skip_cache(self, tiny_comm_trace):
-        stats = simulate(nosq(), tiny_comm_trace)
+        stats = Processor(nosq()).run(tiny_comm_trace)
         # Exactly the non-bypassed (and delayed) loads read the cache in
         # the out-of-order core.
         if stats.flushes == 0:
@@ -124,7 +124,7 @@ class TestNoSQBypassing(object):
                 ("ld", addr, 2, {"pc": 0x200C}),
                 ("alu", 9, 16, {"pc": 0x2010}),
             ]
-        stats = simulate(nosq(delay=True), build_trace(specs))
+        stats = Processor(nosq(delay=True)).run(build_trace(specs))
         assert stats.delayed_loads > 50
         # With delay, almost everything commits cleanly.
         assert stats.flushes < 10
@@ -140,7 +140,7 @@ class TestNoSQBypassing(object):
                 ("ld", addr, 2, {"pc": 0x200C}),
                 ("alu", 9, 16, {"pc": 0x2010}),
             ]
-        stats = simulate(nosq(delay=False), build_trace(specs))
+        stats = Processor(nosq(delay=False)).run(build_trace(specs))
         assert stats.delayed_loads == 0
         assert stats.flushes > 20
 
@@ -152,7 +152,7 @@ class TestNoSQBypassing(object):
                       ("st", addr + 1, 1, 8, {"pc": 0x2004}),
                       ("ld", addr, 2, {"pc": 0x2008})]
         trace = build_trace(specs)
-        stats = simulate(nosq(delay=False), trace)
+        stats = Processor(nosq(delay=False)).run(trace)
         assert stats.instructions == len(trace)
 
     def test_committed_store_read_from_cache(self):
@@ -161,14 +161,14 @@ class TestNoSQBypassing(object):
         specs = [("st", 0x8000, 8, 8)]
         specs += [("alu", 8)] * 300   # store drains long before the load
         specs += [("ld", 0x8000, 8)]
-        stats = simulate(nosq(), build_trace(specs))
+        stats = Processor(nosq()).run(build_trace(specs))
         assert stats.flushes == 0
         assert stats.bypassed_loads == 0
 
 
 class TestConventional:
     def test_forwarding_without_flushes(self, tiny_comm_trace):
-        stats = simulate(conventional(), tiny_comm_trace)
+        stats = Processor(conventional()).run(tiny_comm_trace)
         assert stats.flushes <= 1   # at most a cold StoreSets violation
         assert stats.bypassed_loads == 0
 
@@ -179,12 +179,12 @@ class TestConventional:
             specs += [("st", addr, 1, 8, {"pc": 0x2000}),
                       ("st", addr + 1, 1, 8, {"pc": 0x2004}),
                       ("ld", addr, 2, {"pc": 0x2008})]
-        stats = simulate(conventional(), build_trace(specs))
+        stats = Processor(conventional()).run(build_trace(specs))
         assert stats.flushes == 0
 
     def test_perfect_scheduling_never_flushes(self, tiny_comm_trace):
-        stats = simulate(
-            conventional(perfect_scheduling=True), tiny_comm_trace
+        stats = Processor(conventional(perfect_scheduling=True)).run(
+            tiny_comm_trace
         )
         assert stats.flushes == 0
 
@@ -206,8 +206,8 @@ class TestBranches:
         steady_branches = build_trace(
             [("br", True, {"pc": 0x5000}) for _ in range(300)]
         )
-        random_stats = simulate(nosq(), random_branches)
-        steady_stats = simulate(nosq(), steady_branches)
+        random_stats = Processor(nosq()).run(random_branches)
+        steady_stats = Processor(nosq()).run(steady_branches)
         assert random_stats.branch_mispredicts > steady_stats.branch_mispredicts
         assert random_stats.cycles > steady_stats.cycles
 
@@ -220,7 +220,7 @@ class TestBranches:
                 ("ret", 0x5004, {"pc": 0x6004}),
             ]
         trace = build_trace(specs)
-        stats = simulate(nosq(), trace)
+        stats = Processor(nosq()).run(trace)
         # Returns predicted by the RAS: few mispredictions.
         assert stats.branch_mispredicts <= 4
 
@@ -236,7 +236,7 @@ class TestSSNWraparound:
                       ("st", addr, 8, 8, {"pc": 0x2004}),
                       ("ld", addr, 8, {"pc": 0x2008})]
         trace = build_trace(specs)
-        stats = simulate(config, trace)
+        stats = Processor(config).run(trace)
         assert stats.ssn_wraps >= 2
         assert stats.instructions == len(trace)
 
@@ -244,7 +244,7 @@ class TestSSNWraparound:
         config = conventional()
         config.ssn_bits = 6
         specs = [("st", 0x8000 + 8 * (i % 32), 8, 8) for i in range(200)]
-        stats = simulate(config, build_trace(specs))
+        stats = Processor(config).run(build_trace(specs))
         assert stats.ssn_wraps >= 2
 
 
@@ -253,12 +253,12 @@ class TestLoadQueue:
         config = nosq()
         assert config.lq_size is None
         trace = build_trace([("ld", 0x8000 + 8 * i, 8) for i in range(100)])
-        stats = simulate(config, trace)
+        stats = Processor(config).run(trace)
         assert stats.instructions == 100
 
     def test_conventional_lq_capacity_respected(self):
         config = conventional()
         config.lq_size = 4
         trace = build_trace([("ld", 0x8000 + 8 * i, 8) for i in range(100)])
-        stats = simulate(config, trace)
+        stats = Processor(config).run(trace)
         assert stats.instructions == 100

@@ -10,7 +10,7 @@ import pytest
 
 from repro.isa import bits
 from repro.isa.trace import communication_stats
-from repro.pipeline import MachineConfig, simulate
+from repro.pipeline import MachineConfig, Processor
 from repro.workloads import programs
 
 
@@ -99,23 +99,23 @@ class TestTimingModelOnPrograms:
     def test_every_config_completes(self, built, config):
         for name, (_, result) in built.items():
             import dataclasses
-            stats = simulate(dataclasses.replace(config), result.trace)
+            stats = Processor(dataclasses.replace(config)).run(result.trace)
             assert stats.instructions == len(result.trace), name
 
     def test_stack_spill_bypasses_via_rename(self, built):
         _, result = built["stack_spill"]
-        stats = simulate(MachineConfig.nosq(), result.trace)
+        stats = Processor(MachineConfig.nosq()).run(result.trace)
         assert stats.bypass_identity > 50
         assert stats.bypass_injected == 0
 
     def test_fp_convert_uses_injected_ops(self, built):
         _, result = built["fp_convert"]
-        stats = simulate(MachineConfig.nosq(), result.trace)
+        stats = Processor(MachineConfig.nosq()).run(result.trace)
         assert stats.bypass_injected > 30
 
     def test_struct_pack_exercises_delay(self, built):
         _, result = built["struct_pack"]
-        stats = simulate(MachineConfig.nosq(delay=True), result.trace)
+        stats = Processor(MachineConfig.nosq(delay=True)).run(result.trace)
         assert stats.delayed_loads > 20
 
     def test_stack_spill_nosq_beats_baseline(self, built):
@@ -123,8 +123,8 @@ class TestTimingModelOnPrograms:
         spill/reload (cold-start cache misses excluded via warmup)."""
         _, result = built["stack_spill"]
         warmup = len(result.trace) // 2
-        baseline = simulate(
-            MachineConfig.conventional(), result.trace, warmup=warmup
+        baseline = Processor(MachineConfig.conventional()).run(
+            result.trace, warmup=warmup
         )
-        nosq = simulate(MachineConfig.nosq(), result.trace, warmup=warmup)
+        nosq = Processor(MachineConfig.nosq()).run(result.trace, warmup=warmup)
         assert nosq.cycles < baseline.cycles

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.harness.runner import ExperimentScale, make_trace
-from repro.pipeline import MachineConfig, simulate
+from repro.pipeline import MachineConfig, Processor
 from repro.validate import generate_ops, ops_strategy, ops_to_trace
 from tests.conftest import build_trace
 
@@ -29,31 +29,31 @@ class TestLatencyMonotonicity:
         slow.hierarchy = dataclasses.replace(
             slow.hierarchy, memory_latency=400
         )
-        fast_stats = simulate(fast, gzip_trace)
-        slow_stats = simulate(slow, gzip_trace)
+        fast_stats = Processor(fast).run(gzip_trace)
+        slow_stats = Processor(slow).run(gzip_trace)
         assert slow_stats.cycles >= fast_stats.cycles
 
     def test_smaller_l1_never_speeds_up(self, gzip_trace):
         big = MachineConfig.conventional(perfect_scheduling=True)
         small = MachineConfig.conventional(perfect_scheduling=True)
         small.hierarchy = dataclasses.replace(small.hierarchy, l1_size=8 * 1024)
-        big_stats = simulate(big, gzip_trace)
-        small_stats = simulate(small, gzip_trace)
+        big_stats = Processor(big).run(gzip_trace)
+        small_stats = Processor(small).run(gzip_trace)
         assert small_stats.cycles >= big_stats.cycles * 0.999
 
     def test_narrower_machine_never_speeds_up(self, gzip_trace):
         wide = MachineConfig.nosq()
         narrow = dataclasses.replace(MachineConfig.nosq(), width=2,
                                      commit_width=2)
-        wide_stats = simulate(wide, gzip_trace)
-        narrow_stats = simulate(narrow, gzip_trace)
+        wide_stats = Processor(wide).run(gzip_trace)
+        narrow_stats = Processor(narrow).run(gzip_trace)
         assert narrow_stats.cycles >= wide_stats.cycles
 
     def test_longer_exec_delay_never_speeds_up(self, gzip_trace):
         short = MachineConfig.nosq()
         long = dataclasses.replace(MachineConfig.nosq(), exec_delay=6)
-        short_stats = simulate(short, gzip_trace)
-        long_stats = simulate(long, gzip_trace)
+        short_stats = Processor(short).run(gzip_trace)
+        long_stats = Processor(long).run(gzip_trace)
         assert long_stats.cycles >= short_stats.cycles
 
 
@@ -62,23 +62,23 @@ class TestResourceRelationships:
         big = MachineConfig.nosq()
         small = dataclasses.replace(MachineConfig.nosq(), rob_size=16)
         assert (
-            simulate(small, gzip_trace).cycles
-            > simulate(big, gzip_trace).cycles
+            Processor(small).run(gzip_trace).cycles
+            > Processor(big).run(gzip_trace).cycles
         )
 
     def test_tiny_iq_throttles(self, gzip_trace):
         big = MachineConfig.nosq()
         small = dataclasses.replace(MachineConfig.nosq(), iq_size=4)
         assert (
-            simulate(small, gzip_trace).cycles
-            >= simulate(big, gzip_trace).cycles
+            Processor(small).run(gzip_trace).cycles
+            >= Processor(big).run(gzip_trace).cycles
         )
 
     def test_single_issue_bounds_ipc(self):
         trace = build_trace([("alu", 8)] * 800)
         config = dataclasses.replace(MachineConfig.nosq(), width=1,
                                      commit_width=1)
-        stats = simulate(config, trace)
+        stats = Processor(config).run(trace)
         assert stats.ipc <= 1.0
 
     def test_load_port_bounds_load_throughput(self):
@@ -87,7 +87,7 @@ class TestResourceRelationships:
         trace = build_trace(
             [("ld", 0x8000 + 8 * (i % 64), 8) for i in range(600)]
         )
-        stats = simulate(MachineConfig.nosq(), trace)
+        stats = Processor(MachineConfig.nosq()).run(trace)
         assert stats.ipc <= 1.02
 
 
@@ -107,11 +107,10 @@ class TestBypassingLatencyBenefit:
             ]
         trace = build_trace(specs)
         warmup = len(trace) // 2
-        nosq = simulate(MachineConfig.nosq(), trace, warmup=warmup)
-        baseline = simulate(
-            MachineConfig.conventional(perfect_scheduling=True), trace,
-            warmup=warmup,
-        )
+        nosq = Processor(MachineConfig.nosq()).run(trace, warmup=warmup)
+        baseline = Processor(
+            MachineConfig.conventional(perfect_scheduling=True)
+        ).run(trace, warmup=warmup)
         assert nosq.cycles < baseline.cycles
 
 
@@ -122,7 +121,7 @@ class TestSeedStability:
         """Different workload seeds move IPC only modestly: the profiles,
         not the RNG, determine behaviour."""
         trace = make_trace("applu", TINY, seed=seed)
-        stats = simulate(MachineConfig.nosq(), trace, warmup=TINY.warmup)
+        stats = Processor(MachineConfig.nosq()).run(trace, warmup=TINY.warmup)
         assert 0.4 < stats.ipc < 2.5
 
 
@@ -136,7 +135,7 @@ class TestFuzzedTraceTiming:
         """Verification re-executes a committed load at most once, and
         every re-execution is exactly one back-end data-cache read."""
         trace = ops_to_trace(ops)
-        stats = simulate(MachineConfig.nosq(), trace)
+        stats = Processor(MachineConfig.nosq()).run(trace)
         assert stats.reexecuted_loads <= stats.loads
         assert stats.backend_dcache_reads == stats.reexecuted_loads
 
@@ -144,7 +143,7 @@ class TestFuzzedTraceTiming:
     @settings(max_examples=20, deadline=None)
     def test_fuzzed_traces_complete_within_width_bound(self, ops):
         trace = ops_to_trace(ops)
-        stats = simulate(MachineConfig.nosq(), trace)
+        stats = Processor(MachineConfig.nosq()).run(trace)
         assert stats.instructions == len(trace)
         assert stats.cycles >= len(trace) / 4
 

@@ -30,7 +30,7 @@ from repro.cli import main
 from repro.experiments import CampaignSpec, Job, ResultCache, job_key, run_campaign
 from repro.harness.runner import ExperimentScale, make_trace
 from repro.isa.tracefile import TraceFormatError, load_trace, save_trace
-from repro.pipeline import MachineConfig, simulate
+from repro.pipeline import MachineConfig, Processor
 from repro.traces import (
     ZOO_BENCHMARKS,
     GeneratorSource,
@@ -90,7 +90,7 @@ class TestBinaryRoundTrip:
     def test_generated_workload_bit_identical(self, tmp_path):
         trace = generate_trace("g721.e", num_instructions=3_000)
         path = tmp_path / "g.bt"
-        save_trace(trace, path, version=2)
+        save_trace(trace, path)
         assert is_binary_trace(path)
         assert_traces_identical(trace, load_trace(path))
 
@@ -141,11 +141,11 @@ class TestRunStatsIdentity:
         counter for counter."""
         trace = generate_trace("g721.e", num_instructions=3_000)
         path = tmp_path / "g.bt"
-        save_trace(trace, path, version=2)
+        save_trace(trace, path)
         reloaded = load_trace(path)
         for config in (MachineConfig.nosq(), MachineConfig.conventional()):
-            original = simulate(config, trace, warmup=1_000)
-            again = simulate(config, reloaded, warmup=1_000)
+            original = Processor(config).run(trace, warmup=1_000)
+            again = Processor(config).run(reloaded, warmup=1_000)
             assert vars(original) == vars(again), config.name
 
 
@@ -360,7 +360,7 @@ class TestImporter:
 
     def test_imported_trace_simulates(self):
         trace = import_synchrotrace(SAMPLE)
-        stats = simulate(MachineConfig.nosq(), trace, warmup=1_000)
+        stats = Processor(MachineConfig.nosq()).run(trace, warmup=1_000)
         assert stats.cycles > 0
         assert stats.bypassed_loads > 0  # comm events became bypasses
 
@@ -441,7 +441,7 @@ class TestSources:
     def test_trace_file_source(self, tmp_path):
         trace = generate_trace("applu", num_instructions=1_500)
         path = tmp_path / "a.bt"
-        save_trace(trace, path, version=2)
+        save_trace(trace, path)
         source = resolve_source(f"trace:{path}")
         scale = ExperimentScale("ignored", 10, 5)
         assert_traces_identical(trace, source.trace(scale, seed=99))
@@ -501,13 +501,11 @@ class TestCacheKeys:
 
     def test_trace_file_key_tracks_content(self, tmp_path):
         path = tmp_path / "t.bt"
-        save_trace(generate_trace("gzip", num_instructions=600), path,
-                   version=2)
+        save_trace(generate_trace("gzip", num_instructions=600), path)
         key_before = job_key(self._job(f"trace:{path}"))
         assert key_before == job_key(self._job(f"trace:{path}"))
         # Swap the bytes behind the same path: the key must change.
-        save_trace(generate_trace("mcf", num_instructions=600), path,
-                   version=2)
+        save_trace(generate_trace("mcf", num_instructions=600), path)
         assert job_key(self._job(f"trace:{path}")) != key_before
 
     def test_zoo_key_differs_from_synthetic(self):
@@ -519,9 +517,7 @@ class TestCampaignIntegration:
 
     def test_mixed_source_campaign_with_cache_hits(self, tmp_path):
         trace_file = tmp_path / "gzip.bt"
-        save_trace(
-            make_trace("gzip", self.SCALE, 17), trace_file, version=2
-        )
+        save_trace(make_trace("gzip", self.SCALE, 17), trace_file)
         spec = CampaignSpec(
             benchmarks=[
                 "gzip", "zoo.overlap", f"trace:{trace_file}",
@@ -554,8 +550,7 @@ class TestCampaignIntegration:
         from repro.experiments import plan_campaign
 
         trace_file = tmp_path / "t.bt"
-        save_trace(make_trace("gzip", self.SCALE, 17), trace_file,
-                   version=2)
+        save_trace(make_trace("gzip", self.SCALE, 17), trace_file)
         spec = CampaignSpec(
             benchmarks=[
                 "gzip", "zoo.overlap", f"trace:{trace_file}", "prog.memcpy",

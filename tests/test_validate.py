@@ -338,7 +338,7 @@ class TestReproCases:
         from repro.traces.reprocase import MissingSidecarError
 
         trace = ops_to_trace(generate_ops(2, 10))
-        save_trace(trace, tmp_path / "bare.bt", version=2)
+        save_trace(trace, tmp_path / "bare.bt")
         with pytest.raises(MissingSidecarError, match="sidecar"):
             load_repro_case(tmp_path / "bare.bt")
 
