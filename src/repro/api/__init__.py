@@ -34,9 +34,9 @@ run`` -- defaults to ``default``, so ``repro run nosq gzip`` prints the
 numbers ``simulate("nosq", "gzip")`` returns.
 
 Below the façade, ``Processor(config).run(trace, warmup)``
-(:mod:`repro.pipeline`) runs one trace on one machine; the standard
-presets resolve to configs bit-identical to the ``MachineConfig`` factories, so
-existing campaign caches stay valid.
+(:mod:`repro.pipeline`) runs one trace on one machine.  The standard
+presets resolve to configs bit-identical to the ``MachineConfig``
+factories, so existing campaign caches stay valid.
 """
 
 from repro._lazy import lazy_exports
