@@ -10,7 +10,9 @@ name to the submodule that defines it, and imports nothing up front::
 so ``import repro.experiments`` costs the package file, not the
 simulator.  An exported name loads its submodule on first access; a name
 that maps to its own submodule (``repro.workloads.programs``) is that
-module.
+module.  A leading ``..`` climbs to the parent package, as in a relative
+import: ``repro.api`` maps ``resolve_scale`` to ``"..harness.runner"``,
+where it is defined, so the name loads no module of ``repro.api``.
 
 What a lookup resolves is deliberately not stored in the package
 namespace: every access reads the defining module's current binding.
@@ -30,7 +32,8 @@ def lazy_exports(
 ) -> tuple[Callable[[str], Any], Callable[[], list[str]]]:
     """``(__getattr__, __dir__)`` for *package*, whose public names are
     *exports*: exported name -> defining submodule, relative to
-    *package* (``"processor"``, ``"pipeline.processor"``)."""
+    *package* (``"processor"``, ``"pipeline.processor"``) or, with a
+    leading ``..``, to its parent (``"..harness.runner"``)."""
 
     def __getattr__(name: str) -> Any:
         try:
@@ -41,7 +44,10 @@ def lazy_exports(
             ) from None
         # __import__, not importlib.import_module: the import statement's
         # path, which ``python -X importtime`` logs.
-        qualified = f"{package}.{submodule}"
+        if submodule.startswith(".."):
+            qualified = f"{package.rpartition('.')[0]}.{submodule[2:]}"
+        else:
+            qualified = f"{package}.{submodule}"
         __import__(qualified)
         module = sys.modules[qualified]
         if submodule == name:

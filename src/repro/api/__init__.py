@@ -44,13 +44,13 @@ from repro._lazy import lazy_exports
 #: Public name -> the submodule defining it, loaded on first access.
 _EXPORTS = {
     "ConfigSpecError": "configs",
-    "NAMED_SCALES": "facade",
+    "NAMED_SCALES": "..harness.runner",
     "SimResult": "facade",
     "SweepResult": "facade",
-    "effective_warmup": "facade",
+    "effective_warmup": "..harness.runner",
     "resolve_config": "configs",
     "resolve_configs": "configs",
-    "resolve_scale": "facade",
+    "resolve_scale": "..harness.runner",
     "simulate": "facade",
     "standard_configs": "configs",
     "sweep": "facade",

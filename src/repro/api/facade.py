@@ -28,10 +28,8 @@ from typing import Any, Callable, Iterable, Sequence
 from repro.api.configs import resolve_config, resolve_configs
 from repro.harness.runner import (
     DEFAULT,
-    NAMED_SCALES,  # noqa: F401 -- re-exported by repro.api
     BenchmarkResult,
     ExperimentScale,
-    effective_warmup,  # noqa: F401 -- re-exported by repro.api
     resolve_scale,
     run_configs,
 )

@@ -82,7 +82,7 @@ from repro._lazy import lazy_exports
 #: Public name -> the submodule defining it, loaded on first access.
 _EXPORTS = {
     "CACHE_SCHEMA": "cache",
-    "DEFAULT_CACHE_DIR": "cache",
+    "DEFAULT_CACHE_DIR": "store",
     "CampaignResult": "scheduler",
     "CampaignSpec": "spec",
     "Job": "spec",

@@ -34,10 +34,6 @@ from repro.experiments.spec import Job
 #:    schema-1 entries.
 CACHE_SCHEMA = 2
 
-#: Default cache location (relative to the current working directory).
-DEFAULT_CACHE_DIR = Path("results") / "cache"
-
-
 def job_key(job: Job, memo: dict[Any, Any] | None = None) -> str:
     """Content hash addressing *job*'s result on disk.
 

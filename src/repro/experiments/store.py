@@ -21,6 +21,12 @@ from repro.experiments.codec import (
 )
 from repro.harness.runner import BenchmarkResult, ExperimentScale
 
+#: Default result-cache location (relative to the current working
+#: directory).  It lives here, not in :mod:`repro.experiments.cache`, so
+#: the CLI parser can name it as the ``--cache-dir`` default and
+#: ``campaign report``, which reads only the store, loads no cache code.
+DEFAULT_CACHE_DIR = Path("results") / "cache"
+
 
 class ResultStore:
     """An append-only JSONL file of job records."""
@@ -106,17 +112,21 @@ def collect_results(
             "(num_instructions, warmup); filter to one before aggregating"
         )
     results: dict[str, BenchmarkResult] = {}
+    # (benchmark, config) -> its newest record, the only one decoded; a
+    # re-assigned key keeps its place, so runs are in first-appearance
+    # order.
+    newest: dict[tuple[str, str], dict[str, Any]] = {}
     for record in records:
         name = record["benchmark"]
-        result = results.get(name)
-        if result is None:
-            result = BenchmarkResult(
+        if name not in results:
+            results[name] = BenchmarkResult(
                 name=name,
                 scale=record_scale(record),
                 trace_stats=trace_stats_from_dict(record["trace_stats"]),
             )
-            results[name] = result
-        result.runs[record["config_name"]] = run_stats_from_dict(
+        newest[name, record["config_name"]] = record
+    for (name, config_name), record in newest.items():
+        results[name].runs[config_name] = run_stats_from_dict(
             record["run_stats"]
         )
     if benchmarks is not None:

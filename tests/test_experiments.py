@@ -448,6 +448,28 @@ class TestStore:
         results = collect_results(records)
         assert set(results) == set(BENCHMARKS)
 
+    def test_only_the_newest_record_of_a_run_is_decoded(self, tmp_path):
+        store = ResultStore(tmp_path / "campaign.jsonl")
+        run_campaign(tiny_spec(), store=store)
+        records = store.load()
+        # Older copies first, in reverse order, with statistics that would
+        # not decode, and the first one's trace statistics marked.
+        stale = [
+            dict(record, run_stats={"no_such_field": 1})
+            for record in reversed(records)
+        ]
+        stale[0]["trace_stats"] = dict(stale[0]["trace_stats"], loads=-1)
+        results = collect_results(stale + records)
+        names = list(dict.fromkeys(r["benchmark"] for r in stale))
+        assert list(results) == names
+        reference = serial_reference()
+        for name in names:
+            assert list(results[name].runs) == [
+                r["config_name"] for r in stale if r["benchmark"] == name
+            ]
+            assert results[name].runs == reference[name].runs
+        assert results[names[0]].trace_stats.loads == -1
+
     def test_multi_seed_requires_selection(self, tmp_path):
         store = ResultStore(tmp_path / "campaign.jsonl")
         run_campaign(tiny_spec(seeds=(17, 18)), store=store)

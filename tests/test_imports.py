@@ -9,6 +9,7 @@ long since imported everything.
 
 from __future__ import annotations
 
+import argparse
 import importlib
 import json
 import os
@@ -20,8 +21,10 @@ from pathlib import Path
 import pytest
 
 import repro
+import repro.cli_tools
 import repro.experiments
 import repro.experiments.cache
+from repro.cli import build_parser, main
 
 SRC = Path(repro.__file__).resolve().parent.parent
 
@@ -45,20 +48,24 @@ NOT_PLANNED = (
 
 #: Per command served from the store, the modules it must not load
 #: (DESIGN.md, "Import boundaries"): a cached run builds no stats
-#: object, and a report plans nothing.  Neither needs the façade.
+#: object, and a report plans nothing and reads no cache.  Neither needs
+#: the façade or the handlers of the other commands (``repro.cli_tools``).
 NOT_LOADED = {
     "run": re.compile(
         rf"{NOT_PLANNED}|repro\.pipeline\.(processor|stats)|repro\.api\.facade"
+        r"|repro\.cli_tools"
     ),
     "report": re.compile(
         rf"{NOT_PLANNED}|repro\.pipeline\.processor"
-        r"|repro\.experiments\.scheduler|repro\.api\.facade"
+        r"|repro\.experiments\.(scheduler|cache|spec)|repro\.api\.facade"
+        r"|repro\.cli_tools"
     ),
 }
 
-#: The ``repro`` modules a cached ``campaign run`` loads (DESIGN.md,
-#: "Import boundaries").  A change that loads more must justify it here.
-CACHED_RUN_MODULES = 20
+#: The ``repro`` modules a cached ``campaign run`` and its ``campaign
+#: report`` load (DESIGN.md, "Import boundaries").  A change that loads
+#: more must justify it here.
+CACHED_MODULES = {"run": 20, "report": 21}
 
 #: Every package of the library, by dotted name.
 PACKAGES = sorted(
@@ -104,6 +111,56 @@ def test_root_package_loads_nothing():
     assert done.stdout.splitlines() == ["[]", "['__version__']"]
 
 
+def test_api_scale_names_load_no_facade():
+    # repro.api resolves the scale names to harness.runner, where they
+    # are defined, so they load neither the façade nor a trace module.
+    done = _python("-c", (
+        "import json, sys\n"
+        "from repro.api import NAMED_SCALES, effective_warmup, resolve_scale\n"
+        "import repro.harness.runner as runner\n"
+        "assert resolve_scale is runner.resolve_scale\n"
+        "assert NAMED_SCALES is runner.NAMED_SCALES\n"
+        "assert effective_warmup is runner.effective_warmup\n"
+        "print(json.dumps([m for m in sys.modules if m.startswith('repro.')]))\n"
+    ))
+    loaded = json.loads(done.stdout)
+    assert [m for m in loaded if re.fullmatch(
+        r"repro\.(api\.facade|isa(\..*)?|pipeline\.stats)", m
+    )] == []
+
+
+def _cli_commands(parser, prefix=()):
+    """``(argv prefix, parser)`` for the CLI and every (sub)command."""
+    yield list(prefix), parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _cli_commands(sub, (*prefix, name))
+
+
+CLI_COMMANDS = dict(
+    (" ".join(argv) or "repro", (argv, sub))
+    for argv, sub in _cli_commands(build_parser())
+)
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS)
+def test_every_command_prints_help(command, capsys):
+    # The parser names every command, including those whose handlers
+    # repro.cli_tools defines; each handler name resolves there.
+    argv, parser = CLI_COMMANDS[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*argv, "--help"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: repro {' '.join(argv)}")
+    if not argv:
+        assert "{list,run,trace,validate,campaign}" in out
+    handler = parser.get_default("func")
+    if isinstance(handler, str):
+        assert callable(getattr(repro.cli_tools, handler))
+
+
 def test_cached_campaign_never_loads_processor(tmp_path):
     run = [
         "-m", "repro", "campaign", "run", "gzip", "zoo.pchase",
@@ -126,8 +183,7 @@ def test_cached_campaign_never_loads_processor(tmp_path):
         assert "repro.cli" in loaded
         banned = [m for m in loaded if NOT_LOADED[command].fullmatch(m)]
         assert banned == [], command
-        if command == "run":
-            assert len(loaded) == CACHED_RUN_MODULES, loaded
+        assert len(loaded) == CACHED_MODULES[command], (command, loaded)
 
 
 def test_planning_loads_no_simulator_or_codec(tmp_path):

@@ -4,6 +4,16 @@ from repro.predictors import StoreSets
 
 
 class TestStoreSets:
+    def test_index_hash(self):
+        # The SSIT index is the multiplicative hash of the word address,
+        # top bits first; simulated results depend on it bit for bit.
+        for entries in (1024, 4096):
+            predictor = StoreSets(entries)
+            bits = entries.bit_length() - 1
+            for pc in range(0x1000, 0x1000 + 4 * 5000, 4):
+                expected = ((pc >> 2) * 0x9E3779B1 >> (32 - bits)) & (entries - 1)
+                assert predictor._index(pc) == expected
+
     def test_untrained_predicts_nothing(self):
         predictor = StoreSets()
         assert predictor.load_dependence(0x1000) is None
