@@ -235,8 +235,7 @@ class Processor:
             config.max_taken_per_group, self.mapper.producers,
             self._sched_waiters, self._exec_delay,
             self.ports._used_by_cycle, self.ports._limits,
-            self.ports.total_width, self.lq.capacity, self.iq._scheduled,
-            n, self.hierarchy, self.tlb, self._l1_latency,
+            self.ports.total_width, self.lq.capacity, self.iq._scheduled, n,
         )
         self._commit_ctx = (
             self.rob._entries, config.commit_width, self.lq,
@@ -256,11 +255,10 @@ class Processor:
         ports_discard = self.ports.discard_before
         port_cycles = self.ports._used_by_cycle
         # The cycle loop allocates heavily (one InFlightInst + producer
-        # tuples per dispatch) but creates almost no reference cycles, so
-        # generational GC scans are nearly pure overhead (~6% of the loop).
-        # Suspend collection for the duration and restore the caller's
-        # setting afterwards; the rare true cycles (_BarrierRaiser back
-        # references) are collected after re-enabling.
+        # tuples per dispatch) but creates no reference cycles (entries
+        # point only at older entries), so generational GC scans are pure
+        # overhead (~6% of the loop).  Suspend collection for the duration
+        # and restore the caller's setting afterwards.
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -380,7 +378,7 @@ class Processor:
             trace, rob_entries, rob_capacity, pregs, iq, lq, lq_unlimited,
             sq, ssn, width, max_branches, max_taken, rat, waiters,
             exec_delay, port_used_map, port_limits, port_width,
-            lq_capacity, iq_heap, n, hierarchy, tlb, l1_latency,
+            lq_capacity, iq_heap, n,
         ) = self._dispatch_ctx
         if cycle < self._dispatch_barrier or self._pos >= n:
             return False
@@ -526,29 +524,10 @@ class Processor:
                         issue = ready
                     else:
                         issue = self.ports.reserve(port, ready + 1)
-                    entry.issue_cycle = issue
                     if is_load:
-                        addr = inst.addr
-                        latency = hierarchy.read(addr)
-                        if entry.sq_forwarded:
-                            # The value comes from the store queue at
-                            # forwarding latency; the parallel cache probe
-                            # still happens (and may fetch the line) but
-                            # its miss is not on the value path.
-                            latency = l1_latency
-                        # tlb.access's hit path inlined.
-                        vpn = addr >> tlb._page_shift
-                        tlb_set = tlb._sets[vpn & tlb._set_mask]
-                        tag = vpn >> tlb._tag_shift
-                        if tag in tlb_set:
-                            tlb_set.pop(tag)
-                            tlb_set[tag] = None
-                        else:
-                            latency += tlb.access(addr)
-                        entry.dcache_read_cycle = issue + l1_latency
-                        entry.complete_cycle = issue + latency
-                        stats.ooo_dcache_reads += 1
+                        self._issue_load(entry, issue)
                     else:
+                        entry.issue_cycle = issue
                         entry.complete_cycle = issue + inst.lat
                     # The entry enters the issue queue already scheduled.
                     heappush(iq_heap, issue)
@@ -764,7 +743,7 @@ class Processor:
             return
         srq_entry = self.srq.lookup(ssn_byp)
         if srq_entry is None:
-            return
+            raise SimulationError(f"in-flight SSN {ssn_byp} missing from SRQ")
         transform = transform_for(
             store_size=srq_entry.size,
             store_fp_convert=srq_entry.fp_convert,
@@ -789,16 +768,7 @@ class Processor:
             # fetch restarts after the load completes.
             self.stats.flush_wrong_store += 1
             self.stats.flushes += 1
-            resolve = entry.complete_cycle
-            if resolve < 0:
-                resolve = entry.dispatch_cycle + 1
-                self._sched_waiters.setdefault(entry.seq, []).append(
-                    _BarrierRaiser(self, entry)
-                )
-            self._dispatch_barrier = max(
-                self._dispatch_barrier,
-                resolve + self._frontend_depth,
-            )
+            self._stall_until_resolved(entry)
 
     def _dispatch_load_nosq(self, entry: InFlightInst) -> int:
         inst = entry.inst
@@ -929,7 +899,6 @@ class Processor:
         Returns True if dispatch must stop (misprediction or fetch bubble).
         """
         inst = entry.inst
-        config = self.config
         mispredicted = False
         bubble = False
         if inst.is_call:
@@ -950,26 +919,32 @@ class Processor:
 
         if mispredicted:
             self.stats.branch_mispredicts += 1
-            resolve = entry.complete_cycle
-            if resolve < 0:
-                # The branch is gated by an unscheduled producer; use a
-                # pessimistic resolve bound and let the barrier be raised
-                # again when it schedules (rare: branch fed by delayed load).
-                resolve = cycle + 1
-                self._sched_waiters.setdefault(entry.seq, []).append(
-                    _BarrierRaiser(self, entry)
-                )
-            self._dispatch_barrier = max(
-                self._dispatch_barrier, resolve + config.frontend_depth
-            )
+            self._stall_until_resolved(entry)
             return True
         if bubble:
             self.stats.btb_bubbles += 1
             self._dispatch_barrier = max(
-                self._dispatch_barrier, cycle + 1 + config.btb_bubble
+                self._dispatch_barrier, cycle + 1 + self.config.btb_bubble
             )
             return True
         return False
+
+    def _stall_until_resolved(self, entry: InFlightInst) -> None:
+        """Stop dispatch until *entry* (a mispredicted branch, a wrong
+        SMB bypass) resolves; fetch restarts a front-end depth later.
+
+        An entry still gated by an unscheduled producer (rare: a branch
+        fed by a delayed load) stalls from a pessimistic bound and waits
+        on its own seq, so _wake_sched_waiters calls this again once it
+        schedules.
+        """
+        resolve = entry.complete_cycle
+        if resolve < 0:
+            resolve = entry.dispatch_cycle + 1
+            self._sched_waiters.setdefault(entry.seq, []).append(entry)
+        self._dispatch_barrier = max(
+            self._dispatch_barrier, resolve + self._frontend_depth
+        )
 
     # ------------------------------------------------------------------ #
     # Greedy scheduling
@@ -1007,19 +982,7 @@ class Processor:
                 self.iq.schedule_unscheduled(entry.issue_cycle)
         elif kind == "load":
             issue = self.ports.reserve(_LOAD_PORT, ready)
-            entry.issue_cycle = issue
-            latency = self.hierarchy.read(entry.inst.addr)
-            if entry.sq_forwarded:
-                # The value comes from the store queue at forwarding
-                # latency; the parallel cache probe still happens (and may
-                # fetch the line) but its miss is not on the value path.
-                latency = self._l1_latency
-            latency += self.tlb.access(entry.inst.addr)
-            # The cache is read at the end of the L1 access pipeline; a
-            # store whose back-end write drains by then is observed.
-            entry.dcache_read_cycle = issue + self._l1_latency
-            entry.complete_cycle = issue + latency
-            self.stats.ooo_dcache_reads += 1
+            self._issue_load(entry, issue)
             if entry.in_iq:
                 self.iq.schedule_unscheduled(issue)
         else:  # "none"
@@ -1029,13 +992,44 @@ class Processor:
             self._wake_sched_waiters(entry)
         return True
 
+    def _issue_load(self, entry: InFlightInst, issue: int) -> None:
+        """A load reads the cache, issuing at cycle *issue*: its only
+        hierarchy read and TLB probe, and its issue, read and completion
+        cycles."""
+        addr = entry.inst.addr
+        latency = self.hierarchy.read(addr)
+        l1_latency = self._l1_latency
+        if entry.sq_forwarded:
+            # The value comes from the store queue at forwarding latency;
+            # the parallel cache probe still happens (and may fetch the
+            # line) but its miss is not on the value path.
+            latency = l1_latency
+        # tlb.access's hit path inlined.
+        tlb = self.tlb
+        vpn = addr >> tlb._page_shift
+        tlb_set = tlb._sets[vpn & tlb._set_mask]
+        tag = vpn >> tlb._tag_shift
+        if tag in tlb_set:
+            tlb_set.pop(tag)
+            tlb_set[tag] = None
+        else:
+            latency += tlb.access(addr)
+        entry.issue_cycle = issue
+        # The cache is read at the end of the L1 access pipeline; a store
+        # whose back-end write drains by then is observed.
+        entry.dcache_read_cycle = issue + l1_latency
+        entry.complete_cycle = issue + latency
+        self.stats.ooo_dcache_reads += 1
+
     def _wake_sched_waiters(self, producer: InFlightInst) -> None:
         waiters = self._sched_waiters.pop(producer.seq, None)
         if not waiters:
             return
         for waiter in waiters:
-            if isinstance(waiter, _BarrierRaiser):
-                waiter.fire()
+            if waiter is producer:
+                # Its stall began before it was scheduled; now the end of
+                # the stall is known.
+                self._stall_until_resolved(producer)
             elif not waiter.squashed and waiter.complete_cycle < 0:
                 self._try_schedule(waiter)
 
@@ -1151,6 +1145,13 @@ class Processor:
     def _arch_ssn(self, store_seq: int) -> int:
         return store_seq + 1 - self._epoch_store_base
 
+    def _forward_took_effect(self, entry: InFlightInst) -> bool:
+        """Whether a store-queue forward reached the load: the forwarding
+        store had executed by the load's issue.  Otherwise the load in
+        effect read the cache."""
+        executed_by = self._store_exec_cycles.get(entry.predicted_store_seq)
+        return executed_by is not None and executed_by <= entry.issue_cycle
+
     def _load_value_ok(self, entry: InFlightInst) -> bool:
         """Ground truth: did the load obtain the architecturally correct
         value through whichever path it took?"""
@@ -1161,15 +1162,11 @@ class Processor:
             actual_shift = inst.addr - self._store_insts[inst.containing_store].addr
             return actual_shift == entry.predicted_shift
         if entry.sq_forwarded:
-            forward = entry.predicted_store_seq
-            store_entry = self._inflight_stores.get(forward)
+            store_entry = self._inflight_stores.get(entry.predicted_store_seq)
             if store_entry is not None and not store_entry.squashed:
                 # Still in flight at our commit?  Impossible (older store).
                 raise SimulationError("forwarding store outlived the load")
-            # Forwarded if the store had executed by the load's issue;
-            # otherwise the load effectively read the cache.
-            executed_by = self._store_exec_cycles.get(forward)
-            if executed_by is not None and executed_by <= entry.issue_cycle:
+            if self._forward_took_effect(entry):
                 return True
         # Cache path: every source store must be observable by the read.
         # The conventional baseline forwards from the post-commit store
@@ -1242,15 +1239,7 @@ class Processor:
                 self.commit_pipeline.load_reexec(cycle, inst.addr, translate=True)
                 flush = not value_ok
         else:
-            forwarded_effective = False
-            if entry.sq_forwarded:
-                exec_cycle = self._store_exec_cycles.get(
-                    entry.predicted_store_seq
-                )
-                forwarded_effective = (
-                    exec_cycle is not None and exec_cycle <= entry.issue_cycle
-                )
-            if forwarded_effective:
+            if entry.sq_forwarded and self._forward_took_effect(entry):
                 # "if the load forwards, SSNnvul is the SSN of the
                 # forwarding store" (Section 2.2).
                 ssn_nvul = self._arch_ssn(entry.predicted_store_seq)
@@ -1428,25 +1417,5 @@ class Processor:
         self._drain_pending = False
         self._dispatch_barrier = max(
             self._dispatch_barrier, cycle + self.config.drain_penalty
-        )
-
-
-class _BarrierRaiser:
-    """Deferred dispatch-barrier update for a branch whose resolution time
-    was unknown at dispatch (its producer had not been scheduled yet)."""
-
-    def __init__(self, processor: Processor, branch: InFlightInst) -> None:
-        self.processor = processor
-        self.branch = branch
-        self.squashed = False
-        self.complete_cycle = 0  # duck-typing with InFlightInst in waiters
-        self.seq = branch.seq
-
-    def fire(self) -> None:
-        if self.branch.squashed or self.branch.complete_cycle < 0:
-            return
-        self.processor._dispatch_barrier = max(
-            self.processor._dispatch_barrier,
-            self.branch.complete_cycle + self.processor.config.frontend_depth,
         )
 

@@ -10,6 +10,9 @@
 * The per-instruction methods, and the trace emitters (the shared
   ``TraceBuilder``, the synthetic generator and the fuzzer), read no
   enum member attribute.
+* Each load- and stall-timing rule of the processor is written in one
+  method: the load's cache read and TLB probe, whether a store-queue
+  forward took effect, and the front-end restart after a stall.
 * Every function and method of the timing-model components is named
   somewhere in src/ outside its own definition, and every attribute or
   field they store is read somewhere in src/: a component keeps no
@@ -209,6 +212,7 @@ _HOT_METHODS = (
     (Processor, "_dispatch_stage"),
     (Processor, "_commit_stage"),
     (Processor, "_commit_load"),
+    (Processor, "_issue_load"),
     (Processor, "_dispatch_load_conventional"),
     (Processor, "_dispatch_load_nosq"),
     (Processor, "_dispatch_load_nosq_perfect"),
@@ -255,6 +259,57 @@ _EMITTERS = {
 @pytest.mark.parametrize("name", list(_EMITTERS))
 def test_trace_emitter_reads_no_enum_member(name):
     assert _enum_reads(_EMITTERS[name]) == []
+
+
+# -- one copy of each load- and stall-timing rule ------------------------ #
+
+def _name_of(node):
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+#: rule -> (test on an AST node, the processor.py functions that may hold
+#: it).  __init__ builds the TLB and hands it to the commit pipeline, and a
+#: flush also restarts fetch a front-end depth after it is detected.
+_TIMING_RULES = {
+    "hierarchy.read": (
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "read"
+        and _name_of(node.value) == "hierarchy",
+        {"_issue_load"},
+    ),
+    "tlb read": (
+        lambda node: _name_of(node) == "tlb"
+        and isinstance(node.ctx, ast.Load),
+        {"__init__", "_issue_load"},
+    ),
+    "dcache_read_cycle store": (
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr == "dcache_read_cycle" and isinstance(node.ctx, ast.Store),
+        {"_issue_load"},
+    ),
+    "store-queue forward test": (
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "get"
+        and _name_of(node.value) == "_store_exec_cycles",
+        {"_forward_took_effect"},
+    ),
+    "front-end restart": (
+        lambda node: _name_of(node) in ("frontend_depth", "_frontend_depth")
+        and isinstance(node.ctx, ast.Load),
+        {"__init__", "_stall_until_resolved", "_flush_after"},
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", list(_TIMING_RULES))
+def test_timing_rule_has_one_copy(rule):
+    matches, allowed = _TIMING_RULES[rule]
+    tree = ast.parse(Path(inspect.getsourcefile(Processor)).read_text())
+    sites = {
+        func.name
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef)
+        and any(matches(node) for node in ast.walk(func))
+    }
+    assert sites == allowed
 
 
 # -- no component method or state that only tests use ------------------ #
