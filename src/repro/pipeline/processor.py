@@ -993,9 +993,9 @@ class Processor:
         return True
 
     def _issue_load(self, entry: InFlightInst, issue: int) -> None:
-        """A load reads the cache, issuing at cycle *issue*: its only
-        hierarchy read and TLB probe, and its issue, read and completion
-        cycles."""
+        """Issue a cache-reading load at cycle *issue*: the one place a
+        load reads the hierarchy, probes the TLB and gets its issue,
+        D-cache read and completion cycles."""
         addr = entry.inst.addr
         latency = self.hierarchy.read(addr)
         l1_latency = self._l1_latency
@@ -1418,4 +1418,3 @@ class Processor:
         self._dispatch_barrier = max(
             self._dispatch_barrier, cycle + self.config.drain_penalty
         )
-

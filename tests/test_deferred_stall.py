@@ -127,11 +127,3 @@ def test_deferred_stall_matches_recorded_stats(case):
     }
     assert not mismatched, f"{case}: {mismatched}"
 
-
-def test_counting_subclass_is_timing_neutral():
-    for spec, make_trace, _, _ in CASES.values():
-        trace = make_trace()
-        config = resolve_config(spec)
-        assert _counters(_DeferredCount(config).run(trace)) == _counters(
-            Processor(config).run(trace)
-        )

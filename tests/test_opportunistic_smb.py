@@ -1,8 +1,11 @@
 """Tests for the opportunistic-SMB design point (the paper's Table 1
 background design: SMB as a complement to store-queue forwarding)."""
 
+import pytest
+
 from repro.harness.runner import ExperimentScale, make_trace
 from repro.pipeline import MachineConfig, Processor
+from repro.pipeline.processor import SimulationError
 from tests.conftest import build_trace, comm_loop_specs
 
 TINY = ExperimentScale("tiny", num_instructions=6_000, warmup=2_500)
@@ -32,6 +35,15 @@ class TestBehaviour:
         # ... but the loads still execute and read the cache (the SQ/cache
         # remain the value source of record).
         assert stats.ooo_dcache_reads >= stats.loads
+
+    def test_in_flight_ssn_missing_from_srq_raises(self):
+        # Every SSN in (SSNcommit, SSNrename] has an SRQ entry; a miss is
+        # an inconsistency here as in the NoSQ dispatcher.
+        trace = build_trace(comm_loop_specs(iterations=96))
+        processor = Processor(MachineConfig.conventional_smb())
+        processor.srq.lookup = lambda ssn: None
+        with pytest.raises(SimulationError, match="missing from SRQ"):
+            processor.run(trace)
 
     def test_latency_benefit_on_dependent_chains(self):
         specs = []
