@@ -501,11 +501,7 @@ class Processor:
                     entry.sched_kind = "load" if is_load else "exec"
                     entry.port_class = port
                     entry.min_ready = floor
-                    entry.producers = tuple(
-                        mapped
-                        for reg in inst.srcs
-                        if (mapped := rat[reg]) is not None
-                    )
+                    entry.producers = self._producers_for(inst.srcs)
                     waiters.setdefault(blocked_on.seq, []).append(entry)
                     iq.add_unscheduled()
                 else:
@@ -637,6 +633,10 @@ class Processor:
         "partial".  Per-byte youngest-writer reasoning makes this exactly
         equivalent to an associative search of the in-flight stores
         (tests/test_equivalence.py checks it against tests/sq_search.py).
+        It is the one place a load's in-flight source stores are found:
+        "none" has none, "full" has one (the store that contains the
+        load) and "partial" names the youngest.  Perfect scheduling and
+        perfect bypassing read them from here too.
         """
         inflight = self._inflight_stores
         inflight_sources = [
@@ -672,12 +672,19 @@ class Processor:
         if store_seq < len(visible_cycles):
             # The store already left the ROB and is draining through the
             # back end; its visibility cycle is known.
-            entry.min_ready = max(
-                0, visible_cycles[store_seq] - self._l1_latency + 1
-            )
-            self._try_schedule(entry)
+            self._schedule_after_drain(entry, visible_cycles[store_seq])
         else:
+            # _commit_store wakes it once the visibility cycle is known.
             self._commit_waiters.setdefault(store_seq, []).append(entry)
+
+    def _schedule_after_drain(self, entry: InFlightInst, visible: int) -> None:
+        """Schedule a load parked by _wait_for_store: it issues early
+        enough that its cache read pipeline completes right as the
+        store's write becomes visible at cycle *visible*."""
+        wake = visible - self._l1_latency + 1
+        if wake > entry.min_ready:
+            entry.min_ready = wake
+        self._try_schedule(entry)
 
     def _dispatch_load_conventional(self, entry: InFlightInst) -> int:
         inst = entry.inst
@@ -692,11 +699,11 @@ class Processor:
             entry.predicted_store_seq = source_seq
 
         if self._perfect_scheduling:
-            # Oracle scheduling: wait for every in-flight source store, and
-            # for committed ones to become visible.
-            inflight = self._inflight_stores
-            extra = tuple(
-                inflight[s] for s in inst.unique_stores if s in inflight
+            # Oracle scheduling: wait for every in-flight source store (a
+            # "partial" load waited above, so that is the containing store
+            # or none), and for committed ones to become visible.
+            extra = (
+                (self._inflight_stores[source_seq],) if kind == "full" else ()
             )
             entry.min_ready = self._visibility_floor(inst)
         else:
@@ -732,140 +739,77 @@ class Processor:
         squash/refetch would begin.
         """
         inst = entry.inst
-        pred = self.bypass_predictor.predict(
-            inst.pc, inst.path_hist
-        )
+        pred = self.bypass_predictor.predict(inst.pc, inst.path_hist)
         entry.pred_hit = pred.hit
-        if not (pred.predicts_bypass and pred.confident):
+        if not pred.confident:
             return
-        ssn_byp = entry.ssn_rename_at_dispatch + 1 - pred.dist
-        if ssn_byp <= self.ssn.commit or ssn_byp > self.ssn.rename:
+        ssn_byp = self._bypass_ssn(entry, pred)
+        if ssn_byp < 0:
             return
-        srq_entry = self.srq.lookup(ssn_byp)
-        if srq_entry is None:
-            raise SimulationError(f"in-flight SSN {ssn_byp} missing from SRQ")
-        transform = transform_for(
-            store_size=srq_entry.size,
-            store_fp_convert=srq_entry.fp_convert,
-            load_size=inst.size,
-            load_signed=inst.signed,
-            load_fp_convert=inst.fp_convert,
-            shift=pred.shift,
-        )
-        if transform is None:
+        srq_entry = self._srq_entry(ssn_byp)
+        if self._build_pairing(entry, ssn_byp, srq_entry, pred.shift) is None:
             return
         entry.smb_applied = True
-        entry.predicted_ssn = ssn_byp
-        entry.predicted_store_seq = srq_entry.store_seq
-        entry.predicted_shift = pred.shift
-        correct = (
-            inst.containing_store == srq_entry.store_seq
-            and inst.addr - self._store_insts[srq_entry.store_seq].addr
-            == pred.shift
-        )
-        if not correct:
+        if self._pairing_fault(entry):
             # Verification at load execution detects the mismatch; younger
-            # fetch restarts after the load completes.
+            # fetch restarts after the load completes.  Every wrong SMB
+            # bypass counts as a wrong store.
             self.stats.flush_wrong_store += 1
             self.stats.flushes += 1
             self._stall_until_resolved(entry)
 
     def _dispatch_load_nosq(self, entry: InFlightInst) -> int:
+        """Rename a NoSQ load.  The bypassing predictor -- or, with
+        perfect bypassing, the oracle -- names the pairing: SSNbyp, the
+        shift, and whether to wait for the store instead of bypassing it.
+        One tail then delays the load or bypasses it."""
         inst = entry.inst
         if self._perfect_bypass:
-            return self._dispatch_load_nosq_perfect(entry)
-
-        pred = self.bypass_predictor.predict(inst.pc, inst.path_hist)
-        stats = self.stats
-        stats.predictor_lookups += 1
-        if pred.path_sensitive:
-            stats.predictor_path_hits += 1
-        entry.pred_hit = pred.hit
-
-        ssn_byp = -1
-        # pred.predicts_bypass inlined (property call per predicted load).
-        if pred.hit and pred.dist != NO_BYPASS:
-            ssn_byp = entry.ssn_rename_at_dispatch + 1 - pred.dist
-        counters = self.ssn
-        if ssn_byp <= counters.commit or ssn_byp > counters.rename:
-            # Predictor miss, non-bypass prediction, or the predicted store
-            # already committed: plain (unscheduled) cache access.
-            return 0
-
-        # srq.lookup inlined (runs once per predicted in-flight bypass).
-        srq = self.srq
-        srq_entry = srq._entries.get(ssn_byp % srq.capacity)
-        if srq_entry is None or srq_entry.ssn != ssn_byp:
-            raise SimulationError(f"in-flight SSN {ssn_byp} missing from SRQ")
-
-        if self._delay_enabled and not pred.confident:
+            # Oracle bypassing with idealized partial-word support.
+            kind, store_seq = self._classify_against_sq(inst)
+            if kind == "none":
+                # Sources (if any) committed: make sure the cache read
+                # sees them.
+                return self._visibility_floor(inst)
+            ssn_byp = self._arch_ssn(store_seq)
+            shift = inst.addr - self._store_insts[store_seq].addr
+            # Multi-source partial-store case: idealized delay on the
+            # youngest in-flight source.
+            wait = kind == "partial"
+        else:
+            pred = self.bypass_predictor.predict(inst.pc, inst.path_hist)
+            stats = self.stats
+            stats.predictor_lookups += 1
+            if pred.path_sensitive:
+                stats.predictor_path_hits += 1
+            entry.pred_hit = pred.hit
+            ssn_byp = self._bypass_ssn(entry, pred)
+            if ssn_byp < 0:
+                # Predictor miss, non-bypass prediction, or the predicted
+                # store already committed: plain (unscheduled) cache access.
+                return 0
+            shift = pred.shift
             # Delay: wait for the predicted store to commit, then read the
             # cache safely.
+            wait = self._delay_enabled and not pred.confident
+
+        srq_entry = self._srq_entry(ssn_byp)
+        if wait:
             entry.delayed = True
             entry.predicted_store_seq = srq_entry.store_seq
             self._wait_for_store(entry, srq_entry.store_seq)
             return -1
-
-        transform = transform_for(
-            store_size=srq_entry.size,
-            store_fp_convert=srq_entry.fp_convert,
-            load_size=inst.size,
-            load_signed=inst.signed,
-            load_fp_convert=inst.fp_convert,
-            shift=pred.shift,
-        )
+        transform = self._build_pairing(entry, ssn_byp, srq_entry, shift)
         if transform is None:
+            if self._perfect_bypass:
+                raise SimulationError("oracle bypass with impossible transform")
             # The predicted pairing cannot be realized by a shift & mask
             # (e.g. narrow store feeding a wider load).  The load falls back
             # to a plain cache access -- and will mispredict if the store
             # really does feed it.
             return 0
-        self._setup_bypassing_load(entry, ssn_byp, srq_entry, transform)
-        return -1
 
-    def _dispatch_load_nosq_perfect(self, entry: InFlightInst) -> int:
-        """Oracle bypassing with idealized partial-word support."""
-        inst = entry.inst
-        inflight = self._inflight_stores
-        source = inst.containing_store
-        if source != MEMORY_SOURCE and source in inflight:
-            ssn_byp = self._arch_ssn(source)
-            srq_entry = self.srq.lookup(ssn_byp)
-            if srq_entry is None:
-                raise SimulationError("oracle bypass target missing from SRQ")
-            shift = inst.addr - self._store_insts[source].addr
-            transform = transform_for(
-                srq_entry.size, srq_entry.fp_convert,
-                inst.size, inst.signed, inst.fp_convert, shift,
-            )
-            if transform is None:
-                raise SimulationError("oracle bypass with impossible transform")
-            self._setup_bypassing_load(entry, ssn_byp, srq_entry, transform)
-            return -1
-        inflight_sources = [s for s in inst.unique_stores if s in inflight]
-        if inflight_sources:
-            # Multi-source partial-store case: idealized delay.
-            youngest = max(inflight_sources)
-            entry.delayed = True
-            entry.predicted_store_seq = youngest
-            self._wait_for_store(entry, youngest)
-            return -1
-        # Sources (if any) committed: make sure the cache read sees them.
-        return self._visibility_floor(inst)
-
-    def _setup_bypassing_load(
-        self,
-        entry: InFlightInst,
-        ssn_byp: int,
-        srq_entry: SRQEntry,
-        transform,
-    ) -> None:
-        inst = entry.inst
         entry.bypassed = True
-        entry.predicted_ssn = ssn_byp
-        entry.predicted_store_seq = srq_entry.store_seq
-        entry.predicted_shift = transform.shift
-
         def_producer = srq_entry.def_producer
         live_def = (
             def_producer
@@ -890,6 +834,65 @@ class Processor:
             entry.allocated_preg = True
         self.mapper.define(inst.dst, entry)
         self._try_schedule(entry)
+        return -1
+
+    # -- store-load pairings ----------------------------------------------- #
+    #
+    # Predicted, perfect and opportunistic-SMB loads find, build, record
+    # and check a pairing with an in-flight store through these helpers.
+
+    def _bypass_ssn(self, entry: InFlightInst, pred) -> int:
+        """SSNbyp = SSNrename + 1 - d for a predicted bypass of distance
+        d (SSNrename as of the load's rename), or -1 unless the
+        prediction names a store still in flight:
+        ``SSNcommit < SSNbyp <= SSNrename``."""
+        if not pred.predicts_bypass:
+            return -1
+        ssn_byp = entry.ssn_rename_at_dispatch + 1 - pred.dist
+        counters = self.ssn
+        if ssn_byp <= counters.commit or ssn_byp > counters.rename:
+            return -1
+        return ssn_byp
+
+    def _srq_entry(self, ssn_byp: int) -> SRQEntry:
+        """The SRQ entry of in-flight store *ssn_byp*.  Every SSN in
+        (SSNcommit, SSNrename] has one, so a miss is an inconsistency."""
+        srq_entry = self.srq.lookup(ssn_byp)
+        if srq_entry is None:
+            raise SimulationError(f"in-flight SSN {ssn_byp} missing from SRQ")
+        return srq_entry
+
+    @staticmethod
+    def _build_pairing(
+        entry: InFlightInst, ssn_byp: int, srq_entry: SRQEntry, shift: int
+    ):
+        """The shift & mask that builds the load's value from the store in
+        *srq_entry*, recorded on *entry* with SSNbyp and the shift; None,
+        and nothing recorded, when no shift & mask can."""
+        inst = entry.inst
+        transform = transform_for(
+            srq_entry.size, srq_entry.fp_convert,
+            inst.size, inst.signed, inst.fp_convert, shift,
+        )
+        if transform is not None:
+            entry.predicted_ssn = ssn_byp
+            entry.predicted_store_seq = srq_entry.store_seq
+            entry.predicted_shift = shift
+        return transform
+
+    def _pairing_fault(self, entry: InFlightInst) -> str:
+        """Check the pairing recorded on *entry* against the trace: ""
+        when the paired store and shift build the load's value, else the
+        ``RunStats`` flush cause a wrong pairing counts as."""
+        inst = entry.inst
+        if inst.containing_store == MEMORY_SOURCE:
+            return "flush_should_not_have_bypassed"
+        if inst.containing_store != entry.predicted_store_seq:
+            return "flush_wrong_store"
+        store = self._store_insts[entry.predicted_store_seq]
+        if inst.addr - store.addr != entry.predicted_shift:
+            return "flush_wrong_shift"
+        return ""
 
     # -- branches -------------------------------------------------------- #
 
@@ -980,14 +983,11 @@ class Processor:
             entry.complete_cycle = entry.issue_cycle + entry.inst.lat
             if entry.in_iq:
                 self.iq.schedule_unscheduled(entry.issue_cycle)
-        elif kind == "load":
+        else:  # "load"
             issue = self.ports.reserve(_LOAD_PORT, ready)
             self._issue_load(entry, issue)
             if entry.in_iq:
                 self.iq.schedule_unscheduled(issue)
-        else:  # "none"
-            if entry.complete_cycle < 0:
-                entry.complete_cycle = entry.dispatch_cycle + 1
         if entry.seq in self._sched_waiters:
             self._wake_sched_waiters(entry)
         return True
@@ -1131,14 +1131,9 @@ class Processor:
         # overlap): their cache read must see the store's data.
         waiters = self._commit_waiters.pop(inst.store_seq, None)
         if waiters:
-            wake = max(0, visible - self._l1_latency + 1)
             for waiter in waiters:
-                if waiter.squashed:
-                    continue
-                # Issue early enough that the cache read pipeline completes
-                # right as the store's write becomes visible.
-                waiter.min_ready = max(waiter.min_ready, wake)
-                self._try_schedule(waiter)
+                if not waiter.squashed:
+                    self._schedule_after_drain(waiter, visible)
 
     # -- loads ------------------------------------------------------------ #
 
@@ -1157,10 +1152,7 @@ class Processor:
         value through whichever path it took?"""
         inst = entry.inst
         if entry.bypassed:
-            if inst.containing_store != entry.predicted_store_seq:
-                return False
-            actual_shift = inst.addr - self._store_insts[inst.containing_store].addr
-            return actual_shift == entry.predicted_shift
+            return not self._pairing_fault(entry)
         if entry.sq_forwarded:
             store_entry = self._inflight_stores.get(entry.predicted_store_seq)
             if store_entry is not None and not store_entry.squashed:
@@ -1291,8 +1283,10 @@ class Processor:
             # Opportunistic SMB verifies at execute; commit-time training
             # uses the ground-truth outcome of the applied short-circuit.
             if entry.smb_applied:
-                train_event = (
-                    inst.containing_store != entry.predicted_store_seq
+                # Trained as wrong only when the store is: a wrong shift
+                # from the right store trains as correct.
+                train_event = self._pairing_fault(entry) not in (
+                    "", "flush_wrong_shift"
                 )
             else:
                 # A missed short-circuit opportunity: the load forwarded
@@ -1347,19 +1341,14 @@ class Processor:
             self.stats.predictor_trainings += 1
 
     def _record_flush_cause(self, entry: InFlightInst) -> None:
-        inst = entry.inst
+        stats = self.stats
         if self._is_conventional:
-            self.stats.flush_conv_violation += 1
-            return
-        if entry.bypassed:
-            if inst.containing_store == MEMORY_SOURCE:
-                self.stats.flush_should_not_have_bypassed += 1
-            elif inst.containing_store != entry.predicted_store_seq:
-                self.stats.flush_wrong_store += 1
-            else:
-                self.stats.flush_wrong_shift += 1
+            stats.flush_conv_violation += 1
+        elif entry.bypassed:
+            cause = self._pairing_fault(entry)
+            setattr(stats, cause, getattr(stats, cause) + 1)
         else:
-            self.stats.flush_should_have_bypassed += 1
+            stats.flush_should_have_bypassed += 1
 
     # ------------------------------------------------------------------ #
     # Flush recovery

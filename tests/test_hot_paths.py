@@ -215,7 +215,7 @@ _HOT_METHODS = (
     (Processor, "_issue_load"),
     (Processor, "_dispatch_load_conventional"),
     (Processor, "_dispatch_load_nosq"),
-    (Processor, "_dispatch_load_nosq_perfect"),
+    (Processor, "_bypass_ssn"),
     (DynInst, "__post_init__"),
 )
 
@@ -269,7 +269,13 @@ def _name_of(node):
 
 #: rule -> (test on an AST node, the processor.py functions that may hold
 #: it).  __init__ builds the TLB and hands it to the commit pipeline, and a
-#: flush also restarts fetch a front-end depth after it is detected.
+#: flush also restarts fetch a front-end depth after it is detected.  The
+#: last five are the store-load pairing rules that predicted, perfect and
+#: opportunistic-SMB loads share: the drain wake (a parked load issues an
+#: L1 latency before the store's write is visible), a membership test
+#: against the in-flight stores (their source stores), an SRQ read, the
+#: shift & mask, and an (in)equality test on ``containing_store`` (is the
+#: pairing right, and which flush cause a wrong one counts as).
 _TIMING_RULES = {
     "hierarchy.read": (
         lambda node: isinstance(node, ast.Attribute) and node.attr == "read"
@@ -295,6 +301,33 @@ _TIMING_RULES = {
         lambda node: _name_of(node) in ("frontend_depth", "_frontend_depth")
         and isinstance(node.ctx, ast.Load),
         {"__init__", "_stall_until_resolved", "_flush_after"},
+    ),
+    "drain wake": (
+        lambda node: isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub)
+        and _name_of(node.right) in ("l1_latency", "_l1_latency"),
+        {"_schedule_after_drain"},
+    ),
+    "in-flight sources": (
+        lambda node: isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.In, ast.NotIn))
+        and _name_of(node.comparators[0]) in ("inflight", "_inflight_stores"),
+        {"_classify_against_sq"},
+    ),
+    "SRQ read": (
+        lambda node: isinstance(node, ast.Attribute)
+        and node.attr in ("lookup", "_entries") and _name_of(node.value) == "srq",
+        {"_srq_entry"},
+    ),
+    "transform_for call": (
+        lambda node: isinstance(node, ast.Call)
+        and _name_of(node.func) == "transform_for",
+        {"_build_pairing"},
+    ),
+    "containing_store comparison": (
+        lambda node: isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and "containing_store" in map(_name_of, [node.left, *node.comparators]),
+        {"_pairing_fault"},
     ),
 }
 
