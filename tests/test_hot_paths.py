@@ -12,7 +12,9 @@
   enum member attribute.
 * Each load- and stall-timing rule of the processor is written in one
   method: the load's cache read and TLB probe, whether a store-queue
-  forward took effect, and the front-end restart after a stall.
+  forward took effect, the front-end restart after a stall, and the
+  store-load pairing rules that predicted, perfect and
+  opportunistic-SMB loads share.
 * Every function and method of the timing-model components is named
   somewhere in src/ outside its own definition, and every attribute or
   field they store is read somewhere in src/: a component keeps no
@@ -271,8 +273,8 @@ def _name_of(node):
 #: it).  __init__ builds the TLB and hands it to the commit pipeline, and a
 #: flush also restarts fetch a front-end depth after it is detected.  The
 #: last five are the store-load pairing rules that predicted, perfect and
-#: opportunistic-SMB loads share: the drain wake (a parked load issues an
-#: L1 latency before the store's write is visible), a membership test
+#: opportunistic-SMB loads share: the drain wake (a parked load's cache
+#: read ends as the store's write becomes visible), a membership test
 #: against the in-flight stores (their source stores), an SRQ read, the
 #: shift & mask, and an (in)equality test on ``containing_store`` (is the
 #: pairing right, and which flush cause a wrong one counts as).
