@@ -664,6 +664,21 @@ class TestCampaignCli:
         golden = Path(__file__).parent / "data" / "golden_paper_report.txt"
         assert capsys.readouterr().out == golden.read_text()
 
+    def test_suite_report_matches_golden(self, capsys):
+        # Two benchmarks per suite, so every mean row of Table 5 and
+        # Figures 2-5 averages two values.
+        from pathlib import Path
+
+        assert main([
+            "campaign", "run", "g721.e", "mesa.o", "gzip", "vortex",
+            "applu", "art", "-n", "2000", "-w", "750", "--jobs", "2",
+            "--quiet", "--configs", "standard,figure3,figure5",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["campaign", "report"]) == 0
+        golden = Path(__file__).parent / "data" / "golden_suite_report.txt"
+        assert capsys.readouterr().out == golden.read_text()
+
     def test_report_uses_newest_scale(self, capsys):
         assert main(self.run_args("--quiet")) == 0
         assert main([
