@@ -326,7 +326,7 @@ FIGURE5_HISTORY = tuple(
     for bits in (4, 6, 8, 10, 12)
 )
 #: The ablation studies' NoSQ variants, one tuple per study (rendered,
-#: with their column labels, by :mod:`repro.harness.ablations`).
+#: with their column labels, by :mod:`repro.harness.sections`).
 ABLATIONS = {
     "load_queue": ("nosq?lq_size=48", "nosq"),
     "tssbf": tuple(f"nosq?tssbf_entries={n}" for n in (32, 64, 128, 256)),

@@ -304,21 +304,22 @@ def cmd_campaign_report(args) -> int:
         names += sorted(n for n in results if n not in PROFILES)
     results = {b: results[b] for b in names}
 
-    # Render each section over the benchmarks whose stored configs
-    # support it (stores may mix config sets across campaigns).  The
-    # paper tables only make sense for calibrated profiles; every stored
+    # Render each section over the benchmarks whose stored runs support
+    # it (stores may mix config sets across campaigns).  Every stored
     # run no section used (trace-source benchmarks, extra configs, other
     # windows) goes to the generic table.
+    # Imported here: a cached `campaign run` loads no report section.
+    from repro.harness.sections import SECTIONS
+
     used = set()
-    for specs, render in _report_sections(results):
-        required = {config.name for config in resolve_configs(specs)}
-        covered = [
-            name for name, result in results.items()
-            if name in PROFILES and required <= set(result.runs)
-        ]
+    for section in SECTIONS.values():
+        covered = section.covered(results)
         if covered:
-            print(render(covered))
-            used.update((name, config) for name in covered for config in required)
+            print(section.render(covered, results))
+            used.update(
+                (name, config) for name in covered
+                for config in section.configs().values()
+            )
     rows = [
         [name, config, f"{result.runs[config].ipc:.3f}"]
         for name, result in results.items()
@@ -331,50 +332,6 @@ def cmd_campaign_report(args) -> int:
             title=f"stored campaign results (seed {seed})",
         ))
     return 0
-
-
-def _report_sections(results):
-    """The paper's tables, figures and ablations in report order, as
-    ``(config specs, render(benchmarks) -> text)`` over *results*."""
-    # Imported here: a cached `campaign run` loads no figure code.
-    from repro.harness import ablations, figure2, figure4, figure5, table5
-
-    def figure5_section(columns, title):
-        return (["conventional-perfect", *columns.values()], lambda names:
-                figure5.render_figure5(
-                    figure5.figure5_series(names, results, columns), title
-                ))
-
-    def ablation_section(columns, render):
-        return (list(columns.values()), lambda names: render(
-            ablations.ablation_points(names, results, columns)
-        ))
-
-    return [
-        ("table5", lambda names: table5.render_table5(
-            [table5.table5_row(name, results[name]) for name in names]
-        )),
-        ("standard", lambda names: figure2.render_figure2(
-            figure2.figure2_series(names, results)
-        )),
-        ("figure3", lambda names: figure2.render_figure2(
-            figure2.figure2_series(names, results, window=256),
-            title="Figure 3: relative execution time, 256-entry window",
-        )),
-        ("figure4", lambda names: figure4.render_figure4(
-            figure4.figure4_series(names, results)
-        )),
-        figure5_section(
-            figure5.CAPACITY, "Figure 5 (top): predictor capacity sweep"
-        ),
-        figure5_section(
-            figure5.HISTORY, "Figure 5 (bottom): path-history length sweep"
-        ),
-        *(
-            ablation_section(columns, render)
-            for columns, render in ablations.STUDIES
-        ),
-    ]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -15,8 +15,8 @@ cross products into declarative, sharded, cached, resumable *campaigns*:
   + package version), so unchanged jobs are instant hits and interrupted
   campaigns resume;
 * :mod:`repro.experiments.store` — :class:`ResultStore` (JSONL) plus
-  :func:`collect_results`, the aggregation API feeding the existing
-  table/figure modules;
+  :func:`collect_results`, the aggregation API feeding the report
+  sections (:mod:`repro.harness.sections`);
 * :mod:`repro.experiments.codec` — lossless JSON codecs for configs and
   statistics.
 

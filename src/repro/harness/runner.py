@@ -2,8 +2,8 @@
 
 A :class:`BenchmarkResult` bundles the trace-level ground truth with the
 :class:`~repro.pipeline.stats.RunStats` of each simulated configuration;
-the per-table/figure modules turn collections of results into the paper's
-rows and series.
+the report sections (:mod:`repro.harness.sections`) turn collections of
+results into the paper's tables and figures.
 """
 
 from __future__ import annotations

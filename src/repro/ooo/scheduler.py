@@ -31,17 +31,13 @@ class PortSchedule:
     pointer advances (see :meth:`discard_before`).
     """
 
-    def __init__(
-        self,
-        ports: dict[OpClass, int] | None = None,
-        total_width: int = 4,
-    ) -> None:
-        self.ports = dict(ports or ISSUE_PORTS)
-        self.total_width = total_width
+    def __init__(self) -> None:
+        #: Instructions issued per cycle across all classes (Section 4.1).
+        self.total_width = 4
         #: Per-class slot limits indexed by int(op_class) (hot path: avoids
         #: enum hashing on every reservation).
         self._limits = [0] * len(OpClass)
-        for op, limit in self.ports.items():
+        for op, limit in ISSUE_PORTS.items():
             self._limits[op] = limit
         #: cycle -> [per-class slot counts..., total] (one dict lookup per
         #: probe; the trailing element is the cycle's total booked width).

@@ -130,7 +130,8 @@ class Processor:
             self.bypass_predictor = BypassingPredictor(config.bypass_predictor)
         self.stats = RunStats(config_name=config.name)
 
-        # Per-run state (initialized in run()).
+        # Per-run state: run() sets the trace, its stores and the warmup;
+        # the rest starts here, since an instance runs once.
         self._trace: list[DynInst] = []
         self._store_insts: list[DynInst] = []
         self._pos = 0
@@ -200,25 +201,12 @@ class Processor:
             raise SimulationError("Processor instances are single-use")
         self._ran = True
         self._warmup = min(warmup, max(0, len(trace) - 1))
-        self._committed_total = 0
-        self._measure_start_cycle = 0
         self._trace = trace
         if trace and trace[0].path_hist < 0:
             # Un-annotated trace (annotate_trace precomputes this once per
             # trace; mutation is idempotent and shared by later runs).
             fill_path_history(trace)
         self._store_insts = [i for i in trace if i.is_store]
-        self._pos = 0
-        self._dispatch_barrier = 0
-        self._visible_cycles = []
-        self._epoch_store_base = 0
-        self._drain_pending = False
-        self._inflight_stores = {}
-        self._store_exec_cycles = {}
-        self._pending_commits = deque()
-        self._store_entry_cycles = []
-        self._sched_waiters = {}
-        self._commit_waiters = {}
         n = len(trace)
         if n == 0:
             return self.stats

@@ -1,44 +1,32 @@
-"""Tests for the experiment harness (runner + table/figure modules).
+"""Tests for the experiment harness (runner + report sections).
 
-The table and figure modules simulate nothing: each test sweeps the
-config set a section renders through :func:`repro.api.sweep` and builds
-the section from the results, as ``repro campaign report`` does.
+The report sections simulate nothing: each test sweeps the configs a
+section's columns name through :func:`repro.api.sweep` and builds the
+section from the results, as ``repro campaign report`` does.
 """
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.api import standard_configs, sweep
-from repro.harness import (
-    ExperimentScale,
-    figure2_series,
-    figure4_series,
-    figure5_series,
-    geomean,
-    render_figure2,
-    render_figure4,
-    render_figure5,
-    render_table5,
-    run_benchmark,
-    table5_row,
-)
-from repro.harness.figure2 import BARS, suite_geomeans
-from repro.harness.figure5 import CAPACITY, HISTORY
+from repro.harness import SECTIONS, ExperimentScale, geomean, run_benchmark
 from repro.harness.report import render_table
 from repro.harness.runner import amean
 from repro.pipeline.config import MachineConfig
 
 TINY = ExperimentScale("tiny", num_instructions=4_000, warmup=1_500)
+BARS = ("sq-storesets", "nosq-nodelay", "nosq-delay", "nosq-perfect")
 
 
-def swept(configs, benchmarks):
+def swept(section, benchmarks):
+    configs = list(section.columns.values())
     return sweep(configs, benchmarks, scale=TINY).results()
 
 
-def rows_for(benchmarks):
-    results = swept("table5", benchmarks)
-    return [table5_row(name, results[name]) for name in benchmarks]
+def rows_for(section, benchmarks):
+    return section.rows(benchmarks, swept(section, benchmarks))
 
 
 class TestRunner:
@@ -71,78 +59,88 @@ class TestRunner:
 
 class TestTable5:
     def test_rows_have_paper_and_measured(self):
-        rows = rows_for(["applu"])
-        row = rows[0]
-        assert row.paper_comm == 4.9
-        assert row.meas_comm > 0
-        assert row.meas_nodelay >= row.meas_delay or row.meas_nodelay < 30
+        row = rows_for(SECTIONS["table5"], ["applu"])["applu"]
+        assert row["paper_comm"] == 4.9
+        assert row["meas_comm"] > 0
+        assert row["meas_nodelay"] >= row["meas_delay"] or row["meas_nodelay"] < 30
 
     def test_render_contains_benchmarks(self):
-        rows = rows_for(["applu", "adpcm.d"])
-        text = render_table5(rows)
+        names = ["applu", "adpcm.d"]
+        text = SECTIONS["table5"].render(names, swept(SECTIONS["table5"], names))
         assert "applu" in text and "adpcm.d" in text
         assert "media.avg" in text and "fp.avg" in text
 
 
 class TestFigure2:
-    @pytest.fixture(scope="class")
-    def points(self):
-        names = ["applu", "adpcm.d"]
-        return figure2_series(names, swept("standard", names))
+    NAMES = ["applu", "adpcm.d"]
 
-    def test_bars_present(self, points):
-        for point in points:
-            assert set(point.relative) == set(BARS)
-            for value in point.relative.values():
+    @pytest.fixture(scope="class")
+    def results(self):
+        return swept(SECTIONS["figure2"], self.NAMES)
+
+    @pytest.fixture(scope="class")
+    def rows(self, results):
+        return SECTIONS["figure2"].rows(self.NAMES, results)
+
+    def test_bars_present(self, rows):
+        for name in self.NAMES:
+            relative = dict(rows[name])
+            del relative["base IPC"]
+            assert set(relative) == set(BARS)
+            for value in relative.values():
                 assert 0.3 < value < 3.0
 
-    def test_geomeans_by_suite(self, points):
-        means = suite_geomeans(points)
-        names = {m.name for m in means}
-        assert names == {"M.gmean", "F.gmean"}
+    def test_geomeans_by_suite(self, rows):
+        means = set(rows) - set(self.NAMES)
+        assert means == {"M.gmean", "F.gmean"}
 
-    def test_render(self, points):
-        text = render_figure2(points)
+    def test_render(self, results):
+        text = SECTIONS["figure2"].render(self.NAMES, results)
         assert "applu" in text and "nosq-delay (rel)" in text
 
 
 class TestFigure3:
     def test_uses_256_window(self):
-        results = swept("figure3", ["applu"])
-        points = figure2_series(["applu"], results, window=256)
-        assert points[0].relative  # computed against the w256 baseline
-        text = render_figure2(points, title="Figure 3: 256-entry window")
+        figure3 = SECTIONS["figure3"]
+        results = swept(figure3, ["applu"])
+        assert all(config.endswith("-w256") for config in figure3.configs().values())
+        assert figure3.rows(["applu"], results)["applu"]  # against the w256 baseline
+        text = figure3.render(["applu"], results)
         assert "256-entry window" in text
 
 
 class TestFigure4:
     def test_split_reads(self):
+        figure4 = SECTIONS["figure4"]
         names = ["applu", "g721.e"]
-        points = figure4_series(names, swept("figure4", names))
-        for point in points:
-            assert point.total_relative == pytest.approx(
-                point.ooo_relative + point.backend_relative
-            )
-            assert 0.2 < point.total_relative < 1.5
-        text = render_figure4(points)
+        results = swept(figure4, names)
+        rows = figure4.rows(names, results)
+        text = figure4.render(names, results)
+        for name in names:
+            total = rows[name]["ooo_relative"] + rows[name]["backend_relative"]
+            line = next(line for line in text.splitlines() if line.split()[0] == name)
+            assert line.split()[3] == f"{total:.3f}"
+            assert 0.2 < total < 1.5
         assert "back-end reads (rel)" in text
 
 
 class TestFigure5:
     def test_capacity_sweep_labels(self):
-        results = swept(["conventional-perfect", *CAPACITY.values()], ["applu"])
-        points = figure5_series(["applu"], results, CAPACITY)
-        keys = list(points[0].relative)
+        capacity = SECTIONS["figure5-capacity"]
+        keys = list(rows_for(capacity, ["applu"])["applu"])
         assert "nosq-512e-8h" in keys
         assert "nosq-inf-8h" in keys
 
     def test_history_sweep_labels(self):
-        bounded = {k: v for k, v in HISTORY.items() if "2048e" in k}
-        results = swept(["conventional-perfect", *bounded.values()], ["applu"])
-        points = figure5_series(["applu"], results, bounded)
-        keys = list(points[0].relative)
+        history = SECTIONS["figure5-history"]
+        bounded = dataclasses.replace(history, columns={
+            label: spec for label, spec in history.columns.items()
+            if "inf" not in label
+        })
+        results = swept(bounded, ["applu"])
+        keys = list(bounded.rows(["applu"], results)["applu"])
         assert keys == [f"nosq-2048e-{b}h" for b in (4, 6, 8, 10, 12)]
-        text = render_figure5(points, title="test")
+        text = bounded.render(["applu"], results)
         assert "applu" in text
 
 

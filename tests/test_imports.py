@@ -65,7 +65,7 @@ NOT_LOADED = {
 #: The ``repro`` modules a cached ``campaign run`` and its ``campaign
 #: report`` load (DESIGN.md, "Import boundaries").  A change that loads
 #: more must justify it here.
-CACHED_MODULES = {"run": 20, "report": 21}
+CACHED_MODULES = {"run": 20, "report": 17}
 
 #: Every package of the library, by dotted name.
 PACKAGES = sorted(

@@ -203,9 +203,10 @@ class TestPortSchedule:
         assert ports.reserve(OpClass.LOAD, 5) == 6  # 1 load/cycle
 
     def test_total_width_limit(self):
-        ports = PortSchedule(total_width=2)
-        assert ports.reserve(OpClass.ALU, 1) == 1
-        assert ports.reserve(OpClass.ALU, 1) == 1
+        ports = PortSchedule()
+        for op in (OpClass.COMPLEX, OpClass.COMPLEX, OpClass.ALU, OpClass.ALU):
+            assert ports.reserve(op, 1) == 1
+        # Two ALU slots of four are free, but the cycle's 4-wide cap is met.
         assert ports.reserve(OpClass.ALU, 1) == 2  # width cap
 
     def test_classes_independent_within_width(self):
